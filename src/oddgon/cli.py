@@ -9,7 +9,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import highprec
 from .derivation import (
@@ -255,10 +254,7 @@ def _cmd_verify(args) -> int:
     for name in names:
         if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; available: {', '.join(sorted(_CHECKS))}")
-    # independent checks fan out concurrently and join in a fixed order
-    with ThreadPoolExecutor(max_workers=max(1, len(names))) as pool:
-        futures = {name: pool.submit(_CHECKS[name], args) for name in names}
-        results = {name: futures[name].result() for name in names}
+    results = {name: _CHECKS[name](args) for name in names}
     report = {
         "n": args.n,
         "tol": args.tol,

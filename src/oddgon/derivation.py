@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
-from .flow import CornerHit, Trajectory, _chart_segments, trace_from_edge
+from .flow import CornerHit, crossing_events, trace_from_edge
 from .geometry import (
     Segment,
     clip_polygon_halfplane,
@@ -27,7 +27,7 @@ from .geometry import (
     ray_segment_hit,
     vlerp,
 )
-from .surface import Surface, index_for_letter, letter_for_index
+from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface, index_for_letter, letter_for_index
 
 import math
 
@@ -110,9 +110,6 @@ class TransitionDiagram:
     stage: str
     nodes: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-
-    def arrow_set(self) -> set[tuple[str, str]]:
-        return {(a.source, a.target) for a in self.arrows}
 
 
 class InvalidPath(ValueError):
@@ -337,26 +334,6 @@ def _sector_sample_plan(surface: Surface, samples: int, seed: int):
         yield k, u, theta
 
 
-def _trajectory_events(surface: Surface, traj: Trajectory) -> list[tuple[float, str, str]]:
-    """Time-ordered (time, kind, name) stream of original/aux/primed crossings."""
-    events: list[tuple[float, str, str]] = []
-    for i, c in enumerate(traj.crossings):
-        events.append((float(i), "orig", c.letter))
-    for i, polygon, a, b in _chart_segments(surface, traj):
-        seg = Segment(a, b)
-        d = seg.direction()
-        for e in surface.aux_for(polygon):
-            hit = ray_segment_hit(a, d, e.seg, eps=1e-9)
-            if hit is not None and 1e-9 < hit.t < 1.0 - 1e-9 and 1e-9 < hit.u < 1.0 - 1e-9:
-                events.append((i + hit.t, "aux", e.label))
-        for e in surface.primed_for(polygon):
-            hit = ray_segment_hit(a, d, e.seg, eps=1e-9)
-            if hit is not None and 1e-9 < hit.t < 1.0 - 1e-9 and 1e-9 < hit.u < 1.0 - 1e-9:
-                events.append((i + hit.t, "primed", e.label.rstrip("'")))
-    events.sort(key=lambda ev: ev[0])
-    return events
-
-
 def _scan_sampled_transitions(
     surface: Surface,
     aux_of: dict[tuple[str, str], tuple[str, ...]],
@@ -370,20 +347,21 @@ def _scan_sampled_transitions(
     letters against the clipping-derived augmented labels.
     """
     nodes = _node_letters(surface)
+    edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
     observed: dict[tuple[str, str, str], str] = {}
     for k, u, theta in _sector_sample_plan(surface, samples, seed):
         try:
             traj = trace_from_edge(surface, k, u, theta, max_crossings=crossings)
         except CornerHit:
             continue
-        events = _trajectory_events(surface, traj)
+        events = list(crossing_events(surface, traj, edges))
 
-        origs = [(t, name) for t, kind, name in events if kind == "orig"]
+        origs = [(t, name) for t, kind, name in events if kind == ORIGINAL]
         for (t1, x), (t2, y) in zip(origs, origs[1:]):
             between = tuple(
                 name
                 for t, kind, name in events
-                if kind == "aux" and t1 + 1e-9 < t < t2 - 1e-9
+                if kind == AUXILIARY and t1 + 1e-9 < t < t2 - 1e-9
             )
             if (x, y) not in aux_of:
                 raise AssertionError(f"sampled letter pair {x}->{y} has no arrow")
@@ -395,14 +373,14 @@ def _scan_sampled_transitions(
         duals = [
             (t, name)
             for t, kind, name in events
-            if kind == "aux" or (kind == "orig" and name in nodes)
+            if kind == AUXILIARY or (kind == ORIGINAL and name in nodes)
         ]
         for (t1, d1), (t2, d2) in zip(duals, duals[1:]):
             originals = "".join(
-                name for t, kind, name in events if kind == "orig" and t1 + 1e-9 < t < t2 - 1e-9
+                name for t, kind, name in events if kind == ORIGINAL and t1 + 1e-9 < t < t2 - 1e-9
             )
             primeds = "".join(
-                name for t, kind, name in events if kind == "primed" and t1 + 1e-9 < t < t2 - 1e-9
+                name for t, kind, name in events if kind == PRIMED and t1 + 1e-9 < t < t2 - 1e-9
             )
             key = (d1, d2, originals)
             if key in observed and observed[key] != primeds:
@@ -500,14 +478,14 @@ def _token_stream(pipeline: DiagramPipeline, word: str) -> list[tuple[str, str, 
         index_for_letter(ch)  # validates the alphabet
     if not word:
         return []
-    stream: list[tuple[str, str, int]] = [("orig", word[0], 0)]
+    stream: list[tuple[str, str, int]] = [(ORIGINAL, word[0], 0)]
     for i in range(len(word) - 1):
         pair = (word[i], word[i + 1])
         if pair not in pipeline.aux_of:
             raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
         for name in pipeline.aux_of[pair]:
-            stream.append(("aux", name, i))
-        stream.append(("orig", word[i + 1], i + 1))
+            stream.append((AUXILIARY, name, i))
+        stream.append((ORIGINAL, word[i + 1], i + 1))
     return stream
 
 
@@ -515,14 +493,14 @@ def _dual_elements(pipeline: DiagramPipeline, stream) -> list[tuple[int, str, in
     """(stream position, node name, anchor) for the dual nodes in a stream."""
     out = []
     for pos, (kind, name, anchor) in enumerate(stream):
-        if kind == "aux" or (kind == "orig" and name in pipeline.node_letters):
+        if kind == AUXILIARY or (kind == ORIGINAL and name in pipeline.node_letters):
             out.append((pos, name, anchor))
     return out
 
 
 def _transition_label(pipeline: DiagramPipeline, stream, p1: int, p2: int, d1: str, d2: str) -> str:
     originals = "".join(
-        name for kind, name, _ in stream[p1 + 1 : p2] if kind == "orig"
+        name for kind, name, _ in stream[p1 + 1 : p2] if kind == ORIGINAL
     )
     key = (d1, d2, originals)
     if key not in pipeline.transitions:
@@ -543,7 +521,7 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
     duals = _dual_elements(pipeline, stream)
     out: list[str] = []
     for i, (pos, name, anchor) in enumerate(duals):
-        if stream[pos][0] == "orig" and 0 < anchor < len(word) - 1:
+        if stream[pos][0] == ORIGINAL and 0 < anchor < len(word) - 1:
             out.append(name)
         if i + 1 < len(duals):
             pos2, name2, _ = duals[i + 1]
@@ -561,7 +539,7 @@ def _derive_cyclic(pipeline: DiagramPipeline, word: str) -> str:
     for i, (pos, name, anchor) in enumerate(duals):
         if not L <= anchor < 2 * L:
             continue
-        if stream[pos][0] == "orig":
+        if stream[pos][0] == ORIGINAL:
             out.append(name)
         if i + 1 >= len(duals):
             raise AssertionError("tripled walk ended before its transitions completed")

@@ -6,17 +6,20 @@ by an honest point map: rotations by even multiples of pi/n act about the
 polygon centers, and the odd half-turn swaps the two polygons, so every
 multiple of pi/n is realized by a piecewise isometry whose edge permutation
 is read off geometrically.
+
+`crossing_events` is the one scan of a traced trajectory against edge
+pieces; the geometric derivation feeds it the primed edges carried onto the
+trajectory's charts, so a trajectory is traced once in any direction.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .geometry import (
     Segment,
     Vec,
-    point_on_segment,
     ray_segment_hit,
     rotation,
     round_sig,
@@ -27,7 +30,10 @@ from .geometry import (
 )
 from .surface import (
     LOWER,
+    ORIGINAL,
+    PRIMED,
     UPPER,
+    Edge,
     Surface,
     letter_for_index,
     other_polygon,
@@ -91,11 +97,17 @@ class Trajectory:
         return a.polygon, a.point, exit_point
 
 
-def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, delta: float):
-    """Smallest positive ray hit among the polygon's original edges."""
+def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, delta: float, entry: Optional[int]):
+    """Smallest positive ray hit among the polygon's original edges.
+
+    Skips the entry edge: a convex polygon is not left through it, but near
+    its direction float error puts a self-hit above STEP_MIN.
+    """
     best = None
     best_k = 0
     for k in range(1, surface.n + 1):
+        if k == entry:
+            continue
         seg = surface.edge_seg(polygon, k)
         hit = ray_segment_hit(p, d, seg, eps=1e-9)
         if hit is None or hit.t <= STEP_MIN:
@@ -162,6 +174,7 @@ def trace(
     )
 
     polygon, p = start
+    entry = start_edge
     if start_edge is not None:
         polygon, p = _entry_from_edge(
             surface, start_edge, start[1] if start[0] == UPPER else vadd(start[1], surface.identification_offset(start_edge)), theta
@@ -178,7 +191,7 @@ def trace(
 
     while len(crossings) < max_crossings:
         try:
-            k, hit = _exit_hit(surface, polygon, p, d, delta)
+            k, hit = _exit_hit(surface, polygon, p, d, delta, entry)
         except CornerHit as ch:
             raise CornerHit(ch.polygon, ch.point, len(crossings)) from None
         t_off = surface.identification_offset(k)
@@ -195,7 +208,7 @@ def trace(
                 param=_upper_param(surface, k, entered, q),
             )
         )
-        polygon, p = entered, q
+        polygon, p, entry = entered, q, k
         first = crossings[0]
         last = crossings[-1]
         if (
@@ -349,81 +362,64 @@ def _chart_segments(surface: Surface, traj: Trajectory):
         yield m - 1, last.polygon, last.point, exit_point
 
 
-def _collect_primed_letters(surface: Surface, traj: Trajectory) -> list[tuple[float, str]]:
-    """Primed-edge crossings along the traced span, as (time, letter) events.
+def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]):
+    """Time-ordered (time, kind, name) crossings of a traced trajectory.
 
-    Time is crossing-index-valued: the segment between crossings i and i+1
-    spans (i, i+1). The two direction-fixed primed edges coincide with their
-    original pairs, so those fire exactly at the chart transitions.
+    Time is crossing-index-valued: original crossing i comes at time i with
+    kind ORIGINAL and its letter; a proper crossing of the piece `e` in
+    `edges[polygon]` strictly inside segment i (which spans (i, i+1)) comes
+    at i + t with kind `e.kind` and name `e.label` stripped of its prime, so
+    a primed piece is named by the letter it is the image of. Hits at equal
+    times keep the order of `edges`. Periodic orbits include the closing
+    segment.
     """
-    node_idx = set(surface.node_indices)
-    events: list[tuple[float, str]] = []
-
-    for i, c in enumerate(traj.crossings):
-        if c.index in node_idx:
-            events.append((float(i), c.letter))
-
+    events: list[tuple[float, str, str]] = [
+        (float(i), ORIGINAL, c.letter) for i, c in enumerate(traj.crossings)
+    ]
     for i, polygon, a, b in _chart_segments(surface, traj):
-        seg = Segment(a, b)
-        for piece in surface.primed_for(polygon):
-            hit = ray_segment_hit(a, seg.direction(), piece.seg, eps=1e-9)
-            if hit is None:
-                continue
-            if 1e-9 < hit.t < 1.0 - 1e-9 and 1e-9 < hit.u < 1.0 - 1e-9:
-                events.append((i + hit.t, letter_for_index(piece.index)))
-    events.sort(key=lambda e: e[0])
-    return events
+        d = vsub(b, a)
+        for e in edges[polygon]:
+            hit = ray_segment_hit(a, d, e.seg, eps=1e-9)
+            if hit is not None and 1e-9 < hit.t < 1.0 - 1e-9 and 1e-9 < hit.u < 1.0 - 1e-9:
+                events.append((i + hit.t, e.kind, e.label.rstrip("'")))
+    events.sort(key=lambda ev: ev[0])
+    yield from events
 
 
 def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
     """Derived cutting sequence: the primed edges crossed by the trajectory.
 
-    Trajectories outside the standard sector are first moved into it by the
-    rotation isometry (re-tracing the mapped start), and the derived word is
-    mapped back through the inverse letter permutation.
+    The standard primed pieces are carried onto the trajectory's charts by
+    the inverse of the isometry that normalizes its direction (the identity
+    in the sector); the two direction-fixed ones fire at the crossings whose
+    normalized letter is a node letter. The normalized word is mapped back
+    through the inverse letter permutation. Nothing is traced again, so
+    CornerHit cannot arise here.
     """
     norm = normalize_direction(surface, traj.theta)
-    if norm.steps % (2 * surface.n) != 0:
-        # the isometry maps crossings one-to-one, so trace the same span
-        span = len(traj.crossings) + (1 if traj.periodic else 0)
-        iso = rotation_isometry(surface, norm.steps)
-        if traj.start_edge is not None:
-            polygon, point = iso(UPPER, surface.edge_seg(UPPER, traj.start_edge).point_at(traj.start_param))
-            k2 = None
-            for k in range(1, surface.n + 1):
-                par = point_on_segment(point, surface.edge_seg(polygon, k), eps=1e-9)
-                if par is not None and 1e-9 < par < 1.0 - 1e-9:
-                    k2 = k
-                    break
-            base = trace(
-                surface,
-                (polygon, point),
-                norm.theta,
-                max_crossings=span,
-                start_edge=k2,
-                start_param=None,
-            )
-        else:
-            polygon, point = iso(traj.start_polygon, traj.start_point)
-            base = trace(
-                surface,
-                (polygon, point),
-                norm.theta,
-                max_crossings=span,
-            )
-    else:
-        base = traj
-    if base is not traj and base.letters != norm.apply(traj.letters):
-        raise AssertionError("rotated trace does not reproduce the permuted cutting sequence")
+    back = rotation_isometry(surface, -norm.steps)
+    primed: dict[str, list[Edge]] = {UPPER: [], LOWER: []}
+    for polygon in (UPPER, LOWER):
+        for piece in surface.primed_for(polygon):
+            target, p0 = back(polygon, piece.seg.p0)
+            _, p1 = back(polygon, piece.seg.p1)
+            primed[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
 
-    events = _collect_primed_letters(surface, base)
-    if base.periodic:
-        word = "".join(ch for t, ch in events if 0.0 <= t < float(base.period))
+    node_letters = {letter_for_index(k) for k in surface.node_indices}
+    events: list[tuple[float, str]] = []
+    for t, kind, name in crossing_events(surface, traj, primed):
+        if kind == ORIGINAL:
+            name = norm.letter_map[name]
+            if name not in node_letters:
+                continue
+        events.append((t, name))
+    if traj.periodic:
+        word = "".join(ch for t, ch in events if 0.0 <= t < float(traj.period))
     else:
         word = "".join(ch for _, ch in events)
     return GeometricDerivation(
         letters=norm.invert(word),
-        cyclic=base.periodic,
+        cyclic=traj.periodic,
         normalized_theta=norm.theta,
         rotation_steps=norm.steps,
         primed_hits=tuple((round_sig(t, 12), ch) for t, ch in events),

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Vec = tuple[float, float]
 
@@ -46,11 +46,6 @@ def vdist(a: Vec, b: Vec) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def angle_of(v: Vec) -> float:
-    """Direction of v in (-pi, pi]."""
-    return math.atan2(v[1], v[0])
-
-
 def unit(theta: float) -> Vec:
     return (math.cos(theta), math.sin(theta))
 
@@ -86,10 +81,6 @@ class Mat2:
         return [[self.a, self.b], [self.c, self.d]]
 
 
-IDENTITY2 = Mat2(1.0, 0.0, 0.0, 1.0)
-FLIP_X = Mat2(-1.0, 0.0, 0.0, 1.0)
-
-
 def rotation(theta: float) -> Mat2:
     c, s = math.cos(theta), math.sin(theta)
     return Mat2(c, -s, s, c)
@@ -118,9 +109,6 @@ class Segment:
     def translated(self, off: Vec) -> "Segment":
         return Segment(vadd(self.p0, off), vadd(self.p1, off))
 
-    def transformed(self, m: Mat2) -> "Segment":
-        return Segment(m.apply(self.p0), m.apply(self.p1))
-
 
 @dataclass(frozen=True)
 class Hit:
@@ -147,19 +135,6 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment, eps: float = DEFAULT_EPS)
     if u < -eps or u > 1.0 + eps:
         return None
     return Hit(t=t, u=u, point=vlerp(seg.p0, seg.p1, u))
-
-
-def segment_crossing_param(a: Segment, b: Segment, eps: float = DEFAULT_EPS) -> Optional[tuple[float, float]]:
-    """Proper crossing of two segments: params (t on a, u on b), both in (eps, 1-eps).
-
-    Returns None for parallel segments, touches at endpoints, or misses.
-    """
-    hit = ray_segment_hit(a.p0, a.direction(), b, eps=eps)
-    if hit is None:
-        return None
-    if eps < hit.t < 1.0 - eps and eps < hit.u < 1.0 - eps:
-        return (hit.t, hit.u)
-    return None
 
 
 def point_on_segment(p: Vec, seg: Segment, eps: float = DEFAULT_EPS) -> Optional[float]:

@@ -87,8 +87,8 @@ def render_surface_svg(
 ) -> str:
     """The two polygon charts (lower shaded) with optional overlays."""
     cv = _Canvas()
-    cv.polygon(surface.outline(LOWER), fill="#d7dfee")
-    cv.polygon(surface.outline(UPPER), fill="#f7f7f4")
+    cv.polygon(surface.vertices(LOWER), fill="#d7dfee")
+    cv.polygon(surface.vertices(UPPER), fill="#f7f7f4")
     if show_aux:
         for e in surface.aux_edges:
             cv.line(e.seg.p0, e.seg.p1, stroke="#7f8c8d", width=1.0, dashed=True)

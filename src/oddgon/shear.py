@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .geometry import Mat2, Vec, vadd, vsub
-from .surface import LOWER, UPPER, Surface, build_surface, flip_shear_matrix, shear_matrix
+from .geometry import Vec, vadd, vsub
+from .surface import LOWER, UPPER, Surface, build_surface, shear_matrix
 
 UPPER_RIGHT = "upper_right"
 UPPER_LEFT = "upper_left"
@@ -49,17 +49,6 @@ def identity_sum(alpha: float, k: int) -> tuple[float, float]:
     lhs = sum(cot_half * math.sin(i * alpha) for i in range(1, k + 1))
     rhs = k + sum((2.0 * (k - i) + 1.0) * math.cos(i * alpha) for i in range(1, k + 1))
     return lhs, rhs
-
-
-# ---- matrices -------------------------------------------------------------
-
-
-def veech_shear(n: int) -> Mat2:
-    return shear_matrix(n)
-
-
-def veech_generator(n: int) -> Mat2:
-    return flip_shear_matrix(n)
 
 
 # ---- cylinders ------------------------------------------------------------
@@ -276,7 +265,7 @@ def verify_reassembly(n: int, tol: float = 1e-8) -> ReassemblyReport:
     """Compare every guide x-position against the sheared original vertex."""
     surface = build_surface(n)
     guide = build_vertex_guide(n)
-    M = veech_shear(n)
+    M = shear_matrix(n)
     worst = ("", "", -1)
     max_residual = 0.0
     y_ok = True

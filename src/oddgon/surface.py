@@ -123,10 +123,6 @@ class Surface:
     def vertices(self, polygon: str) -> list[Vec]:
         return self.upper if polygon == UPPER else self.lower
 
-    def outline(self, polygon: str) -> list[Vec]:
-        """Vertex cycle in ccw order (the half turn preserves orientation)."""
-        return list(self.vertices(polygon))
-
     def edge_seg(self, polygon: str, k: int) -> Segment:
         vs = self.vertices(polygon)
         return Segment(vs[(k - 1) % self.n], vs[k % self.n])
@@ -146,9 +142,6 @@ class Surface:
         outward = (e[1], -e[0])  # ccw polygon: outward normal of the upper copy
         exits_upper = d[0] * outward[0] + d[1] * outward[1] > 0.0
         return LOWER if exits_upper else UPPER
-
-    def letter(self, k: int) -> str:
-        return letter_for_index(k)
 
     @property
     def node_indices(self) -> tuple[int, int]:
@@ -241,7 +234,7 @@ class Surface:
         return out
 
     def _primed_edge(self, k: int) -> PrimedEdge:
-        label = self.letter(k) + "'"
+        label = letter_for_index(k) + "'"
         if k in self.node_indices:
             pieces = tuple(
                 Edge(label=label, kind=PRIMED, polygon=p, index=k, seg=self.edge_seg(p, k))

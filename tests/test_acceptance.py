@@ -177,11 +177,11 @@ def test_criterion_6_geometric_vs_combinatorial(pipelines):
             u = rng.uniform(0.05, 0.95)
             try:
                 traj = trace_from_edge(s, k, u, theta, max_crossings=70)
-                if len(traj.crossings) < 60:
-                    continue
-                result = derive_geometric(s, traj)
             except CornerHit:
                 continue
+            if len(traj.crossings) < 60:
+                continue
+            result = derive_geometric(s, traj)
             done += 1
             checked += 1
             if traj.periodic:

@@ -6,6 +6,7 @@ import pytest
 from oddgon.derivation import cyclic_normal_form, ksl_cyclic, ksl_window
 from oddgon.flow import (
     CornerHit,
+    crossing_events,
     derive_geometric,
     edge_permutation,
     normalize_direction,
@@ -15,7 +16,7 @@ from oddgon.flow import (
     trajectory_json,
 )
 from oddgon.geometry import point_in_polygon, unit, vdist, vsub
-from oddgon.surface import LOWER, UPPER, build_surface, letter_for_index
+from oddgon.surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, build_surface, letter_for_index
 
 
 def test_period_four_orbit(pentagon):
@@ -195,9 +196,9 @@ def test_window_derivation_agrees_with_rule(n):
         u = 0.05 + 0.9 * rng.random()
         try:
             traj = trace_from_edge(s, k, u, theta, max_crossings=80)
-            result = derive_geometric(s, traj)
         except CornerHit:
             continue
+        result = derive_geometric(s, traj)
         checked += 1
         if traj.periodic:
             assert cyclic_normal_form(result.letters) == cyclic_normal_form(
@@ -209,6 +210,67 @@ def test_window_derivation_agrees_with_rule(n):
             # the rule sees one letter past each window end, the flow does not:
             # allow one derived letter of slack at each boundary
             assert _window_match(got, want)
+
+
+@pytest.mark.parametrize("n", [5, 9, 15])
+def test_near_edge_directions_trace_and_derive(n):
+    # within 1e-3..1e-7 of an edge direction, float error puts a self-hit on
+    # the entry edge just above STEP_MIN; taking it would repeat a letter or
+    # end the trace in a spurious CornerHit
+    s = build_surface(n)
+    rng = random.Random(900 + n)
+    for _ in range(60):
+        j = rng.randrange(2 * n)
+        theta = j * math.pi / n + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(3.0, 7.0)
+        k = rng.randrange(1, n + 1)
+        u = rng.uniform(0.05, 0.95)
+        try:
+            traj = trace_from_edge(s, k, u, theta, max_crossings=60)
+        except CornerHit:
+            continue
+        letters = traj.letters
+        assert all(a != b for a, b in zip(letters, letters[1:])), (k, u, theta, letters)
+        result = derive_geometric(s, traj)
+        if traj.periodic:
+            assert cyclic_normal_form(result.letters) == cyclic_normal_form(ksl_cyclic(traj.period_word))
+        else:
+            assert _window_match(result.letters, ksl_window(letters)), (k, u, theta)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_rotated_trace_reproduces_permuted_letters(n):
+    # tracer equivariance: tracing the isometry image of the start in the
+    # normalized direction yields the permuted cutting sequence
+    s = build_surface(n)
+    rng = random.Random(40 + n)
+    checked = 0
+    while checked < 20:
+        theta = rng.uniform(s.sector + 0.01, 2.0 * math.pi - 0.01)
+        k = rng.randrange(1, n + 1)
+        u = rng.uniform(0.05, 0.95)
+        try:
+            traj = trace_from_edge(s, k, u, theta, max_crossings=60)
+        except CornerHit:
+            continue
+        norm = normalize_direction(s, theta)
+        polygon, point = rotation_isometry(s, norm.steps)(UPPER, s.edge_seg(UPPER, k).point_at(u))
+        k2 = edge_permutation(s, norm.steps)[k]
+        rotated = trace(s, (polygon, point), norm.theta, max_crossings=len(traj.crossings), start_edge=k2)
+        assert rotated.letters == norm.apply(traj.letters)
+        checked += 1
+
+
+def test_crossing_events_stream(pentagon):
+    traj = trace_from_edge(pentagon, 3, 0.37, 0.9, max_crossings=40)
+    edges = {p: pentagon.aux_for(p) + pentagon.primed_for(p) for p in (UPPER, LOWER)}
+    events = list(crossing_events(pentagon, traj, edges))
+    times = [t for t, _, _ in events]
+    assert times == sorted(times)
+    origs = [(t, name) for t, kind, name in events if kind == ORIGINAL]
+    assert origs == [(float(i), c.letter) for i, c in enumerate(traj.crossings)]
+    assert {kind for _, kind, _ in events} == {ORIGINAL, AUXILIARY, PRIMED}
+    # primed pieces are named by the letter of the edge they are the image of
+    assert all(name in "ABCDE" for _, kind, name in events if kind == PRIMED)
 
 
 def _window_match(got: str, want: str) -> bool:

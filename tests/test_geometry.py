@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from oddgon.geometry import (
     Mat2,
     Segment,
-    angle_of,
     clip_polygon_halfplane,
-    cross,
     point_in_polygon,
     point_on_segment,
     polygon_area,
@@ -16,8 +14,6 @@ from oddgon.geometry import (
     ray_segment_hit,
     rotation,
     round_sig,
-    segment_crossing_param,
-    unit,
     vdist,
 )
 
@@ -76,16 +72,6 @@ def test_ray_segment_hit():
     assert ray_segment_hit((0.0, 5.0), (1.0, 0.0), seg) is None
 
 
-def test_segment_crossing_param():
-    a = Segment((0.0, 0.0), (1.0, 1.0))
-    b = Segment((0.0, 1.0), (1.0, 0.0))
-    params = segment_crossing_param(a, b)
-    assert params is not None
-    ta, tb = params
-    assert abs(ta - 0.5) < 1e-12 and abs(tb - 0.5) < 1e-12
-    assert segment_crossing_param(a, Segment((2.0, 0.0), (3.0, 1.0))) is None
-
-
 def test_point_on_segment():
     seg = Segment((0.0, 0.0), (4.0, 0.0))
     assert abs(point_on_segment((1.0, 0.0), seg) - 0.25) < 1e-12
@@ -112,13 +98,6 @@ def test_clip_halfplane():
     assert clip_polygon_halfplane(SQUARE, (0.0, 1.0), 2.0) == []
     whole = clip_polygon_halfplane(SQUARE, (0.0, 1.0), -1.0)
     assert abs(polygon_area(whole) - 1.0) < 1e-12
-
-
-@given(angles)
-def test_unit_angle_roundtrip(theta):
-    v = unit(theta)
-    back = angle_of(v)
-    assert abs(cross(v, unit(back))) < 1e-12
 
 
 def test_round_sig():

@@ -14,8 +14,6 @@ from oddgon.shear import (
     sheared_x,
     side_vertex,
     telescoping_identity,
-    veech_generator,
-    veech_shear,
     verify_reassembly,
 )
 from oddgon.surface import build_surface
@@ -91,15 +89,6 @@ def test_cylinder_intervals_tile_the_surface_height(n):
     for a, b in zip(cyls, cyls[1:]):
         assert abs(a.y_interval[1] - b.y_interval[0]) < 1e-12
     assert abs(cyls[-1].y_interval[1] - s.apex()[1]) < 1e-12
-
-
-def test_veech_matrices():
-    m5 = veech_shear(5)
-    assert m5.rows()[1] == [0.0, 1.0]
-    assert abs(m5.b - 2.0 / math.tan(math.pi / 5)) < 1e-15
-    g5 = veech_generator(5)
-    assert g5.a == -1.0
-    assert abs(g5.det() + 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])

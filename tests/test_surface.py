@@ -124,7 +124,7 @@ def test_primed_edges(n):
     for p in primed:
         assert all(piece.kind == "primed" for piece in p.pieces)
         if not p.coincident:
-            assert p.label == s.letter(p.index) + "'"
+            assert p.label == letter_for_index(p.index) + "'"
             # primed direction is the flip-shear image of the original direction
             v = flip_shear_matrix(n).apply(s.edge_seg(UPPER, p.index).direction())
             for piece in p.pieces:
