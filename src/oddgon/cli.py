@@ -347,7 +347,7 @@ def _cmd_render(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, n_default: int = 5) -> None:
-    p.add_argument("--n", type=int, default=n_default, help="number of polygon sides (odd, >= 5)")
+    p.add_argument("--n", type=int, default=n_default, help="number of polygon sides (odd, 5 to 25)")
     p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
     p.add_argument("--delta", type=float, default=1e-12, help="corner-hit tolerance")
     p.add_argument("--seed", type=int, default=0, help="random seed")

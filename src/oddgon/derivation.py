@@ -8,6 +8,10 @@ Two independent routes produce derived sequences:
   diagrams (arrows -> augmented -> dual -> primed) built geometrically from
   the surface, reading the derived word off the primed labels.
 
+The build and the walk split their token streams into dual transitions
+(from one auxiliary crossing or direction-fixed letter to the next) with one
+forward reader, `_dual_steps`.
+
 `sandwich_equivalence_check` compares the two routes on enumerated cyclic
 walks and sampled windows.
 """
@@ -324,6 +328,30 @@ def _enumerate_dual_transitions(
     return found
 
 
+def _dual_steps(stream: list[tuple[str, str]], nodes: frozenset[str]):
+    """Dual transitions of a time-ordered (kind, name) stream, in one pass.
+
+    For each dual node (an auxiliary token, or an original one named by a
+    node letter) at position i, yields (i, j, originals, primeds): j is the
+    next dual node's position (None after the last), and the two strings
+    hold the original and primed letters strictly between them.
+    """
+    i = None
+    originals: list[str] = []
+    primeds: list[str] = []
+    for j, (kind, name) in enumerate(stream):
+        if kind == AUXILIARY or (kind == ORIGINAL and name in nodes):
+            if i is not None:
+                yield i, j, "".join(originals), "".join(primeds)
+            i, originals, primeds = j, [], []
+        elif kind == ORIGINAL:
+            originals.append(name)
+        elif kind == PRIMED:
+            primeds.append(name)
+    if i is not None:
+        yield i, None, "".join(originals), "".join(primeds)
+
+
 def _sector_sample_plan(surface: Surface, samples: int, seed: int):
     rng = random.Random(seed)
     n = surface.n
@@ -343,8 +371,9 @@ def _scan_sampled_transitions(
 ) -> dict[tuple[str, str, str], str]:
     """Observed primed content per dual transition, from traced trajectories.
 
-    Also cross-checks the sampled aux crossings between consecutive original
-    letters against the clipping-derived augmented labels.
+    Each sample's crossing events are read in order as (kind, name) tokens:
+    the auxiliary names between consecutive original letters must equal the
+    clipping-derived augmented labels, and `_dual_steps` fills the table.
     """
     nodes = _node_letters(surface)
     edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
@@ -354,35 +383,28 @@ def _scan_sampled_transitions(
             traj = trace_from_edge(surface, k, u, theta, max_crossings=crossings)
         except CornerHit:
             continue
-        events = list(crossing_events(surface, traj, edges))
+        stream = [(kind, name) for _, kind, name in crossing_events(surface, traj, edges)]
 
-        origs = [(t, name) for t, kind, name in events if kind == ORIGINAL]
-        for (t1, x), (t2, y) in zip(origs, origs[1:]):
-            between = tuple(
-                name
-                for t, kind, name in events
-                if kind == AUXILIARY and t1 + 1e-9 < t < t2 - 1e-9
-            )
-            if (x, y) not in aux_of:
-                raise AssertionError(f"sampled letter pair {x}->{y} has no arrow")
-            if between != aux_of[(x, y)]:
-                raise AssertionError(
-                    f"sampled aux crossings {between} for {x}->{y} differ from region label {aux_of[(x, y)]}"
-                )
+        x = None
+        between: list[str] = []
+        for kind, name in stream:
+            if kind == AUXILIARY:
+                between.append(name)
+            elif kind == ORIGINAL:
+                if x is not None:
+                    if (x, name) not in aux_of:
+                        raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
+                    if tuple(between) != aux_of[(x, name)]:
+                        raise AssertionError(
+                            f"sampled aux crossings {tuple(between)} for {x}->{name} differ from "
+                            f"region label {aux_of[(x, name)]}"
+                        )
+                x, between = name, []
 
-        duals = [
-            (t, name)
-            for t, kind, name in events
-            if kind == AUXILIARY or (kind == ORIGINAL and name in nodes)
-        ]
-        for (t1, d1), (t2, d2) in zip(duals, duals[1:]):
-            originals = "".join(
-                name for t, kind, name in events if kind == ORIGINAL and t1 + 1e-9 < t < t2 - 1e-9
-            )
-            primeds = "".join(
-                name for t, kind, name in events if kind == PRIMED and t1 + 1e-9 < t < t2 - 1e-9
-            )
-            key = (d1, d2, originals)
+        for i, j, originals, primeds in _dual_steps(stream, nodes):
+            if j is None:
+                continue
+            key = (stream[i][1], stream[j][1], originals)
             if key in observed and observed[key] != primeds:
                 raise AssertionError(
                     f"primed content of dual transition {key} is not well defined: "
@@ -472,79 +494,53 @@ def build_pipeline_diagrams(
 # ---- walking words through the diagrams ------------------------------------
 
 
-def _token_stream(pipeline: DiagramPipeline, word: str) -> list[tuple[str, str, int]]:
-    """(kind, name, anchor) tokens of the word's unique augmented walk."""
+def _token_stream(pipeline: DiagramPipeline, word: str) -> tuple[list[tuple[str, str]], list[int]]:
+    """(kind, name) tokens of the word's unique augmented walk, and per token
+    its anchor: the index of the letter it is or follows."""
     for ch in word:
         index_for_letter(ch)  # validates the alphabet
     if not word:
-        return []
-    stream: list[tuple[str, str, int]] = [(ORIGINAL, word[0], 0)]
+        return [], []
+    stream: list[tuple[str, str]] = [(ORIGINAL, word[0])]
+    anchors = [0]
     for i in range(len(word) - 1):
         pair = (word[i], word[i + 1])
         if pair not in pipeline.aux_of:
             raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
         for name in pipeline.aux_of[pair]:
-            stream.append((AUXILIARY, name, i))
-        stream.append((ORIGINAL, word[i + 1], i + 1))
-    return stream
-
-
-def _dual_elements(pipeline: DiagramPipeline, stream) -> list[tuple[int, str, int]]:
-    """(stream position, node name, anchor) for the dual nodes in a stream."""
-    out = []
-    for pos, (kind, name, anchor) in enumerate(stream):
-        if kind == AUXILIARY or (kind == ORIGINAL and name in pipeline.node_letters):
-            out.append((pos, name, anchor))
-    return out
-
-
-def _transition_label(pipeline: DiagramPipeline, stream, p1: int, p2: int, d1: str, d2: str) -> str:
-    originals = "".join(
-        name for kind, name, _ in stream[p1 + 1 : p2] if kind == ORIGINAL
-    )
-    key = (d1, d2, originals)
-    if key not in pipeline.transitions:
-        raise InvalidPath(f"no dual transition {d1}->{d2} via {originals!r}")
-    return pipeline.transitions[key]
+            stream.append((AUXILIARY, name))
+            anchors.append(i)
+        stream.append((ORIGINAL, word[i + 1]))
+        anchors.append(i + 1)
+    return stream, anchors
 
 
 def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = False) -> str:
     """Derived word of a diagram walk, read off the primed labels.
 
     Window semantics match ksl_window: the first and last letters carry no
-    verdict. Cyclic words are walked on a tripled copy and one full period of
-    transitions is collected.
+    verdict. Cyclic words are walked on a tripled copy and the transitions
+    leaving the dual nodes of the middle copy make up one full period.
     """
-    if cyclic:
-        return _derive_cyclic(pipeline, word)
-    stream = _token_stream(pipeline, word)
-    duals = _dual_elements(pipeline, stream)
-    out: list[str] = []
-    for i, (pos, name, anchor) in enumerate(duals):
-        if stream[pos][0] == ORIGINAL and 0 < anchor < len(word) - 1:
-            out.append(name)
-        if i + 1 < len(duals):
-            pos2, name2, _ = duals[i + 1]
-            out.append(_transition_label(pipeline, stream, pos, pos2, name, name2))
-    return "".join(out)
-
-
-def _derive_cyclic(pipeline: DiagramPipeline, word: str) -> str:
     L = len(word)
-    if L == 0:
-        return ""
-    stream = _token_stream(pipeline, word * 3)
-    duals = _dual_elements(pipeline, stream)
+    walked = word * 3 if cyclic else word
+    lo, hi = (L, 2 * L) if cyclic else (0, L)
+    stream, anchors = _token_stream(pipeline, walked)
     out: list[str] = []
-    for i, (pos, name, anchor) in enumerate(duals):
-        if not L <= anchor < 2 * L:
+    for i, j, originals, _ in _dual_steps(stream, pipeline.node_letters):
+        if not lo <= anchors[i] < hi:
             continue
-        if stream[pos][0] == ORIGINAL:
+        kind, name = stream[i]
+        if kind == ORIGINAL and 0 < anchors[i] < len(walked) - 1:
             out.append(name)
-        if i + 1 >= len(duals):
-            raise AssertionError("tripled walk ended before its transitions completed")
-        pos2, name2, _ = duals[i + 1]
-        out.append(_transition_label(pipeline, stream, pos, pos2, name, name2))
+        if j is None:
+            if cyclic:
+                raise AssertionError("tripled walk ended before its transitions completed")
+            continue
+        key = (name, stream[j][1], originals)
+        if key not in pipeline.transitions:
+            raise InvalidPath(f"no dual transition {key[0]}->{key[1]} via {originals!r}")
+        out.append(pipeline.transitions[key])
     return "".join(out)
 
 

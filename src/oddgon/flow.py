@@ -86,9 +86,12 @@ class Trajectory:
         return self.letters[: self.period]
 
     def segment(self, i: int, surface: Surface) -> tuple[str, Vec, Vec]:
-        """Chart segment between crossings i and i+1: (polygon, from, to)."""
+        """Chart segment between crossings i and i+1: (polygon, from, to).
+
+        The index wraps, so the last segment of a periodic orbit closes it.
+        """
         a = self.crossings[i]
-        b = self.crossings[i + 1]
+        b = self.crossings[(i + 1) % len(self.crossings)]
         t = surface.identification_offset(b.index)
         if a.polygon == UPPER:
             exit_point = vadd(b.point, t)  # b entered the lower chart
@@ -134,12 +137,8 @@ def _entry_from_edge(surface: Surface, k: int, point_on_upper: Vec, theta: float
 
 def _upper_param(surface: Surface, k: int, polygon: str, point: Vec) -> float:
     """Edge parameter measured along the upper representative."""
-    if polygon == UPPER:
-        seg = surface.edge_seg(UPPER, k)
-        q = point
-    else:
-        seg = surface.edge_seg(UPPER, k)
-        q = vadd(point, surface.identification_offset(k))
+    seg = surface.edge_seg(UPPER, k)
+    q = point if polygon == UPPER else vadd(point, surface.identification_offset(k))
     d = seg.direction()
     L2 = d[0] * d[0] + d[1] * d[1]
     return ((q[0] - seg.p0[0]) * d[0] + (q[1] - seg.p0[1]) * d[1]) / L2
@@ -345,23 +344,6 @@ class GeometricDerivation:
     primed_hits: tuple[tuple[float, str], ...]  # (time, derived letter)
 
 
-def _chart_segments(surface: Surface, traj: Trajectory):
-    """(index, polygon, from, to) chart segments; periodic orbits are closed."""
-    m = len(traj.crossings)
-    for i in range(m - 1):
-        polygon, a, b = traj.segment(i, surface)
-        yield i, polygon, a, b
-    if traj.periodic and m >= 1:
-        last = traj.crossings[-1]
-        first = traj.crossings[0]
-        t = surface.identification_offset(first.index)
-        if last.polygon == UPPER:
-            exit_point = vadd(first.point, t)
-        else:
-            exit_point = vsub(first.point, t)
-        yield m - 1, last.polygon, last.point, exit_point
-
-
 def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]):
     """Time-ordered (time, kind, name) crossings of a traced trajectory.
 
@@ -376,7 +358,9 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     events: list[tuple[float, str, str]] = [
         (float(i), ORIGINAL, c.letter) for i, c in enumerate(traj.crossings)
     ]
-    for i, polygon, a, b in _chart_segments(surface, traj):
+    m = len(traj.crossings)
+    for i in range(m if traj.periodic else m - 1):
+        polygon, a, b = traj.segment(i, surface)
         d = vsub(b, a)
         for e in edges[polygon]:
             hit = ray_segment_hit(a, d, e.seg, eps=1e-9)

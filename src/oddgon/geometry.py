@@ -73,10 +73,6 @@ class Mat2:
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def inv(self) -> "Mat2":
-        k = self.det()
-        return Mat2(self.d / k, -self.b / k, -self.c / k, self.a / k)
-
     def rows(self) -> list[list[float]]:
         return [[self.a, self.b], [self.c, self.d]]
 
@@ -102,9 +98,6 @@ class Segment:
 
     def point_at(self, t: float) -> Vec:
         return vlerp(self.p0, self.p1, t)
-
-    def reversed(self) -> "Segment":
-        return Segment(self.p1, self.p0)
 
     def translated(self, off: Vec) -> "Segment":
         return Segment(vadd(self.p0, off), vadd(self.p1, off))
@@ -135,21 +128,6 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment, eps: float = DEFAULT_EPS)
     if u < -eps or u > 1.0 + eps:
         return None
     return Hit(t=t, u=u, point=vlerp(seg.p0, seg.p1, u))
-
-
-def point_on_segment(p: Vec, seg: Segment, eps: float = DEFAULT_EPS) -> Optional[float]:
-    """Param of p on seg if p lies on it (within eps, param in [-eps, 1+eps])."""
-    d = seg.direction()
-    L2 = dot(d, d)
-    if L2 == 0.0:
-        return None
-    t = dot(vsub(p, seg.p0), d) / L2
-    if t < -eps or t > 1.0 + eps:
-        return None
-    foot = seg.point_at(t)
-    if vdist(p, foot) <= eps * max(1.0, math.sqrt(L2)):
-        return t
-    return None
 
 
 def clip_polygon_halfplane(poly: Sequence[Vec], n: Vec, c: float) -> list[Vec]:

@@ -98,8 +98,8 @@ class Surface:
     """Geometric model of one double odd n-gon, with derived edge systems."""
 
     def __init__(self, n: int):
-        if n < 5 or n % 2 == 0:
-            raise ValueError("n must be an odd integer >= 5")
+        if not 5 <= n <= 25 or n % 2 == 0:
+            raise ValueError(f"n must be an odd integer from 5 to 25 (edges are lettered A..Z), got {n}")
         self.n = n
         self.alpha = 2.0 * math.pi / n
         self.sector = math.pi / n

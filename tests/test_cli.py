@@ -167,6 +167,9 @@ def test_usage_error_exit_codes(capsys):
         main(["not-a-command"])
     assert exc.value.code == 2
     assert main(["trace", "--edge", "Q", "--t", "0.5", "--theta", "0.1"]) == 2
+    capsys.readouterr()
+    assert main(["surface", "--n", "27"]) == 2
+    assert "from 5 to 25" in capsys.readouterr().err
 
 
 def test_seeded_runs_are_byte_identical(capsys):

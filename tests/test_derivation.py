@@ -8,7 +8,11 @@ from oddgon.derivation import (
     FIXED,
     Arrow,
     InvalidPath,
+    _dual_steps,
+    _scan_sampled_transitions,
     build_arrows_diagram,
+    build_augmented_diagram,
+    build_pipeline_diagrams,
     cyclic_normal_form,
     derivability_closure,
     derive_via_diagrams,
@@ -18,7 +22,7 @@ from oddgon.derivation import (
     ksl_window,
     sandwich_equivalence_check,
 )
-from oddgon.surface import build_surface
+from oddgon.surface import AUXILIARY, ORIGINAL, PRIMED, build_surface
 
 words = st.text(alphabet="ABCDE", min_size=0, max_size=40)
 
@@ -195,6 +199,47 @@ def test_node_letters_are_the_direction_fixed_edges(pipelines):
     assert set(pipelines[5].node_letters) == {"A", "D"}
     assert set(pipelines[7].node_letters) == {"A", "E"}
     assert set(pipelines[9].node_letters) == {"A", "F"}
+
+
+# ---- reading dual transitions --------------------------------------------------
+
+
+def test_dual_steps_splits_a_stream_at_dual_nodes():
+    stream = [
+        (ORIGINAL, "B"),  # before the first dual node: in no transition
+        (ORIGINAL, "A"),  # node letter
+        (PRIMED, "B"),
+        (ORIGINAL, "B"),
+        (PRIMED, "E"),
+        (AUXILIARY, "l1"),
+        (AUXILIARY, "u1"),
+        (ORIGINAL, "E"),
+        (PRIMED, "C"),
+        (ORIGINAL, "D"),  # node letter
+        (ORIGINAL, "C"),
+        (PRIMED, "D"),
+    ]
+    assert list(_dual_steps(stream, frozenset("AD"))) == [
+        (1, 5, "B", "BE"),
+        (5, 6, "", ""),
+        (6, 9, "E", "C"),
+        (9, None, "C", "D"),
+    ]
+    assert list(_dual_steps([(ORIGINAL, "B"), (PRIMED, "C")], frozenset("AD"))) == []
+
+
+def test_sampled_scan_checks_the_augmented_labels(pentagon):
+    _, aux_of = build_augmented_diagram(pentagon)
+    assert aux_of[("B", "E")] == ("l1",)
+    blanked = dict(aux_of)
+    blanked[("B", "E")] = ()
+    with pytest.raises(AssertionError, match="differ from region label"):
+        _scan_sampled_transitions(pentagon, blanked, samples=1, crossings=40, seed=0)
+
+
+def test_pipeline_build_reports_unrealized_transitions(pentagon):
+    with pytest.raises(AssertionError, match="never realized by 1 sample.*increase samples"):
+        build_pipeline_diagrams(pentagon, samples=1)
 
 
 # ---- derivation through the diagrams ------------------------------------------

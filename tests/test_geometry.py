@@ -4,11 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oddgon.geometry import (
-    Mat2,
     Segment,
     clip_polygon_halfplane,
     point_in_polygon,
-    point_on_segment,
     polygon_area,
     polygon_centroid,
     ray_segment_hit,
@@ -38,23 +36,11 @@ def test_rotation_composes(a, b):
         assert vdist(lhs.apply(p), rhs.apply(p)) < 1e-9
 
 
-@given(st.floats(min_value=-4, max_value=4), st.floats(min_value=-4, max_value=4),
-       st.floats(min_value=-4, max_value=4), st.floats(min_value=1e-3, max_value=4))
-def test_mat2_inverse(a, b, c, d):
-    m = Mat2(a, b, c, a * d + 1.0)  # keep det away from zero
-    if abs(m.det()) < 1e-6:
-        return
-    ident = m @ m.inv()
-    assert abs(ident.a - 1) < 1e-6 and abs(ident.d - 1) < 1e-6
-    assert abs(ident.b) < 1e-6 and abs(ident.c) < 1e-6
-
-
 def test_segment_params():
     s = Segment((0.0, 0.0), (2.0, 0.0))
     assert s.point_at(0.25) == (0.5, 0.0)
     assert s.midpoint() == (1.0, 0.0)
     assert s.length() == 2.0
-    assert s.reversed().point_at(0.25) == (1.5, 0.0)
 
 
 def test_ray_segment_hit():
@@ -70,13 +56,6 @@ def test_ray_segment_hit():
     assert ray_segment_hit((0.0, 0.0), (0.0, 1.0), seg) is None
     # out-of-range u misses
     assert ray_segment_hit((0.0, 5.0), (1.0, 0.0), seg) is None
-
-
-def test_point_on_segment():
-    seg = Segment((0.0, 0.0), (4.0, 0.0))
-    assert abs(point_on_segment((1.0, 0.0), seg) - 0.25) < 1e-12
-    assert point_on_segment((1.0, 0.5), seg) is None
-    assert point_on_segment((5.0, 0.0), seg) is None
 
 
 def test_polygon_area_and_centroid():

@@ -18,9 +18,10 @@ from oddgon.surface import (
 ODD_NS = [5, 7, 9, 11, 13]
 
 
-@pytest.mark.parametrize("n", [3, 4, 6, 8, -5])
+@pytest.mark.parametrize("n", [3, 4, 6, 8, -5, 27])
 def test_rejects_bad_n(n):
-    with pytest.raises(ValueError):
+    # edges are lettered A..Z, so 25 is the largest odd n
+    with pytest.raises(ValueError, match="from 5 to 25"):
         build_surface(n)
 
 
