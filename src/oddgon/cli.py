@@ -48,6 +48,19 @@ def _emit_json(obj, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2), out)
 
 
+def _emit_derived(word: str, cyclic: bool, method: str, derived: str, out: str | None) -> None:
+    _emit_json(
+        {
+            "input": word,
+            "topology": "cyclic" if cyclic else "window",
+            "method": method,
+            "derived": derived,
+            "status": "empty" if derived == "" else "ok",
+        },
+        out,
+    )
+
+
 def _parse_theta(args) -> float:
     if getattr(args, "slope", None) is not None:
         txt = args.slope
@@ -70,11 +83,7 @@ def _cmd_surface(args) -> int:
 def _cmd_trace(args) -> int:
     s = build_surface(args.n)
     k = index_for_letter(args.edge)
-    try:
-        traj = trace_from_edge(s, k, args.t, args.theta, max_crossings=args.crossings, delta=args.delta)
-    except CornerHit as e:
-        _emit_json({"error": "corner-hit", "detail": str(e)}, args.out)
-        return 1
+    traj = trace_from_edge(s, k, args.t, args.theta, max_crossings=args.crossings)
     _emit_json(trajectory_json(traj), args.out)
     return 0
 
@@ -86,24 +95,11 @@ def _cmd_derive(args) -> int:
     else:
         s = build_surface(args.n)
         pipeline = build_pipeline_diagrams(s, samples=args.samples, seed=args.seed)
-        try:
-            derived = derive_via_diagrams(pipeline, word, cyclic=args.cyclic)
-        except InvalidPath as e:
-            _emit_json({"error": "invalid-path", "detail": str(e)}, args.out)
-            return 1
+        derived = derive_via_diagrams(pipeline, word, cyclic=args.cyclic)
     if args.cyclic:
         derived = cyclic_normal_form(derived)
     if args.format == "json":
-        _emit_json(
-            {
-                "input": word,
-                "topology": "cyclic" if args.cyclic else "window",
-                "method": args.method,
-                "derived": derived,
-                "status": "empty" if derived == "" else "ok",
-            },
-            args.out,
-        )
+        _emit_derived(word, args.cyclic, args.method, derived, args.out)
     else:
         _emit(derived, args.out)
     return 0
@@ -112,12 +108,8 @@ def _cmd_derive(args) -> int:
 def _cmd_derive_geometric(args) -> int:
     s = build_surface(args.n)
     k = index_for_letter(args.edge)
-    try:
-        traj = trace_from_edge(s, k, args.t, args.theta, max_crossings=args.crossings, delta=args.delta)
-        result = derive_geometric(s, traj)
-    except CornerHit as e:
-        _emit_json({"error": "corner-hit", "detail": str(e)}, args.out)
-        return 1
+    traj = trace_from_edge(s, k, args.t, args.theta, max_crossings=args.crossings)
+    result = derive_geometric(s, traj)
     derived = result.letters
     if result.cyclic:
         derived = cyclic_normal_form(derived)
@@ -139,9 +131,9 @@ def _cmd_diagram(args) -> int:
     if args.stage == "arrows":
         from .derivation import build_arrows_diagram
 
-        diagram = build_arrows_diagram(s, tol=args.tol)
+        diagram = build_arrows_diagram(s)
     else:
-        pipeline = build_pipeline_diagrams(s, tol=args.tol, samples=args.samples, seed=args.seed)
+        pipeline = build_pipeline_diagrams(s, samples=args.samples, seed=args.seed)
         diagram = pipeline.stage(args.stage)
     if args.format == "dot":
         _emit(diagram_dot(diagram), args.out)
@@ -271,24 +263,11 @@ def _cmd_torus(args) -> int:
         derived = torus_derive_rule(args.seq, cyclic=args.cyclic)
         if args.cyclic:
             derived = cyclic_normal_form(derived)
-        _emit_json(
-            {
-                "input": args.seq,
-                "topology": "cyclic" if args.cyclic else "window",
-                "method": "rule",
-                "derived": derived,
-                "status": "empty" if derived == "" else "ok",
-            },
-            args.out,
-        )
+        _emit_derived(args.seq, args.cyclic, "rule", derived, args.out)
         return 0
     theta = _parse_theta(args)
     start = tuple(float(v) for v in args.start.split(","))
-    try:
-        traj = torus_trace(start, theta, max_crossings=args.crossings)
-    except CornerHit as e:
-        _emit_json({"error": "corner-hit", "detail": str(e)}, args.out)
-        return 1
+    traj = torus_trace(start, theta, max_crossings=args.crossings)
     if args.action == "trace":
         letters = traj.period_word if traj.periodic else traj.letters
         _emit_json(
@@ -302,23 +281,11 @@ def _cmd_torus(args) -> int:
             args.out,
         )
         return 0
-    try:
-        derived = torus_derive_geometric(traj)
-    except CornerHit as e:
-        _emit_json({"error": "corner-hit", "detail": str(e)}, args.out)
-        return 1
+    derived = torus_derive_geometric(traj)
     if traj.periodic:
         derived = cyclic_normal_form(derived)
-    _emit_json(
-        {
-            "input": traj.period_word if traj.periodic else traj.letters,
-            "topology": "cyclic" if traj.periodic else "window",
-            "method": "geometric",
-            "derived": derived,
-            "status": "empty" if derived == "" else "ok",
-        },
-        args.out,
-    )
+    word = traj.period_word if traj.periodic else traj.letters
+    _emit_derived(word, traj.periodic, "geometric", derived, args.out)
     return 0
 
 
@@ -330,11 +297,7 @@ def _cmd_render(args) -> int:
         traj = None
         if args.theta is not None:
             k = index_for_letter(args.edge)
-            try:
-                traj = trace_from_edge(s, k, args.t, args.theta, max_crossings=args.crossings, delta=args.delta)
-            except CornerHit as e:
-                _emit_json({"error": "corner-hit", "detail": str(e)}, args.out)
-                return 1
+            traj = trace_from_edge(s, k, args.t, args.theta, max_crossings=args.crossings)
         guide = build_vertex_guide(args.n) if args.guide else None
         svg = render_surface_svg(
             s, trajectory=traj, guide=guide, show_aux=args.aux, show_primed=args.primed
@@ -346,12 +309,13 @@ def _cmd_render(args) -> int:
 # ---- parser -------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, n_default: int = 5) -> None:
-    p.add_argument("--n", type=int, default=n_default, help="number of polygon sides (odd, 5 to 25)")
-    p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-    p.add_argument("--delta", type=float, default=1e-12, help="corner-hit tolerance")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--samples", type=int, default=80, help="sample count for sampled checks")
+def _add_common(p: argparse.ArgumentParser, n: bool = True, sampled: bool = False) -> None:
+    """--out everywhere; --n unless the command has no polygon; --seed/--samples if it samples."""
+    if n:
+        p.add_argument("--n", type=int, default=5, help="number of polygon sides (odd, 5 to 25)")
+    if sampled:
+        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--samples", type=int, default=80, help="sample trajectories for the diagram build")
     p.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
 
 
@@ -372,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("derive", help="derive a letter sequence")
-    _add_common(p)
+    _add_common(p, sampled=True)
     p.add_argument("--seq", type=str, required=True)
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("--method", choices=("ksl", "diagram"), default="ksl")
@@ -388,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive_geometric)
 
     p = sub.add_parser("diagram", help="emit a transition diagram")
-    _add_common(p)
+    _add_common(p, sampled=True)
     p.add_argument("--stage", choices=("arrows", "augmented", "dual", "primed"), default="arrows")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=_cmd_diagram)
@@ -398,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_guide)
 
     p = sub.add_parser("verify", help="run numeric verification checks")
-    _add_common(p)
+    _add_common(p, sampled=True)
+    p.add_argument("--tol", type=float, default=1e-9, help="pass bound of the moduli and reassembly checks")
     p.add_argument(
         "--checks",
         type=str,
@@ -408,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("torus", help="square-torus baseline")
-    _add_common(p)
+    _add_common(p, n=False)
     p.add_argument("action", choices=("trace", "derive"))
     p.add_argument("--seq", type=str, default=None, help="apply the torus rule to this word")
     p.add_argument("--cyclic", action="store_true")
@@ -442,6 +407,12 @@ def main(argv=None) -> int:
             if args.seq is None and args.slope is None and args.theta is None:
                 raise ValueError("torus needs --seq, --slope, or --theta")
         return args.func(args)
+    except CornerHit as e:
+        _emit_json({"error": "corner-hit", "detail": str(e)}, args.out)
+        return 1
+    except InvalidPath as e:  # before ValueError, which it subclasses
+        _emit_json({"error": "invalid-path", "detail": str(e)}, args.out)
+        return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from typing import Optional
 
 from .flow import CornerHit, crossing_events, trace_from_edge
 from .geometry import (
+    EPS,
     Segment,
     clip_polygon_halfplane,
     point_in_polygon,
@@ -147,7 +148,7 @@ def diagram_dot(diagram: TransitionDiagram) -> str:
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
-def _arrow_region(surface: Surface, x: int, y: int, tol: float) -> list[tuple[float, float]]:
+def _arrow_region(surface: Surface, x: int, y: int) -> list[tuple[float, float]]:
     """Clipped (u, v) parameter region of sector chords from edge x to edge y.
 
     u parameterizes the chart representative of edge x in the polygon entered
@@ -168,7 +169,7 @@ def _arrow_region(surface: Surface, x: int, y: int, tol: float) -> list[tuple[fl
     n2 = (-tan * dx[0] + dx[1], tan * dy[0] - dy[1])
     c2 = -(tan * base[0] - base[1])
     region = clip_polygon_halfplane(region, n2, c2)
-    if abs(polygon_area(region)) <= tol:
+    if abs(polygon_area(region)) <= EPS:
         return []
     # Reject regions that are degenerate everywhere: chords running along an
     # edge line or pointing exactly at the sector boundary. A linear functional
@@ -178,10 +179,10 @@ def _arrow_region(surface: Surface, x: int, y: int, tol: float) -> list[tuple[fl
     p1 = ex.point_at(u)
     p2 = ey.point_at(v)
     d = (p2[0] - p1[0], p2[1] - p1[1])
-    if d[0] <= tol or tan * d[0] - d[1] <= tol:
+    if d[0] <= EPS or tan * d[0] - d[1] <= EPS:
         return []
     mid = (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]))
-    if not point_in_polygon(mid, surface.vertices(q), eps=-1e-9):
+    if not point_in_polygon(mid, surface.vertices(q), eps=-EPS):
         return []
     return region
 
@@ -193,7 +194,7 @@ def _horizontal_arrow(surface: Surface, x: int, y: int) -> Optional[tuple[float,
     ey = surface.edge_seg(q, y)
     lo = max(min(ex.p0[1], ex.p1[1]), min(ey.p0[1], ey.p1[1]))
     hi = min(max(ex.p0[1], ex.p1[1]), max(ey.p0[1], ey.p1[1]))
-    if hi - lo < 1e-9:
+    if hi - lo < EPS:
         return None
     ymid = 0.5 * (lo + hi)
 
@@ -202,19 +203,19 @@ def _horizontal_arrow(surface: Surface, x: int, y: int) -> Optional[tuple[float,
 
     u = param_at(ex, ymid)
     v = param_at(ey, ymid)
-    if ex.point_at(u)[0] < ey.point_at(v)[0] - 1e-9:
+    if ex.point_at(u)[0] < ey.point_at(v)[0] - EPS:
         return (u, v)
     return None
 
 
-def build_arrows_diagram(surface: Surface, tol: float = 1e-9) -> TransitionDiagram:
+def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
     """Which ordered letter pairs occur consecutively for sector directions."""
     n = surface.n
     letters = [letter_for_index(k) for k in range(1, n + 1)]
     arrows = []
     for x in range(1, n + 1):
         for y in range(1, n + 1):
-            if _arrow_region(surface, x, y, tol) or _horizontal_arrow(surface, x, y):
+            if _arrow_region(surface, x, y) or _horizontal_arrow(surface, x, y):
                 arrows.append(Arrow(letter_for_index(x), letter_for_index(y)))
     arrows.sort(key=lambda a: (a.source, a.target))
     return TransitionDiagram(stage="arrows", nodes=tuple(letters), arrows=tuple(arrows))
@@ -236,19 +237,19 @@ def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, 
     d = seg.direction()
     hits = []
     for e in surface.aux_for(polygon):
-        hit = ray_segment_hit(a, d, e.seg, eps=1e-9)
-        if hit is not None and 1e-9 < hit.t < 1.0 - 1e-9 and 1e-9 < hit.u < 1.0 - 1e-9:
+        hit = ray_segment_hit(a, d, e.seg)
+        if hit is not None and EPS < hit.t < 1.0 - EPS and EPS < hit.u < 1.0 - EPS:
             hits.append((hit.t, e.label))
     hits.sort()
     return tuple(label for _, label in hits)
 
 
-def _aux_label(surface: Surface, x: int, y: int, tol: float) -> tuple[str, ...]:
+def _aux_label(surface: Surface, x: int, y: int) -> tuple[str, ...]:
     """Ordered auxiliary edges crossed between consecutive hits of x then y."""
     q = surface.entering_polygon(x)
     ex = surface.edge_seg(q, x)
     ey = surface.edge_seg(q, y)
-    region = _arrow_region(surface, x, y, tol)
+    region = _arrow_region(surface, x, y)
     reps = _region_samples(region) if region else []
     if not reps:
         hz = _horizontal_arrow(surface, x, y)
@@ -266,12 +267,12 @@ def _aux_label(surface: Surface, x: int, y: int, tol: float) -> tuple[str, ...]:
     return seqs.pop()
 
 
-def build_augmented_diagram(surface: Surface, tol: float = 1e-9) -> tuple[TransitionDiagram, dict]:
-    base = build_arrows_diagram(surface, tol)
+def build_augmented_diagram(surface: Surface) -> tuple[TransitionDiagram, dict]:
+    base = build_arrows_diagram(surface)
     aux_of: dict[tuple[str, str], tuple[str, ...]] = {}
     arrows = []
     for a in base.arrows:
-        seq = _aux_label(surface, index_for_letter(a.source), index_for_letter(a.target), tol)
+        seq = _aux_label(surface, index_for_letter(a.source), index_for_letter(a.target))
         aux_of[(a.source, a.target)] = seq
         arrows.append(Arrow(a.source, a.target, ",".join(seq) if seq else None))
     diagram = TransitionDiagram(stage="augmented", nodes=base.nodes, arrows=tuple(arrows))
@@ -431,7 +432,6 @@ class DiagramPipeline:
 
 def build_pipeline_diagrams(
     surface: Surface,
-    tol: float = 1e-9,
     samples: int = 80,
     crossings: int = 400,
     seed: int = 0,
@@ -443,8 +443,8 @@ def build_pipeline_diagrams(
     views must agree exactly (every enumerated transition realized, every
     sampled transition predicted).
     """
-    augmented, aux_of = build_augmented_diagram(surface, tol)
-    arrows_diagram = build_arrows_diagram(surface, tol)
+    augmented, aux_of = build_augmented_diagram(surface)
+    arrows_diagram = build_arrows_diagram(surface)
     nodes = _node_letters(surface)
 
     # the two direction-fixed letters must occur in a unique reversible context

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .geometry import (
+    CORNER_DELTA,
+    EPS,
+    MATCH_TOL,
+    STEP_MIN,
     Segment,
     Vec,
     ray_segment_hit,
@@ -39,13 +43,8 @@ from .surface import (
     other_polygon,
 )
 
-CORNER_DELTA = 1e-12
-PERIOD_TOL = 1e-9
-STEP_MIN = 1e-12
-
-
 class CornerHit(Exception):
-    """Raised when a ray passes within delta of a polygon vertex."""
+    """Raised when a ray passes within CORNER_DELTA of a polygon vertex."""
 
     def __init__(self, polygon: str, point: Vec, crossings_done: int):
         self.polygon = polygon
@@ -100,7 +99,7 @@ class Trajectory:
         return a.polygon, a.point, exit_point
 
 
-def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, delta: float, entry: Optional[int]):
+def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, entry: Optional[int]):
     """Smallest positive ray hit among the polygon's original edges.
 
     Skips the entry edge: a convex polygon is not left through it, but near
@@ -112,7 +111,7 @@ def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, delta: float, entr
         if k == entry:
             continue
         seg = surface.edge_seg(polygon, k)
-        hit = ray_segment_hit(p, d, seg, eps=1e-9)
+        hit = ray_segment_hit(p, d, seg)
         if hit is None or hit.t <= STEP_MIN:
             continue
         if best is None or hit.t < best.t:
@@ -120,7 +119,7 @@ def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, delta: float, entr
     if best is None:
         raise CornerHit(polygon, p, 0)  # degenerate direction from boundary
     seg = surface.edge_seg(polygon, best_k)
-    if min(vdist(best.point, seg.p0), vdist(best.point, seg.p1)) < delta:
+    if min(vdist(best.point, seg.p0), vdist(best.point, seg.p1)) < CORNER_DELTA:
         raise CornerHit(polygon, best.point, 0)
     return best_k, best
 
@@ -149,7 +148,6 @@ def trace(
     start: tuple[str, Vec],
     theta: float,
     max_crossings: int = 100,
-    delta: float = CORNER_DELTA,
     start_edge: Optional[int] = None,
     start_param: Optional[float] = None,
 ) -> Trajectory:
@@ -157,9 +155,11 @@ def trace(
 
     If the start point lies on an edge (pass start_edge), that edge is
     emitted as crossing 0 and tracing continues into the polygon the
-    direction flows into. Periodicity: first return within PERIOD_TOL of
-    crossing 0 on the same edge pair and polygon.
+    direction flows into. Periodicity: first return within EPS of crossing 0
+    on the same edge pair and polygon.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite direction in radians, got {theta}")
     d = unit(theta)
     crossings: list[Crossing] = []
     traj = Trajectory(
@@ -190,7 +190,7 @@ def trace(
 
     while len(crossings) < max_crossings:
         try:
-            k, hit = _exit_hit(surface, polygon, p, d, delta, entry)
+            k, hit = _exit_hit(surface, polygon, p, d, entry)
         except CornerHit as ch:
             raise CornerHit(ch.polygon, ch.point, len(crossings)) from None
         t_off = surface.identification_offset(k)
@@ -214,7 +214,7 @@ def trace(
             len(crossings) > 1
             and last.index == first.index
             and last.polygon == first.polygon
-            and vdist(last.point, first.point) < PERIOD_TOL
+            and vdist(last.point, first.point) < EPS
         ):
             traj.periodic = True
             traj.period = len(crossings) - 1
@@ -229,7 +229,6 @@ def trace_from_edge(
     param: float,
     theta: float,
     max_crossings: int = 100,
-    delta: float = CORNER_DELTA,
 ) -> Trajectory:
     """Trace from a point given by its parameter on the upper representative."""
     if not 1 <= edge_index <= surface.n:
@@ -242,7 +241,6 @@ def trace_from_edge(
         (UPPER, p),
         theta,
         max_crossings=max_crossings,
-        delta=delta,
         start_edge=edge_index,
         start_param=param,
     )
@@ -305,7 +303,7 @@ def edge_permutation(surface: Surface, steps: int) -> dict[int, int]:
         polygon, q = iso(UPPER, surface.edge_seg(UPPER, k).midpoint())
         target = None
         for k2 in range(1, surface.n + 1):
-            if vdist(q, surface.edge_seg(polygon, k2).midpoint()) < 1e-6:
+            if vdist(q, surface.edge_seg(polygon, k2).midpoint()) < MATCH_TOL:
                 target = k2
                 break
         if target is None:
@@ -363,8 +361,8 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
         polygon, a, b = traj.segment(i, surface)
         d = vsub(b, a)
         for e in edges[polygon]:
-            hit = ray_segment_hit(a, d, e.seg, eps=1e-9)
-            if hit is not None and 1e-9 < hit.t < 1.0 - 1e-9 and 1e-9 < hit.u < 1.0 - 1e-9:
+            hit = ray_segment_hit(a, d, e.seg)
+            if hit is not None and EPS < hit.t < 1.0 - EPS and EPS < hit.u < 1.0 - EPS:
                 events.append((i + hit.t, e.kind, e.label.rstrip("'")))
     events.sort(key=lambda ev: ev[0])
     yield from events

@@ -1,7 +1,9 @@
 """Small exact-ish planar geometry kit: 2-vectors, segments, 2x2 matrices.
 
-Everything works on plain float tuples. Tolerances are explicit arguments
-with conservative defaults; callers that need tighter control pass their own.
+Everything works on plain float tuples. The block below is the package's
+tolerance policy: every comparison that decides on, inside or at a corner
+reads one of its names, and no caller passes its own. The values are
+absolute; every polygon has unit sides, whatever n.
 """
 from __future__ import annotations
 
@@ -11,7 +13,18 @@ from typing import Optional, Sequence
 
 Vec = tuple[float, float]
 
-DEFAULT_EPS = 1e-9
+# ---- tolerance policy --------------------------------------------------------
+# Segment parameters, containment, clipped areas, chord windows, guide
+# snapping and the periodic return: closer than this counts as on.
+EPS = 1e-9
+# An exit this close to a polygon vertex (or torus lattice point) is a corner hit.
+CORNER_DELTA = 1e-12
+# A ray step this short, or a start this close to an edge line, is the start itself.
+STEP_MIN = 1e-12
+# Two edge midpoints this close are the same edge (the match in edge_permutation).
+MATCH_TOL = 1e-6
+# A denominator this small is zero: parallel ray and segment, a cot pole.
+PARALLEL = 1e-15
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -62,19 +75,6 @@ class Mat2:
     def apply(self, v: Vec) -> Vec:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
 
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def rows(self) -> list[list[float]]:
-        return [[self.a, self.b], [self.c, self.d]]
 
 
 def rotation(theta: float) -> Mat2:
@@ -112,20 +112,20 @@ class Hit:
     point: Vec
 
 
-def ray_segment_hit(origin: Vec, d: Vec, seg: Segment, eps: float = DEFAULT_EPS) -> Optional[Hit]:
+def ray_segment_hit(origin: Vec, d: Vec, seg: Segment) -> Optional[Hit]:
     """First-class ray/segment solve; returns None for parallel or out-of-range u.
 
-    u is clamped-tested against [-eps, 1+eps] so near-endpoint hits are
+    u is clamped-tested against [-EPS, 1+EPS] so near-endpoint hits are
     reported; callers decide whether an endpoint hit is a corner event.
     """
     e = seg.direction()
     denom = cross(d, e)
-    if abs(denom) < 1e-15 * max(1.0, vnorm(e)):
+    if abs(denom) < PARALLEL * max(1.0, vnorm(e)):
         return None
     w = vsub(seg.p0, origin)
     t = cross(w, e) / denom
     u = cross(w, d) / denom
-    if u < -eps or u > 1.0 + eps:
+    if u < -EPS or u > 1.0 + EPS:
         return None
     return Hit(t=t, u=u, point=vlerp(seg.p0, seg.p1, u))
 
@@ -174,8 +174,11 @@ def polygon_centroid(poly: Sequence[Vec]) -> Vec:
     return (cx / (6.0 * a), cy / (6.0 * a))
 
 
-def point_in_polygon(p: Vec, poly: Sequence[Vec], eps: float = DEFAULT_EPS) -> bool:
-    """Containment in a convex ccw polygon, boundary-inclusive up to eps."""
+def point_in_polygon(p: Vec, poly: Sequence[Vec], eps: float = EPS) -> bool:
+    """Containment in a convex ccw polygon, boundary-inclusive up to eps.
+
+    A negative eps (-EPS) asks for the strict interior.
+    """
     m = len(poly)
     for i in range(m):
         a, b = poly[i], poly[(i + 1) % m]

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .geometry import Vec, vadd, vsub
+from .geometry import EPS, PARALLEL, Vec, vadd, vsub
 from .surface import LOWER, UPPER, Surface, build_surface, shear_matrix
 
 UPPER_RIGHT = "upper_right"
@@ -32,7 +32,7 @@ def telescoping_identity(theta: float, k: int) -> tuple[float, float]:
     """(lhs, rhs) of cot(theta/2) sin(k theta) = 1 + 2 sum cos(i theta) + cos(k theta)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not 0.0 < theta < math.pi or abs(math.sin(theta / 2.0)) < 1e-15:
+    if not 0.0 < theta < math.pi or abs(math.sin(theta / 2.0)) < PARALLEL:
         raise ValueError("theta must lie in (0, pi), away from cot poles")
     lhs = math.sin(k * theta) * math.cos(theta / 2.0) / math.sin(theta / 2.0)
     rhs = 1.0 + 2.0 * sum(math.cos(i * theta) for i in range(1, k)) + math.cos(k * theta)
@@ -43,7 +43,7 @@ def identity_sum(alpha: float, k: int) -> tuple[float, float]:
     """(lhs, rhs) of sum_{i<=k} cot(a/2) sin(i a) = k + sum_{i<=k} (2(k-i)+1) cos(i a)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if not 0.0 < alpha < math.pi or abs(math.sin(alpha / 2.0)) < 1e-15:
+    if not 0.0 < alpha < math.pi or abs(math.sin(alpha / 2.0)) < PARALLEL:
         raise ValueError("alpha must lie in (0, pi), away from cot poles")
     cot_half = math.cos(alpha / 2.0) / math.sin(alpha / 2.0)
     lhs = sum(cot_half * math.sin(i * alpha) for i in range(1, k + 1))
@@ -167,12 +167,6 @@ class VertexGuide:
     n: int
     points: tuple[GuidePoint, ...]
 
-    def lookup(self, polygon: str, side: str, level: int) -> GuidePoint:
-        for p in self.points:
-            if (p.polygon, p.side, p.level) == (polygon, side, level):
-                return p
-        raise KeyError((polygon, side, level))
-
     def __iter__(self) -> Iterator[GuidePoint]:
         return iter(self.points)
 
@@ -193,7 +187,7 @@ def _bar_endpoints(surface: Surface, polygon: str, level: int) -> dict[str, Vec]
     return {LEFT: surface.half_turn(up[RIGHT]), RIGHT: surface.half_turn(up[LEFT])}
 
 
-def build_vertex_guide(n: int, snap_tol: float = 1e-9) -> VertexGuide:
+def build_vertex_guide(n: int) -> VertexGuide:
     """Guide x-positions from the geometric gluing chain, not the closed forms.
 
     Starting from the base copy, repeatedly glue a half-turned copy along the
@@ -209,7 +203,7 @@ def build_vertex_guide(n: int, snap_tol: float = 1e-9) -> VertexGuide:
     points: list[GuidePoint] = []
 
     def emit(polygon: str, level: int, offset: Vec) -> None:
-        if abs(offset[1]) > snap_tol:
+        if abs(offset[1]) > EPS:
             raise AssertionError(f"chain offset not horizontal: {offset}")
         for side, p in _bar_endpoints(surface, polygon, level).items():
             points.append(GuidePoint(polygon=polygon, side=side, level=level, x=p[0] + offset[0], y=p[1]))
@@ -222,7 +216,7 @@ def build_vertex_guide(n: int, snap_tol: float = 1e-9) -> VertexGuide:
         if k == 2:
             # S_1 edge of the first glued lower copy: the lower level-0 row
             y_shift = lower_offset[1]
-            if abs(y_shift) > snap_tol:
+            if abs(y_shift) > EPS:
                 raise AssertionError(f"lower level-0 copy not horizontal: {lower_offset}")
             for side, p in _bar_endpoints(surface, LOWER, 0).items():
                 points.append(GuidePoint(polygon=LOWER, side=side, level=0, x=p[0] + lower_offset[0], y=p[1]))

@@ -127,10 +127,6 @@ class Surface:
         vs = self.vertices(polygon)
         return Segment(vs[(k - 1) % self.n], vs[k % self.n])
 
-    def edge_direction(self, k: int) -> float:
-        """Direction of the upper S_k representative."""
-        return (k - 1) * self.alpha
-
     def identification_offset(self, k: int) -> Vec:
         """Translation taking the lower S_k representative onto the upper one."""
         return vsub(self.edge_seg(UPPER, k).midpoint(), self.edge_seg(LOWER, k).midpoint())
@@ -259,9 +255,9 @@ class Surface:
         for end in ends:
             seg = Segment(center, end)
             probe = seg.point_at(0.5)
-            if point_in_polygon(probe, up_poly, eps=1e-9):
+            if point_in_polygon(probe, up_poly):
                 pieces.append(Edge(label=label, kind=PRIMED, polygon=UPPER, index=k, seg=seg))
-            elif point_in_polygon(probe, lo_translated, eps=1e-9):
+            elif point_in_polygon(probe, lo_translated):
                 back = seg.translated(vscale(t, -1.0))
                 pieces.append(Edge(label=label, kind=PRIMED, polygon=LOWER, index=k, seg=back))
             else:

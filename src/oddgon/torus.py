@@ -12,13 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .flow import CornerHit, PERIOD_TOL
+from .flow import CornerHit
+from .geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
 
-TORUS_SHEAR = ((1.0, 1.0), (0.0, 1.0))
-TORUS_SHEAR_INV = ((1.0, -1.0), (0.0, 1.0))
 HORIZONTAL, VERTICAL = "A", "B"
-
-_DELTA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,12 +46,12 @@ class TorusTrajectory:
 
 def _line_crossings(p0: float, d: float, t_max: float) -> list[float]:
     """Times in (0, t_max] at which p0 + t*d crosses an integer."""
-    if abs(d) < 1e-15:
+    if abs(d) < PARALLEL:
         return []
     out = []
     if d > 0:
         k = math.floor(p0) + 1
-        if abs(p0 - round(p0)) < 1e-12:
+        if abs(p0 - round(p0)) < STEP_MIN:
             k = round(p0) + 1
         t = (k - p0) / d
         while t <= t_max:
@@ -63,7 +60,7 @@ def _line_crossings(p0: float, d: float, t_max: float) -> list[float]:
             t = (k - p0) / d
     else:
         k = math.ceil(p0) - 1
-        if abs(p0 - round(p0)) < 1e-12:
+        if abs(p0 - round(p0)) < STEP_MIN:
             k = round(p0) - 1
         t = (k - p0) / d
         while t <= t_max:
@@ -81,24 +78,25 @@ def torus_trace(
     start: tuple[float, float],
     theta: float,
     max_crossings: int = 100,
-    delta: float = _DELTA,
     t_max: Optional[float] = None,
 ) -> TorusTrajectory:
     """Cutting sequence of the line start + t*(cos theta, sin theta).
 
     A start on a lattice line emits that crossing at t = 0. CornerHit when
-    any crossing passes within delta of a lattice point.
+    any crossing passes within CORNER_DELTA of a lattice point.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite direction in radians, got {theta}")
     dx, dy = math.cos(theta), math.sin(theta)
     x0, y0 = start
     events: list[tuple[float, str]] = []
-    if _frac_dist(y0) < 1e-12:
+    if _frac_dist(y0) < STEP_MIN:
         events.append((0.0, HORIZONTAL))
-    elif _frac_dist(x0) < 1e-12:
+    elif _frac_dist(x0) < STEP_MIN:
         events.append((0.0, VERTICAL))
 
     # generous horizon; extended on demand until max_crossings is reached
-    horizon = t_max if t_max is not None else (max_crossings + 2) / max(abs(dx) + abs(dy), 1e-9)
+    horizon = t_max if t_max is not None else (max_crossings + 2) / (abs(dx) + abs(dy))
     for t in _line_crossings(y0, dy, horizon):
         events.append((t, HORIZONTAL))
     for t in _line_crossings(x0, dx, horizon):
@@ -110,7 +108,7 @@ def torus_trace(
     for t, letter in events:
         px, py = x0 + t * dx, y0 + t * dy
         other = _frac_dist(px) if letter == HORIZONTAL else _frac_dist(py)
-        if other < delta:
+        if other < CORNER_DELTA:
             raise CornerHit("torus", (px, py), len(crossings))
         crossings.append(TorusCrossing(t=t, letter=letter, point=(px, py)))
 
@@ -120,8 +118,8 @@ def torus_trace(
         c = crossings[i]
         if (
             c.letter == first.letter
-            and _frac_dist(c.point[0] - first.point[0]) < PERIOD_TOL
-            and _frac_dist(c.point[1] - first.point[1]) < PERIOD_TOL
+            and _frac_dist(c.point[0] - first.point[0]) < EPS
+            and _frac_dist(c.point[1] - first.point[1]) < EPS
         ):
             traj.periodic = True
             traj.period = i
@@ -178,6 +176,6 @@ def torus_derive_geometric(traj: TorusTrajectory) -> str:
         return image.period_word
     if not traj.crossings:
         return ""
-    t_end = traj.crossings[-1].t * iscale + 1e-12
+    t_end = traj.crossings[-1].t * iscale + STEP_MIN
     image = torus_trace((ix, iy), itheta, max_crossings=10 ** 9, t_max=t_end)
     return image.letters

@@ -172,6 +172,39 @@ def test_usage_error_exit_codes(capsys):
     assert "from 5 to 25" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--edge", "S2", "--t", "0.5", "--theta", "nan"],
+        ["trace", "--edge", "S2", "--t", "0.5", "--theta", "inf"],
+        ["derive-geometric", "--edge", "S2", "--t", "0.5", "--theta", "nan"],
+        ["torus", "trace", "--theta", "nan"],
+        ["render", "--theta", "nan"],
+    ],
+)
+def test_non_finite_theta_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "theta" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--delta", "1e-3"],
+        ["guide", "--seed", "1"],
+        ["torus", "derive", "--seq", "AB", "--n", "7"],
+        ["trace", "--edge", "S2", "--t", "0.55", "--theta", "0.31", "--delta", "1e-9"],
+        ["diagram", "--tol", "1e-6"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_seeded_runs_are_byte_identical(capsys):
     args = ["verify", "--n", "5", "--checks", "moduli,identities", "--seed", "9"]
     _, first = run_cli(capsys, *args)

@@ -92,6 +92,9 @@ def test_trace_rejects_bad_inputs(pentagon):
         trace_from_edge(pentagon, 0, 0.5, 0.1)
     with pytest.raises(ValueError):
         trace_from_edge(pentagon, 6, 0.5, 0.1)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            trace_from_edge(pentagon, 2, 0.5, theta)
 
 
 def test_rotation_isometry_is_an_isometry(pentagon):

@@ -25,15 +25,13 @@ def test_rotation_basics():
     r = rotation(math.pi / 2)
     x, y = r.apply((1.0, 0.0))
     assert abs(x) < 1e-15 and abs(y - 1.0) < 1e-15
-    assert abs(r.det() - 1.0) < 1e-15
 
 
 @given(angles, angles)
 def test_rotation_composes(a, b):
-    lhs = rotation(a) @ rotation(b)
-    rhs = rotation(a + b)
+    ra, rb, rab = rotation(a), rotation(b), rotation(a + b)
     for p in [(1.0, 0.0), (0.3, -2.0)]:
-        assert vdist(lhs.apply(p), rhs.apply(p)) < 1e-9
+        assert vdist(ra.apply(rb.apply(p)), rab.apply(p)) < 1e-9
 
 
 def test_segment_params():

@@ -132,5 +132,3 @@ def test_guide_marks_every_level_on_both_sides(n):
         for side in ("left", "right"):
             for level in range(m + 1):
                 assert (polygon, side, level) in seen
-    with pytest.raises(KeyError):
-        guide.lookup("upper", "left", m + 1)

@@ -8,23 +8,12 @@ from hypothesis import strategies as st
 from oddgon.derivation import cyclic_normal_form, ksl_cyclic
 from oddgon.flow import CornerHit
 from oddgon.torus import (
-    TORUS_SHEAR,
-    TORUS_SHEAR_INV,
     torus_derive_geometric,
     torus_derive_rule,
     torus_trace,
 )
 
 torus_words = st.text(alphabet="AB", min_size=0, max_size=30)
-
-
-def test_shear_matrices_are_inverse():
-    a, b = TORUS_SHEAR, TORUS_SHEAR_INV
-    prod = (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-    assert prod == ((1, 0), (0, 1))
 
 
 def test_rule_fixtures():
@@ -89,6 +78,12 @@ def test_horizontal_orbit_is_all_vertical_letters():
 def test_corner_hit_on_lattice_diagonal():
     with pytest.raises(CornerHit):
         torus_trace((0.5, 0.5), math.pi / 4)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_trace_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta"):
+        torus_trace((0.25, 0.4), theta)
 
 
 def test_start_on_lattice_line_emits_first_crossing():
