@@ -36,6 +36,10 @@ from .surface import build_surface, index_for_letter, surface_json
 from .torus import torus_derive_geometric, torus_derive_rule, torus_trace
 
 
+# --seed / --samples of the sampled diagram build when not given
+DEFAULT_SEED, DEFAULT_SAMPLES = 0, 80
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -59,6 +63,23 @@ def _emit_derived(word: str, cyclic: bool, method: str, derived: str, out: str |
         },
         out,
     )
+
+
+def _reject_unread(args, flags: tuple[str, ...], mode: str) -> None:
+    """Usage error naming each of `flags` that was given although `mode` does not read it.
+
+    Such flags default to None and get their value where they are read.
+    """
+    given = [f"--{f}" for f in flags if getattr(args, f) is not None]
+    if given:
+        raise ValueError(f"{mode} does not read {', '.join(given)}")
+
+
+def _pipeline(args):
+    """The sampled diagram build at --seed / --samples."""
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    return build_pipeline_diagrams(build_surface(args.n), samples=samples, seed=seed)
 
 
 def _parse_theta(args) -> float:
@@ -91,11 +112,10 @@ def _cmd_trace(args) -> int:
 def _cmd_derive(args) -> int:
     word = args.seq
     if args.method == "ksl":
+        _reject_unread(args, ("seed", "samples"), "derive --method ksl")
         derived = ksl_cyclic(word) if args.cyclic else ksl_window(word)
     else:
-        s = build_surface(args.n)
-        pipeline = build_pipeline_diagrams(s, samples=args.samples, seed=args.seed)
-        derived = derive_via_diagrams(pipeline, word, cyclic=args.cyclic)
+        derived = derive_via_diagrams(_pipeline(args), word, cyclic=args.cyclic)
     if args.cyclic:
         derived = cyclic_normal_form(derived)
     if args.format == "json":
@@ -127,14 +147,13 @@ def _cmd_derive_geometric(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
-    s = build_surface(args.n)
     if args.stage == "arrows":
         from .derivation import build_arrows_diagram
 
-        diagram = build_arrows_diagram(s)
+        _reject_unread(args, ("seed", "samples"), "diagram --stage arrows")
+        diagram = build_arrows_diagram(build_surface(args.n))
     else:
-        pipeline = build_pipeline_diagrams(s, samples=args.samples, seed=args.seed)
-        diagram = pipeline.stage(args.stage)
+        diagram = _pipeline(args).stage(args.stage)
     if args.format == "dot":
         _emit(diagram_dot(diagram), args.out)
     else:
@@ -191,9 +210,7 @@ def _check_identities(args) -> dict:
 
 
 def _check_equivalence(args) -> dict:
-    s = build_surface(args.n)
-    pipeline = build_pipeline_diagrams(s, samples=args.samples, seed=args.seed)
-    rep = sandwich_equivalence_check(pipeline, max_cycle_len=8, windows=200, seed=args.seed)
+    rep = sandwich_equivalence_check(_pipeline(args), max_cycle_len=8, windows=200, seed=args.seed)
     return {
         "pass": rep.passed,
         "cycles_checked": rep.cycles_checked,
@@ -259,15 +276,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_torus(args) -> int:
-    if args.action == "derive" and args.seq is not None:
-        derived = torus_derive_rule(args.seq, cyclic=args.cyclic)
-        if args.cyclic:
+    if args.seq is not None:
+        if args.action == "trace":
+            raise ValueError("torus trace takes --slope/--theta, not --seq")
+        _reject_unread(args, ("slope", "theta", "start", "crossings"), "torus derive --seq")
+        cyclic = bool(args.cyclic)
+        derived = torus_derive_rule(args.seq, cyclic=cyclic)
+        if cyclic:
             derived = cyclic_normal_form(derived)
-        _emit_derived(args.seq, args.cyclic, "rule", derived, args.out)
+        _emit_derived(args.seq, cyclic, "rule", derived, args.out)
         return 0
+    if args.slope is None and args.theta is None:
+        raise ValueError("torus needs --seq, --slope, or --theta")
+    _reject_unread(args, ("cyclic",), f"torus {args.action} without --seq")
     theta = _parse_theta(args)
-    start = tuple(float(v) for v in args.start.split(","))
-    traj = torus_trace(start, theta, max_crossings=args.crossings)
+    start = tuple(float(v) for v in ("0.23,0.61" if args.start is None else args.start).split(","))
+    traj = torus_trace(start, theta, max_crossings=100 if args.crossings is None else args.crossings)
     if args.action == "trace":
         letters = traj.period_word if traj.periodic else traj.letters
         _emit_json(
@@ -292,15 +316,20 @@ def _cmd_torus(args) -> int:
 def _cmd_render(args) -> int:
     s = build_surface(args.n)
     if args.what == "guide":
+        _reject_unread(args, ("edge", "t", "theta", "crossings", "aux", "primed", "guide"), "render --what guide")
         svg = render_guide_svg(build_vertex_guide(args.n))
     else:
         traj = None
-        if args.theta is not None:
-            k = index_for_letter(args.edge)
-            traj = trace_from_edge(s, k, args.t, args.theta, max_crossings=args.crossings)
+        if args.theta is None:
+            _reject_unread(args, ("edge", "t", "crossings"), "render without --theta")
+        else:
+            k = index_for_letter("S2" if args.edge is None else args.edge)
+            t = 0.55 if args.t is None else args.t
+            crossings = 60 if args.crossings is None else args.crossings
+            traj = trace_from_edge(s, k, t, args.theta, max_crossings=crossings)
         guide = build_vertex_guide(args.n) if args.guide else None
         svg = render_surface_svg(
-            s, trajectory=traj, guide=guide, show_aux=args.aux, show_primed=args.primed
+            s, trajectory=traj, guide=guide, show_aux=bool(args.aux), show_primed=bool(args.primed)
         )
     _emit(svg, args.out)
     return 0
@@ -314,8 +343,8 @@ def _add_common(p: argparse.ArgumentParser, n: bool = True, sampled: bool = Fals
     if n:
         p.add_argument("--n", type=int, default=5, help="number of polygon sides (odd, 5 to 25)")
     if sampled:
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--samples", type=int, default=80, help="sample trajectories for the diagram build")
+        p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
+        p.add_argument("--samples", type=int, default=None, help=f"diagram-build sample trajectories (default {DEFAULT_SAMPLES})")
     p.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
 
 
@@ -370,29 +399,29 @@ def build_parser() -> argparse.ArgumentParser:
         default="moduli,reassembly",
         help=f"comma-separated subset of: {', '.join(sorted(_CHECKS))}",
     )
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES)
 
     p = sub.add_parser("torus", help="square-torus baseline")
     _add_common(p, n=False)
     p.add_argument("action", choices=("trace", "derive"))
     p.add_argument("--seq", type=str, default=None, help="apply the torus rule to this word")
-    p.add_argument("--cyclic", action="store_true")
+    p.add_argument("--cyclic", action="store_true", default=None, help="with --seq: read it as a cyclic word")
     p.add_argument("--slope", type=str, default=None, help="direction as p/q or a float slope")
     p.add_argument("--theta", type=float, default=None, help="direction in radians")
-    p.add_argument("--start", type=str, default="0.23,0.61")
-    p.add_argument("--crossings", type=int, default=100)
+    p.add_argument("--start", type=str, default=None, help="start point x,y (default 0.23,0.61)")
+    p.add_argument("--crossings", type=int, default=None, help="crossings to trace (default 100)")
     p.set_defaults(func=_cmd_torus)
 
     p = sub.add_parser("render", help="render an SVG figure")
     _add_common(p)
     p.add_argument("--what", choices=("surface", "guide"), default="surface")
-    p.add_argument("--edge", type=str, default="S2")
-    p.add_argument("--t", type=float, default=0.55)
+    p.add_argument("--edge", type=str, default=None, help="with --theta: start edge (default S2)")
+    p.add_argument("--t", type=float, default=None, help="with --theta: start parameter (default 0.55)")
     p.add_argument("--theta", type=float, default=None, help="trace and draw a trajectory at this direction")
-    p.add_argument("--crossings", type=int, default=60)
-    p.add_argument("--guide", action="store_true", help="overlay guide dots")
-    p.add_argument("--aux", action="store_true", help="draw auxiliary diagonals")
-    p.add_argument("--primed", action="store_true", help="draw primed-edge pieces")
+    p.add_argument("--crossings", type=int, default=None, help="with --theta: crossings to draw (default 60)")
+    p.add_argument("--guide", action="store_true", default=None, help="overlay guide dots")
+    p.add_argument("--aux", action="store_true", default=None, help="draw auxiliary diagonals")
+    p.add_argument("--primed", action="store_true", default=None, help="draw primed-edge pieces")
     p.set_defaults(func=_cmd_render)
 
     return ap
@@ -401,14 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "torus":
-            if args.action == "trace" and args.seq is not None:
-                raise ValueError("torus trace takes --slope/--theta, not --seq")
-            if args.seq is None and args.slope is None and args.theta is None:
-                raise ValueError("torus needs --seq, --slope, or --theta")
         return args.func(args)
     except CornerHit as e:
-        _emit_json({"error": "corner-hit", "detail": str(e)}, args.out)
+        start = {"polygon": e.start_polygon, "point": list(e.start_point)}
+        _emit_json({"error": "corner-hit", "detail": str(e), "theta": e.theta, "start": start}, args.out)
         return 1
     except InvalidPath as e:  # before ValueError, which it subclasses
         _emit_json({"error": "invalid-path", "detail": str(e)}, args.out)

@@ -30,6 +30,7 @@ from .geometry import (
     unit,
     vadd,
     vdist,
+    vlerp,
     vsub,
 )
 from .surface import (
@@ -44,12 +45,19 @@ from .surface import (
 )
 
 class CornerHit(Exception):
-    """Raised when a ray passes within CORNER_DELTA of a polygon vertex."""
+    """Raised when a ray passes within CORNER_DELTA of a polygon vertex.
 
-    def __init__(self, polygon: str, point: Vec, crossings_done: int):
+    `theta`, `start_polygon` and `start_point` are the traced ray's, so the
+    hit can be reproduced.
+    """
+
+    def __init__(self, polygon: str, point: Vec, crossings_done: int, theta: float, start_polygon: str, start_point: Vec):
         self.polygon = polygon
         self.point = point
         self.crossings_done = crossings_done
+        self.theta = theta
+        self.start_polygon = start_polygon
+        self.start_point = start_point
         super().__init__(f"trajectory within corner tolerance at {point} in {polygon} after {crossings_done} crossings")
 
 
@@ -99,29 +107,42 @@ class Trajectory:
         return a.polygon, a.point, exit_point
 
 
-def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, entry: Optional[int]):
-    """Smallest positive ray hit among the polygon's original edges.
+def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, entry: Optional[int]) -> tuple[Optional[int], Vec]:
+    """Exit edge and exit point of the ray p + t*d: its smallest hit with t > STEP_MIN.
 
-    Skips the entry edge: a convex polygon is not left through it, but near
-    its direction float error puts a self-hit above STEP_MIN.
+    Reads the polygon's `exit_rows` and repeats ray_segment_hit's arithmetic
+    inline, so t and u are the same floats; the first edge wins a tie. Skips
+    the entry edge: a convex polygon is not left through it, but near its
+    direction float error puts a self-hit above STEP_MIN. The edge is None
+    for a corner hit: no exit at all (the point is p) or an exit within
+    CORNER_DELTA of an edge end.
     """
-    best = None
-    best_k = 0
-    for k in range(1, surface.n + 1):
+    px, py = p
+    dx, dy = d
+    u_min, u_max = -EPS, 1.0 + EPS
+    best_k = best_t = best_u = None
+    for k, ax, ay, ex, ey, guard in surface.exit_rows[polygon]:
         if k == entry:
             continue
-        seg = surface.edge_seg(polygon, k)
-        hit = ray_segment_hit(p, d, seg)
-        if hit is None or hit.t <= STEP_MIN:
+        denom = dx * ey - dy * ex
+        if abs(denom) < guard:
             continue
-        if best is None or hit.t < best.t:
-            best, best_k = hit, k
-    if best is None:
-        raise CornerHit(polygon, p, 0)  # degenerate direction from boundary
-    seg = surface.edge_seg(polygon, best_k)
-    if min(vdist(best.point, seg.p0), vdist(best.point, seg.p1)) < CORNER_DELTA:
-        raise CornerHit(polygon, best.point, 0)
-    return best_k, best
+        wx, wy = ax - px, ay - py
+        u = (wx * dy - wy * dx) / denom
+        if u < u_min or u > u_max:
+            continue
+        t = (wx * ey - wy * ex) / denom
+        if t <= STEP_MIN:
+            continue
+        if best_t is None or t < best_t:
+            best_k, best_t, best_u = k, t, u
+    if best_k is None:
+        return None, p  # degenerate direction from boundary
+    seg = surface.edge_segs[polygon][best_k - 1]
+    point = vlerp(seg.p0, seg.p1, best_u)
+    if min(vdist(point, seg.p0), vdist(point, seg.p1)) < CORNER_DELTA:
+        return None, point
+    return best_k, point
 
 
 def _entry_from_edge(surface: Surface, k: int, point_on_upper: Vec, theta: float) -> tuple[str, Vec]:
@@ -188,16 +209,16 @@ def trace(
             )
         )
 
+    offsets = surface.offsets
     while len(crossings) < max_crossings:
-        try:
-            k, hit = _exit_hit(surface, polygon, p, d, entry)
-        except CornerHit as ch:
-            raise CornerHit(ch.polygon, ch.point, len(crossings)) from None
-        t_off = surface.identification_offset(k)
+        k, point = _exit_hit(surface, polygon, p, d, entry)
+        if k is None:
+            raise CornerHit(polygon, point, len(crossings), theta, start[0], start[1])
+        t_off = offsets[k - 1]
         if polygon == UPPER:
-            entered, q = LOWER, vsub(hit.point, t_off)
+            entered, q = LOWER, vsub(point, t_off)
         else:
-            entered, q = UPPER, vadd(hit.point, t_off)
+            entered, q = UPPER, vadd(point, t_off)
         crossings.append(
             Crossing(
                 index=k,

@@ -51,10 +51,6 @@ def cross(a: Vec, b: Vec) -> float:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def vnorm(a: Vec) -> float:
-    return math.hypot(a[0], a[1])
-
-
 def vdist(a: Vec, b: Vec) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
@@ -118,16 +114,20 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment) -> Optional[Hit]:
     u is clamped-tested against [-EPS, 1+EPS] so near-endpoint hits are
     reported; callers decide whether an endpoint hit is a corner event.
     """
-    e = seg.direction()
-    denom = cross(d, e)
-    if abs(denom) < PARALLEL * max(1.0, vnorm(e)):
+    # the arithmetic of cross(d, e), cross(w, e), cross(w, d) and vlerp,
+    # written out on local floats: the scans call this for every piece
+    ax, ay = seg.p0
+    ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
+    dx, dy = d
+    denom = dx * ey - dy * ex
+    if abs(denom) < PARALLEL * max(1.0, math.hypot(ex, ey)):
         return None
-    w = vsub(seg.p0, origin)
-    t = cross(w, e) / denom
-    u = cross(w, d) / denom
+    wx, wy = ax - origin[0], ay - origin[1]
+    t = (wx * ey - wy * ex) / denom
+    u = (wx * dy - wy * dx) / denom
     if u < -EPS or u > 1.0 + EPS:
         return None
-    return Hit(t=t, u=u, point=vlerp(seg.p0, seg.p1, u))
+    return Hit(t=t, u=u, point=(ax + ex * u, ay + ey * u))
 
 
 def clip_polygon_halfplane(poly: Sequence[Vec], n: Vec, c: float) -> list[Vec]:

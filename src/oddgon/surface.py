@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import (
+    PARALLEL,
     Mat2,
     Segment,
     Vec,
@@ -94,6 +95,12 @@ def flip_shear_matrix(n: int) -> Mat2:
     return Mat2(-1.0, 2.0 / math.tan(math.pi / n), 0.0, 1.0)
 
 
+def _exit_row(k: int, seg: Segment) -> tuple[int, float, float, float, float, float]:
+    ax, ay = seg.p0
+    ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
+    return (k, ax, ay, ex, ey, PARALLEL * max(1.0, math.hypot(ex, ey)))
+
+
 class Surface:
     """Geometric model of one double odd n-gon, with derived edge systems."""
 
@@ -110,26 +117,44 @@ class Surface:
         verts: list[Vec] = [(0.0, 0.0)]
         for k in range(1, n):
             verts.append(vadd(verts[-1], unit((k - 1) * self.alpha)))
-        self.upper: list[Vec] = verts
+        # Tuples: the edge tables below are built from them once.
+        self.upper: tuple[Vec, ...] = tuple(verts)
         # Half-turn center: midpoint of S_n (from vertex n-1 to vertex 0).
         self.center: Vec = vscale(vadd(verts[n - 1], verts[0]), 0.5)
-        self.lower: list[Vec] = [self.half_turn(p) for p in verts]
+        self.lower: tuple[Vec, ...] = tuple(self.half_turn(p) for p in verts)
+
+        # Per-polygon edge tables, read by the tracer at every step.
+        # edge_segs[polygon][k - 1] is S_k; offsets[k - 1] is the translation
+        # taking the lower S_k onto the upper one (upper midpoint minus lower
+        # midpoint); exit_rows[polygon] holds (k, ax, ay, ex, ey, guard) per
+        # edge: S_k's start point, its direction vector and the
+        # ray_segment_hit parallel guard PARALLEL * max(1, |e|).
+        self.edge_segs: dict[str, tuple[Segment, ...]] = {
+            polygon: tuple(Segment(vs[k - 1], vs[k % n]) for k in range(1, n + 1))
+            for polygon, vs in ((UPPER, self.upper), (LOWER, self.lower))
+        }
+        self.offsets: tuple[Vec, ...] = tuple(
+            vsub(up.midpoint(), lo.midpoint()) for up, lo in zip(self.edge_segs[UPPER], self.edge_segs[LOWER])
+        )
+        self.exit_rows: dict[str, tuple[tuple[int, float, float, float, float, float], ...]] = {
+            polygon: tuple(_exit_row(k, seg) for k, seg in enumerate(segs, start=1))
+            for polygon, segs in self.edge_segs.items()
+        }
 
     # ---- basic geometry -------------------------------------------------
 
     def half_turn(self, p: Vec) -> Vec:
         return (2.0 * self.center[0] - p[0], 2.0 * self.center[1] - p[1])
 
-    def vertices(self, polygon: str) -> list[Vec]:
+    def vertices(self, polygon: str) -> tuple[Vec, ...]:
         return self.upper if polygon == UPPER else self.lower
 
     def edge_seg(self, polygon: str, k: int) -> Segment:
-        vs = self.vertices(polygon)
-        return Segment(vs[(k - 1) % self.n], vs[k % self.n])
+        return self.edge_segs[polygon][(k - 1) % self.n]
 
     def identification_offset(self, k: int) -> Vec:
         """Translation taking the lower S_k representative onto the upper one."""
-        return vsub(self.edge_seg(UPPER, k).midpoint(), self.edge_seg(LOWER, k).midpoint())
+        return self.offsets[(k - 1) % self.n]
 
     def entering_polygon(self, k: int) -> str:
         """Polygon entered when edge pair k is crossed in a sector direction."""

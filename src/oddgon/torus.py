@@ -109,7 +109,7 @@ def torus_trace(
         px, py = x0 + t * dx, y0 + t * dy
         other = _frac_dist(px) if letter == HORIZONTAL else _frac_dist(py)
         if other < CORNER_DELTA:
-            raise CornerHit("torus", (px, py), len(crossings))
+            raise CornerHit("torus", (px, py), len(crossings), theta, "torus", start)
         crossings.append(TorusCrossing(t=t, letter=letter, point=(px, py)))
 
     traj = TorusTrajectory(start=start, theta=theta, crossings=crossings)

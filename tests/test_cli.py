@@ -70,9 +70,14 @@ def test_trace_corner_hit_is_failure(capsys):
     p = s.edge_seg(UPPER, 2).point_at(0.5)
     d = vsub(s.vertices(UPPER)[3], p)
     theta = math.atan2(d[1], d[0])
+    assert str(theta) == "2.1225616175277833"
     code, data = run_json(capsys, "trace", "--edge", "S2", "--t", "0.5", "--theta", str(theta))
     assert code == 1
     assert data["error"] == "corner-hit"
+    assert data["detail"].startswith("trajectory within corner tolerance at")
+    # exact, so the failing trace can be run again
+    assert data["theta"] == theta
+    assert data["start"] == {"polygon": UPPER, "point": list(p)}
 
 
 def test_derive_geometric(capsys):
@@ -203,6 +208,29 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["render", "--what", "guide", "--edge", "S9", "--theta", "0.3"], ["--edge", "--theta"]),
+        (["render", "--what", "guide", "--t", "0.4", "--crossings", "9"], ["--t", "--crossings"]),
+        (["render", "--what", "guide", "--aux", "--primed", "--guide"], ["--aux", "--primed", "--guide"]),
+        (["render", "--edge", "S3", "--t", "0.4"], ["--edge", "--t"]),
+        (["derive", "--seq", "BECE", "--cyclic", "--seed", "5", "--samples", "3", "--n", "9"], ["--seed", "--samples"]),
+        (["derive", "--seq", "BECE", "--method", "ksl", "--samples", "3"], ["--samples"]),
+        (["diagram", "--stage", "arrows", "--seed", "2"], ["--seed"]),
+        (["torus", "derive", "--seq", "AB", "--slope", "1/3", "--start", "0.5,0.5"], ["--slope", "--start"]),
+        (["torus", "derive", "--seq", "AB", "--theta", "0.3", "--crossings", "9"], ["--theta", "--crossings"]),
+        (["torus", "derive", "--slope", "1/3", "--cyclic"], ["--cyclic"]),
+    ],
+)
+def test_flags_one_mode_does_not_read_are_usage_errors(capsys, argv, flags):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for flag in flags:
+        assert flag in captured.err
 
 
 def test_seeded_runs_are_byte_identical(capsys):

@@ -15,7 +15,18 @@ from oddgon.flow import (
     trace_from_edge,
     trajectory_json,
 )
-from oddgon.geometry import point_in_polygon, unit, vdist, vsub
+from oddgon.geometry import (
+    CORNER_DELTA,
+    EPS,
+    STEP_MIN,
+    Segment,
+    point_in_polygon,
+    ray_segment_hit,
+    unit,
+    vadd,
+    vdist,
+    vsub,
+)
 from oddgon.surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, build_surface, letter_for_index
 
 
@@ -81,6 +92,99 @@ def test_corner_hit_raises(pentagon):
     with pytest.raises(CornerHit) as exc:
         trace(pentagon, (UPPER, p), theta)
     assert exc.value.crossings_done >= 0
+
+
+def _reference_trace(s, k0, u0, theta, max_crossings):
+    """Brute-force tracer over edges rebuilt from the vertices.
+
+    Returns the crossings as (index, polygon, point, param) and how the trace
+    ended: None, ("periodic", period) or ("corner", polygon, point).
+    """
+    n, d = s.n, unit(theta)
+    verts = {UPPER: s.upper, LOWER: s.lower}
+
+    def seg(polygon, k):
+        vs = verts[polygon]
+        return Segment(vs[k - 1], vs[k % n])
+
+    def offset(k):
+        return vsub(seg(UPPER, k).midpoint(), seg(LOWER, k).midpoint())
+
+    def crossing(k, polygon, point):
+        up = seg(UPPER, k)
+        q = point if polygon == UPPER else vadd(point, offset(k))
+        e = up.direction()
+        param = ((q[0] - up.p0[0]) * e[0] + (q[1] - up.p0[1]) * e[1]) / (e[0] * e[0] + e[1] * e[1])
+        return (k, polygon, point, param)
+
+    p = seg(UPPER, k0).point_at(u0)
+    e = seg(UPPER, k0).direction()
+    outward = (e[1], -e[0])
+    polygon = UPPER
+    if d[0] * outward[0] + d[1] * outward[1] > 0.0:
+        polygon, p = LOWER, vsub(p, offset(k0))
+    crossings = [crossing(k0, polygon, p)]
+    entry = k0
+    while len(crossings) < max_crossings:
+        hits = []
+        for k in range(1, n + 1):
+            hit = ray_segment_hit(p, d, seg(polygon, k)) if k != entry else None
+            if hit is not None and hit.t > STEP_MIN:
+                hits.append((hit.t, k, hit.point))
+        if not hits:
+            return crossings, ("corner", polygon, p)
+        _, k, point = min(hits, key=lambda h: h[0])  # the first edge wins a tie
+        edge = seg(polygon, k)
+        if min(vdist(point, edge.p0), vdist(point, edge.p1)) < CORNER_DELTA:
+            return crossings, ("corner", polygon, point)
+        if polygon == UPPER:
+            polygon, p = LOWER, vsub(point, offset(k))
+        else:
+            polygon, p = UPPER, vadd(point, offset(k))
+        crossings.append(crossing(k, polygon, p))
+        entry = k
+        first, last = crossings[0], crossings[-1]
+        if last[:2] == first[:2] and vdist(last[2], first[2]) < EPS:
+            crossings.pop()
+            return crossings, ("periodic", len(crossings))
+    return crossings, None
+
+
+@pytest.mark.parametrize("n", [5, 9, 15, 25])
+def test_trace_equals_brute_force_reference(n):
+    s = build_surface(n)
+    for polygon in (UPPER, LOWER):
+        vs = s.vertices(polygon)
+        for k in range(1, n + 1):
+            assert s.edge_seg(polygon, k) == Segment(vs[k - 1], vs[k % n])
+    for k in range(1, n + 1):
+        up, lo = Segment(s.upper[k - 1], s.upper[k % n]), Segment(s.lower[k - 1], s.lower[k % n])
+        assert s.identification_offset(k) == vsub(up.midpoint(), lo.midpoint())
+
+    rng = random.Random(700 + n)
+    ends = []
+    for i in range(48):
+        k, u = rng.randrange(1, n + 1), rng.uniform(0.02, 0.98)
+        if i % 3 == 0:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+        elif i % 3 == 1:  # near an edge direction
+            theta = rng.randrange(2 * n) * math.pi / n + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(3.0, 12.0)
+        else:  # aimed at a vertex of the upper polygon
+            p = s.edge_seg(UPPER, k).point_at(u)
+            v = vsub(s.upper[rng.randrange(n)], p)
+            theta = math.atan2(v[1], v[0])
+        want, end = _reference_trace(s, k, u, theta, 150)
+        ends.append(end and end[0])
+        try:
+            traj = trace_from_edge(s, k, u, theta, max_crossings=150)
+        except CornerHit as hit:
+            assert end == ("corner", hit.polygon, hit.point), (k, u, theta)
+            assert hit.crossings_done == len(want)
+            continue
+        got = [(c.index, c.polygon, c.point, c.param) for c in traj.crossings]
+        assert got == want, (k, u, theta)
+        assert end == (("periodic", traj.period) if traj.periodic else None), (k, u, theta)
+    assert "corner" in ends
 
 
 def test_trace_rejects_bad_inputs(pentagon):
