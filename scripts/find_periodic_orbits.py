@@ -46,10 +46,7 @@ def main() -> int:
     print(f"{'period':>6}  {'edge':>4}  {'u':>6}  {'cyclic word':<24} {'rule':<12} {'geometric':<12}")
     for word, (k, u, period) in sorted(seen.items(), key=lambda kv: kv[1][2]):
         traj = trace_from_edge(s, k, u, theta, max_crossings=args.max_crossings)
-        try:
-            geo = cyclic_normal_form(derive_geometric(s, traj).letters)
-        except CornerHit:
-            geo = "(corner)"
+        geo = cyclic_normal_form(derive_geometric(s, traj).letters)
         rule = cyclic_normal_form(ksl_cyclic(word))
         flag = "" if geo == rule else "  <-- MISMATCH"
         print(f"{period:>6}  S{k:<3}  {u:>6.3f}  {word:<24} {rule:<12} {geo:<12}{flag}")

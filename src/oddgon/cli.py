@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification or computation failure, 2 usage error
-(argparse's convention). All JSON output is deterministic for a fixed seed.
+(argparse's convention). All output is deterministic; `verify`'s for a fixed --seed.
 """
 from __future__ import annotations
 
@@ -34,10 +34,6 @@ from .shear import (
 )
 from .surface import build_surface, index_for_letter, surface_json
 from .torus import torus_derive_geometric, torus_derive_rule, torus_trace
-
-
-# --seed / --samples of the sampled diagram build when not given
-DEFAULT_SEED, DEFAULT_SAMPLES = 0, 80
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -75,13 +71,6 @@ def _reject_unread(args, flags: tuple[str, ...], mode: str) -> None:
         raise ValueError(f"{mode} does not read {', '.join(given)}")
 
 
-def _pipeline(args):
-    """The sampled diagram build at --seed / --samples."""
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-    return build_pipeline_diagrams(build_surface(args.n), samples=samples, seed=seed)
-
-
 def _parse_theta(args) -> float:
     if getattr(args, "slope", None) is not None:
         txt = args.slope
@@ -112,10 +101,9 @@ def _cmd_trace(args) -> int:
 def _cmd_derive(args) -> int:
     word = args.seq
     if args.method == "ksl":
-        _reject_unread(args, ("seed", "samples"), "derive --method ksl")
         derived = ksl_cyclic(word) if args.cyclic else ksl_window(word)
     else:
-        derived = derive_via_diagrams(_pipeline(args), word, cyclic=args.cyclic)
+        derived = derive_via_diagrams(build_pipeline_diagrams(build_surface(args.n)), word, cyclic=args.cyclic)
     if args.cyclic:
         derived = cyclic_normal_form(derived)
     if args.format == "json":
@@ -150,10 +138,9 @@ def _cmd_diagram(args) -> int:
     if args.stage == "arrows":
         from .derivation import build_arrows_diagram
 
-        _reject_unread(args, ("seed", "samples"), "diagram --stage arrows")
         diagram = build_arrows_diagram(build_surface(args.n))
     else:
-        diagram = _pipeline(args).stage(args.stage)
+        diagram = build_pipeline_diagrams(build_surface(args.n)).stage(args.stage)
     if args.format == "dot":
         _emit(diagram_dot(diagram), args.out)
     else:
@@ -210,7 +197,8 @@ def _check_identities(args) -> dict:
 
 
 def _check_equivalence(args) -> dict:
-    rep = sandwich_equivalence_check(_pipeline(args), max_cycle_len=8, windows=200, seed=args.seed)
+    pipeline = build_pipeline_diagrams(build_surface(args.n))
+    rep = sandwich_equivalence_check(pipeline, max_cycle_len=8, windows=200, seed=args.seed)
     return {
         "pass": rep.passed,
         "cycles_checked": rep.cycles_checked,
@@ -338,13 +326,10 @@ def _cmd_render(args) -> int:
 # ---- parser -------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, n: bool = True, sampled: bool = False) -> None:
-    """--out everywhere; --n unless the command has no polygon; --seed/--samples if it samples."""
+def _add_common(p: argparse.ArgumentParser, n: bool = True) -> None:
+    """--out everywhere; --n unless the command has no polygon."""
     if n:
         p.add_argument("--n", type=int, default=5, help="number of polygon sides (odd, 5 to 25)")
-    if sampled:
-        p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
-        p.add_argument("--samples", type=int, default=None, help=f"diagram-build sample trajectories (default {DEFAULT_SAMPLES})")
     p.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
 
 
@@ -365,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("derive", help="derive a letter sequence")
-    _add_common(p, sampled=True)
+    _add_common(p)
     p.add_argument("--seq", type=str, required=True)
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("--method", choices=("ksl", "diagram"), default="ksl")
@@ -381,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive_geometric)
 
     p = sub.add_parser("diagram", help="emit a transition diagram")
-    _add_common(p, sampled=True)
+    _add_common(p)
     p.add_argument("--stage", choices=("arrows", "augmented", "dual", "primed"), default="arrows")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=_cmd_diagram)
@@ -391,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_guide)
 
     p = sub.add_parser("verify", help="run numeric verification checks")
-    _add_common(p, sampled=True)
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed of the identities, equivalence windows and torus checks")
     p.add_argument("--tol", type=float, default=1e-9, help="pass bound of the moduli and reassembly checks")
     p.add_argument(
         "--checks",
@@ -399,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="moduli,reassembly",
         help=f"comma-separated subset of: {', '.join(sorted(_CHECKS))}",
     )
-    p.set_defaults(func=_cmd_verify, seed=DEFAULT_SEED, samples=DEFAULT_SAMPLES)
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("torus", help="square-torus baseline")
     _add_common(p, n=False)

@@ -6,7 +6,9 @@ Two independent routes produce derived sequences:
   exactly the letters whose predecessor and successor agree.
 * `derive_via_diagrams` walks a word through the four-stage transition
   diagrams (arrows -> augmented -> dual -> primed) built geometrically from
-  the surface, reading the derived word off the primed labels.
+  the surface, reading the derived word off the primed labels. The build
+  reads the primed labels off the trajectories of one fixed, deterministic
+  sample plan (`_sector_sample_plan`), so it takes no seed.
 
 The build and the walk split their token streams into dual transitions
 (from one auxiliary crossing or direction-fixed letter to the next) with one
@@ -353,35 +355,40 @@ def _dual_steps(stream: list[tuple[str, str]], nodes: frozenset[str]):
         yield i, None, "".join(originals), "".join(primeds)
 
 
-def _sector_sample_plan(surface: Surface, samples: int, seed: int):
-    rng = random.Random(seed)
-    n = surface.n
-    for _ in range(samples):
-        theta = surface.sector * (0.06 + 0.88 * rng.random())
-        k = rng.randrange(1, n + 1)
-        u = 0.05 + 0.9 * rng.random()
-        yield k, u, theta
+# The fixed sample plan of the diagram build: PLAN_SAMPLES traces of
+# PLAN_CROSSINGS crossings each. Sample i starts on edge 1 + i mod n; its
+# (u, theta) come from the R2 low-discrepancy sequence, the fractional parts
+# of 0.5 + i/g and 0.5 + i/g**2, where g is the plastic number (the real root
+# of g**3 = g + 1), scaled into u in [0.05, 0.95] and theta in
+# sector * [0.06, 0.94].
+PLAN_SAMPLES, PLAN_CROSSINGS = 80, 400
+_PLASTIC = ((9 + math.sqrt(69)) / 18) ** (1 / 3) + ((9 - math.sqrt(69)) / 18) ** (1 / 3)
+
+
+def _sector_sample_plan(surface: Surface):
+    for i in range(PLAN_SAMPLES):
+        u = 0.05 + 0.9 * ((0.5 + i / _PLASTIC) % 1.0)
+        theta = surface.sector * (0.06 + 0.88 * ((0.5 + i / _PLASTIC**2) % 1.0))
+        yield 1 + i % surface.n, u, theta
 
 
 def _scan_sampled_transitions(
-    surface: Surface,
-    aux_of: dict[tuple[str, str], tuple[str, ...]],
-    samples: int,
-    crossings: int,
-    seed: int,
-) -> dict[tuple[str, str, str], str]:
-    """Observed primed content per dual transition, from traced trajectories.
+    surface: Surface, aux_of: dict[tuple[str, str], tuple[str, ...]]
+) -> tuple[dict[tuple[str, str, str], str], dict[tuple[str, str, str], int]]:
+    """Observed primed content per dual transition, from the traced sample plan.
 
     Each sample's crossing events are read in order as (kind, name) tokens:
     the auxiliary names between consecutive original letters must equal the
     clipping-derived augmented labels, and `_dual_steps` fills the table.
+    Also returns, per transition, the 1-based sample that first realized it.
     """
     nodes = _node_letters(surface)
     edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
     observed: dict[tuple[str, str, str], str] = {}
-    for k, u, theta in _sector_sample_plan(surface, samples, seed):
+    first_seen: dict[tuple[str, str, str], int] = {}
+    for sample, (k, u, theta) in enumerate(_sector_sample_plan(surface), 1):
         try:
-            traj = trace_from_edge(surface, k, u, theta, max_crossings=crossings)
+            traj = trace_from_edge(surface, k, u, theta, max_crossings=PLAN_CROSSINGS)
         except CornerHit:
             continue
         stream = [(kind, name) for _, kind, name in crossing_events(surface, traj, edges)]
@@ -412,7 +419,8 @@ def _scan_sampled_transitions(
                     f"{observed[key]!r} vs {primeds!r}"
                 )
             observed[key] = primeds
-    return observed
+            first_seen.setdefault(key, sample)
+    return observed, first_seen
 
 
 @dataclass
@@ -425,37 +433,35 @@ class DiagramPipeline:
     aux_of: dict[tuple[str, str], tuple[str, ...]]
     transitions: dict[tuple[str, str, str], str]  # (from, to, originals) -> primed letters
     node_letters: frozenset[str]
+    covered_at: int  # 1-based plan sample at which every predicted transition had been seen
 
     def stage(self, name: str) -> TransitionDiagram:
         return self.stages[name]
 
 
-def build_pipeline_diagrams(
-    surface: Surface,
-    samples: int = 80,
-    crossings: int = 400,
-    seed: int = 0,
-) -> DiagramPipeline:
+def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
     """Build arrows, augmented, dual, and primed diagrams for one surface.
 
     Dual arrows are enumerated combinatorially from the augmented diagram;
-    their primed labels are read off traced sample trajectories, and the two
-    views must agree exactly (every enumerated transition realized, every
-    sampled transition predicted).
+    their primed labels are read off the traced trajectories of the fixed
+    sample plan, all of which run, and the two views must agree exactly
+    (every enumerated transition realized, every sampled transition
+    predicted).
     """
     augmented, aux_of = build_augmented_diagram(surface)
-    arrows_diagram = build_arrows_diagram(surface)
+    # the augmented build makes the arrows diagram once; its arrows, unlabeled, are that diagram's
+    arrows = tuple(Arrow(a.source, a.target) for a in augmented.arrows)
     nodes = _node_letters(surface)
 
     # the two direction-fixed letters must occur in a unique reversible context
     for letter in nodes:
-        ins = [a.source for a in arrows_diagram.arrows if a.target == letter]
-        outs = [a.target for a in arrows_diagram.arrows if a.source == letter]
+        ins = [a.source for a in arrows if a.target == letter]
+        outs = [a.target for a in arrows if a.source == letter]
         if len(ins) != 1 or len(outs) != 1 or ins != outs:
             raise AssertionError(f"direction-fixed letter {letter} lacks a unique sandwich context")
 
     predicted = _enumerate_dual_transitions(surface, aux_of)
-    observed = _scan_sampled_transitions(surface, aux_of, samples, crossings, seed)
+    observed, first_seen = _scan_sampled_transitions(surface, aux_of)
 
     extra = set(observed) - predicted
     if extra:
@@ -463,7 +469,8 @@ def build_pipeline_diagrams(
     missing = predicted - set(observed)
     if missing:
         raise AssertionError(
-            f"dual transitions never realized by {samples} sample trajectories: {sorted(missing)}; increase samples"
+            f"dual transitions never realized by the {PLAN_SAMPLES}-sample plan: {sorted(missing)}; "
+            "the fixed sample plan is at fault: it must cover every supported n"
         )
 
     aux_names = sorted({name for seq in aux_of.values() for name in seq})
@@ -476,7 +483,7 @@ def build_pipeline_diagrams(
         primed_arrows.append(Arrow(d1, d2, "".join(ch + "'" for ch in primeds) or None))
 
     stages = {
-        "arrows": arrows_diagram,
+        "arrows": TransitionDiagram("arrows", augmented.nodes, arrows),
         "augmented": augmented,
         "dual": TransitionDiagram("dual", dual_nodes, tuple(dual_arrows)),
         "primed": TransitionDiagram("primed", dual_nodes, tuple(primed_arrows)),
@@ -488,6 +495,7 @@ def build_pipeline_diagrams(
         aux_of=aux_of,
         transitions=observed,
         node_letters=nodes,
+        covered_at=max(first_seen[key] for key in predicted),
     )
 
 

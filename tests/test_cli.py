@@ -202,6 +202,9 @@ def test_non_finite_theta_is_usage_error(capsys, argv):
         ["torus", "derive", "--seq", "AB", "--n", "7"],
         ["trace", "--edge", "S2", "--t", "0.55", "--theta", "0.31", "--delta", "1e-9"],
         ["diagram", "--tol", "1e-6"],
+        ["derive", "--seq", "BECE", "--cyclic", "--seed", "5", "--samples", "3", "--n", "9"],
+        ["derive", "--seq", "BECE", "--method", "ksl", "--samples", "3"],
+        ["diagram", "--stage", "arrows", "--seed", "2"],
     ],
 )
 def test_flags_a_command_does_not_read_are_usage_errors(argv):
@@ -217,9 +220,6 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
         (["render", "--what", "guide", "--t", "0.4", "--crossings", "9"], ["--t", "--crossings"]),
         (["render", "--what", "guide", "--aux", "--primed", "--guide"], ["--aux", "--primed", "--guide"]),
         (["render", "--edge", "S3", "--t", "0.4"], ["--edge", "--t"]),
-        (["derive", "--seq", "BECE", "--cyclic", "--seed", "5", "--samples", "3", "--n", "9"], ["--seed", "--samples"]),
-        (["derive", "--seq", "BECE", "--method", "ksl", "--samples", "3"], ["--samples"]),
-        (["diagram", "--stage", "arrows", "--seed", "2"], ["--seed"]),
         (["torus", "derive", "--seq", "AB", "--slope", "1/3", "--start", "0.5,0.5"], ["--slope", "--start"]),
         (["torus", "derive", "--seq", "AB", "--theta", "0.3", "--crossings", "9"], ["--theta", "--crossings"]),
         (["torus", "derive", "--slope", "1/3", "--cyclic"], ["--cyclic"]),

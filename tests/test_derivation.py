@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddgon import derivation
 from oddgon.derivation import (
     CYCLE,
     EMPTY,
     FIXED,
+    PLAN_SAMPLES,
     Arrow,
     InvalidPath,
     _dual_steps,
@@ -228,18 +230,28 @@ def test_dual_steps_splits_a_stream_at_dual_nodes():
     assert list(_dual_steps([(ORIGINAL, "B"), (PRIMED, "C")], frozenset("AD"))) == []
 
 
-def test_sampled_scan_checks_the_augmented_labels(pentagon):
+def test_sampled_scan_checks_the_augmented_labels(pentagon, monkeypatch):
     _, aux_of = build_augmented_diagram(pentagon)
     assert aux_of[("B", "E")] == ("l1",)
     blanked = dict(aux_of)
     blanked[("B", "E")] = ()
+    monkeypatch.setattr(derivation, "PLAN_SAMPLES", 1)
     with pytest.raises(AssertionError, match="differ from region label"):
-        _scan_sampled_transitions(pentagon, blanked, samples=1, crossings=40, seed=0)
+        _scan_sampled_transitions(pentagon, blanked)
 
 
-def test_pipeline_build_reports_unrealized_transitions(pentagon):
-    with pytest.raises(AssertionError, match="never realized by 1 sample.*increase samples"):
-        build_pipeline_diagrams(pentagon, samples=1)
+def test_pipeline_build_reports_unrealized_transitions(pentagon, monkeypatch):
+    monkeypatch.setattr(derivation, "PLAN_SAMPLES", 1)
+    with pytest.raises(AssertionError, match="never realized by the 1-sample plan.*sample plan is at fault"):
+        build_pipeline_diagrams(pentagon)
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_fixed_plan_covers_every_transition_in_half_the_plan(pipelines, n):
+    # the build raises unless the whole plan realizes exactly the predicted
+    # transitions; coverage within half of it leaves a margin (37 at n = 25)
+    pipe = pipelines[n] if n in pipelines else build_pipeline_diagrams(build_surface(n))
+    assert pipe.covered_at <= PLAN_SAMPLES // 2
 
 
 # ---- derivation through the diagrams ------------------------------------------
