@@ -220,6 +220,9 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
         (["render", "--what", "guide", "--t", "0.4", "--crossings", "9"], ["--t", "--crossings"]),
         (["render", "--what", "guide", "--aux", "--primed", "--guide"], ["--aux", "--primed", "--guide"]),
         (["render", "--edge", "S3", "--t", "0.4"], ["--edge", "--t"]),
+        (["render", "--crossings", "9"], ["--crossings"]),
+        (["torus", "trace", "--slope", "1/3", "--cyclic"], ["--cyclic"]),
+        (["torus", "derive", "--seq", "AB", "--start", "0.1,0.2"], ["--start"]),
         (["torus", "derive", "--seq", "AB", "--slope", "1/3", "--start", "0.5,0.5"], ["--slope", "--start"]),
         (["torus", "derive", "--seq", "AB", "--theta", "0.3", "--crossings", "9"], ["--theta", "--crossings"]),
         (["torus", "derive", "--slope", "1/3", "--cyclic"], ["--cyclic"]),
