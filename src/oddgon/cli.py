@@ -198,7 +198,7 @@ def _check_identities(args) -> dict:
 
 def _check_equivalence(args) -> dict:
     pipeline = build_pipeline_diagrams(build_surface(args.n))
-    rep = sandwich_equivalence_check(pipeline, max_cycle_len=8, windows=200, seed=args.seed)
+    rep = sandwich_equivalence_check(pipeline, seed=args.seed)
     return {
         "pass": rep.passed,
         "cycles_checked": rep.cycles_checked,
@@ -248,9 +248,16 @@ _CHECKS = {
 
 def _cmd_verify(args) -> int:
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for name in names:
+    available = f"available: {', '.join(sorted(_CHECKS))}"
+    if not names:
+        raise ValueError(f"--checks names no check; {available}")
+    for i, name in enumerate(names):
         if name not in _CHECKS:
-            raise ValueError(f"unknown check {name!r}; available: {', '.join(sorted(_CHECKS))}")
+            raise ValueError(f"--checks: unknown check {name!r}; {available}")
+        if name in names[:i]:
+            raise ValueError(f"--checks names {name!r} twice")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be a finite number > 0, got {args.tol}")
     results = {name: _CHECKS[name](args) for name in names}
     report = {
         "n": args.n,

@@ -70,38 +70,6 @@ def cyclic_normal_form(word: str) -> str:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-EMPTY, FIXED, CYCLE, TRUNCATED = "Empty", "Fixed", "Cycle", "Truncated"
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    status: str
-    orbit: tuple[str, ...]  # normal forms, starting with the input
-    steps: int
-
-
-def derivability_closure(word: str, cyclic: bool = True, max_steps: int = 64) -> ClosureResult:
-    """Iterate the sandwich rule until it stabilizes, empties, or cycles."""
-    rule = ksl_cyclic if cyclic else ksl_window
-    norm = cyclic_normal_form if cyclic else (lambda w: w)
-    w = norm(word)
-    orbit = [w]
-    seen = {w: 0}
-    for step in range(1, max_steps + 1):
-        w2 = norm(rule(orbit[-1]))
-        if w2 == "":
-            orbit.append(w2)
-            return ClosureResult(EMPTY, tuple(orbit), step)
-        if w2 == orbit[-1]:
-            return ClosureResult(FIXED, tuple(orbit), step)
-        if w2 in seen:
-            orbit.append(w2)
-            return ClosureResult(CYCLE, tuple(orbit), step)
-        seen[w2] = step
-        orbit.append(w2)
-    return ClosureResult(TRUNCATED, tuple(orbit), max_steps)
-
-
 # ---- diagram data model -----------------------------------------------------
 
 
@@ -157,7 +125,7 @@ def _arrow_region(surface: Surface, x: int, y: int) -> list[tuple[float, float]]
     through x, v the representative of edge y in the same chart; the chord
     direction must lie in [0, pi/n).
     """
-    q = surface.entering_polygon(x)
+    q = surface.entering_polygon(x, surface.sector / 2)
     ex = surface.edge_seg(q, x)
     ey = surface.edge_seg(q, y)
     dx = ex.direction()
@@ -191,7 +159,7 @@ def _arrow_region(surface: Surface, x: int, y: int) -> list[tuple[float, float]]
 
 def _horizontal_arrow(surface: Surface, x: int, y: int) -> Optional[tuple[float, float]]:
     """Representative (u, v) for a horizontal (theta = 0) chord, if one exists."""
-    q = surface.entering_polygon(x)
+    q = surface.entering_polygon(x, surface.sector / 2)
     ex = surface.edge_seg(q, x)
     ey = surface.edge_seg(q, y)
     lo = max(min(ex.p0[1], ex.p1[1]), min(ey.p0[1], ey.p1[1]))
@@ -226,12 +194,10 @@ def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
 # ---- stage 2: augmented -----------------------------------------------------
 
 
-def _region_samples(region: list[tuple[float, float]], count: int = 5) -> list[tuple[float, float]]:
+def _region_samples(region: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The region's centroid and the midpoints from it to its first four vertices."""
     c = polygon_centroid(region)
-    pts = [c]
-    for vert in region[: count - 1]:
-        pts.append(vlerp(c, vert, 0.5))
-    return pts
+    return [c] + [vlerp(c, vert, 0.5) for vert in region[:4]]
 
 
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
@@ -248,7 +214,7 @@ def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, 
 
 def _aux_label(surface: Surface, x: int, y: int) -> tuple[str, ...]:
     """Ordered auxiliary edges crossed between consecutive hits of x then y."""
-    q = surface.entering_polygon(x)
+    q = surface.entering_polygon(x, surface.sector / 2)
     ex = surface.edge_seg(q, x)
     ey = surface.edge_seg(q, y)
     region = _arrow_region(surface, x, y)
@@ -288,6 +254,14 @@ def _node_letters(surface: Surface) -> frozenset[str]:
     return frozenset(letter_for_index(k) for k in surface.node_indices)
 
 
+def _successors(aux_of: dict[tuple[str, str], tuple[str, ...]]) -> dict[str, list[str]]:
+    """Letter -> the letters an arrow leads to, both in sorted order."""
+    succ: dict[str, list[str]] = {}
+    for x, y in sorted(aux_of):
+        succ.setdefault(x, []).append(y)
+    return succ
+
+
 def _enumerate_dual_transitions(
     surface: Surface, aux_of: dict[tuple[str, str], tuple[str, ...]]
 ) -> set[tuple[str, str, str]]:
@@ -298,9 +272,7 @@ def _enumerate_dual_transitions(
     would mean a node-free cycle, which the geometry rules out.
     """
     nodes = _node_letters(surface)
-    succ: dict[str, list[str]] = {}
-    for (x, y) in aux_of:
-        succ.setdefault(x, []).append(y)
+    succ = _successors(aux_of)
     found: set[tuple[str, str, str]] = set()
     bound = 4 * surface.n
 
@@ -427,8 +399,6 @@ def _scan_sampled_transitions(
 class DiagramPipeline:
     """The four transition diagrams plus the lookup tables used to walk them."""
 
-    n: int
-    surface: Surface
     stages: dict[str, TransitionDiagram]
     aux_of: dict[tuple[str, str], tuple[str, ...]]
     transitions: dict[tuple[str, str, str], str]  # (from, to, originals) -> primed letters
@@ -489,8 +459,6 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
         "primed": TransitionDiagram("primed", dual_nodes, tuple(primed_arrows)),
     }
     return DiagramPipeline(
-        n=surface.n,
-        surface=surface,
         stages=stages,
         aux_of=aux_of,
         transitions=observed,
@@ -557,7 +525,6 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
 
 @dataclass
 class EquivalenceReport:
-    n: int
     cycles_checked: int
     windows_checked: int
     failures: list[tuple[str, str, str]] = field(default_factory=list)
@@ -569,9 +536,7 @@ class EquivalenceReport:
 
 def _cyclic_walks(pipeline: DiagramPipeline, max_len: int) -> set[str]:
     """All distinct cyclic walks (as normal forms) up to the given length."""
-    succ: dict[str, list[str]] = {}
-    for (x, y) in pipeline.aux_of:
-        succ.setdefault(x, []).append(y)
+    succ = _successors(pipeline.aux_of)
     words: set[str] = set()
 
     def dfs(start: str, path: list[str]) -> None:
@@ -589,32 +554,29 @@ def _cyclic_walks(pipeline: DiagramPipeline, max_len: int) -> set[str]:
     return words
 
 
-def sandwich_equivalence_check(
-    pipeline: DiagramPipeline,
-    max_cycle_len: int = 10,
-    windows: int = 200,
-    window_len: int = 30,
-    seed: int = 0,
-) -> EquivalenceReport:
-    """Compare diagram derivation with the sandwich rule on both word types."""
-    report = EquivalenceReport(n=pipeline.n, cycles_checked=0, windows_checked=0)
+# The equivalence check's fixed extent: every cyclic walk of up to
+# MAX_CYCLE_LEN letters, then WINDOWS random windows of WINDOW_LEN letters.
+MAX_CYCLE_LEN, WINDOWS, WINDOW_LEN = 8, 200, 30
 
-    for w in sorted(_cyclic_walks(pipeline, max_cycle_len)):
+
+def sandwich_equivalence_check(pipeline: DiagramPipeline, seed: int = 0) -> EquivalenceReport:
+    """Compare diagram derivation with the sandwich rule on both word types."""
+    report = EquivalenceReport(cycles_checked=0, windows_checked=0)
+
+    for w in sorted(_cyclic_walks(pipeline, MAX_CYCLE_LEN)):
         expected = cyclic_normal_form(ksl_cyclic(w))
         got = cyclic_normal_form(derive_via_diagrams(pipeline, w, cyclic=True))
         report.cycles_checked += 1
         if expected != got:
             report.failures.append((f"cyclic {w}", expected, got))
 
-    succ: dict[str, list[str]] = {}
-    for (x, y) in sorted(pipeline.aux_of):
-        succ.setdefault(x, []).append(y)
+    succ = _successors(pipeline.aux_of)
     rng = random.Random(seed)
     starts = sorted(succ)
-    for _ in range(windows):
+    for _ in range(WINDOWS):
         cur = rng.choice(starts)
         path = [cur]
-        while len(path) < window_len:
+        while len(path) < WINDOW_LEN:
             nxt = succ.get(path[-1])
             if not nxt:
                 break

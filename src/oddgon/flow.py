@@ -4,8 +4,12 @@ The tracer walks a ray chart-to-chart; identifications are translations, so
 the direction never changes. Direction normalization into [0, pi/n) is done
 by an honest point map: rotations by even multiples of pi/n act about the
 polygon centers, and the odd half-turn swaps the two polygons, so every
-multiple of pi/n is realized by a piecewise isometry whose edge permutation
-is read off geometrically.
+multiple of pi/n is realized by a piecewise isometry. Its edge permutation
+has a closed form, sigma(k) - 1 = (k - 1) - steps * (n + 1)/2 (mod n): each
+step turns edge directions by -pi/n = -(n + 1)/2 * 2pi/n + pi, and the pi is
+the half turn that swaps the polygons, whose edges point opposite ways.
+`tests/test_flow.py::test_edge_permutation_matches_arithmetic` pins it
+against the midpoint matching of `rotation_isometry`.
 
 `crossing_events` is the one scan of a traced trajectory against edge
 pieces; the geometric derivation feeds it the primed edges carried onto the
@@ -20,7 +24,6 @@ from typing import Callable, Optional
 from .geometry import (
     CORNER_DELTA,
     EPS,
-    MATCH_TOL,
     STEP_MIN,
     Segment,
     Vec,
@@ -67,19 +70,17 @@ class Crossing:
     letter: str
     polygon: str  # polygon entered at this crossing
     point: Vec  # entry point, in the entered polygon's chart
-    param: float  # position along the upper representative, 0..1
 
 
 @dataclass
 class Trajectory:
-    n: int
     start_polygon: str
     start_point: Vec
     theta: float
     crossings: list[Crossing]
+    start_edge: int
     periodic: bool = False
     period: Optional[int] = None
-    start_edge: Optional[int] = None
     start_param: Optional[float] = None
 
     @property
@@ -107,7 +108,7 @@ class Trajectory:
         return a.polygon, a.point, exit_point
 
 
-def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, entry: Optional[int]) -> tuple[Optional[int], Vec]:
+def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, entry: int) -> tuple[Optional[int], Vec]:
     """Exit edge and exit point of the ray p + t*d: its smallest hit with t > STEP_MIN.
 
     Reads the polygon's `exit_rows` and repeats ray_segment_hit's arithmetic
@@ -145,102 +146,52 @@ def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, entry: Optional[in
     return best_k, point
 
 
-def _entry_from_edge(surface: Surface, k: int, point_on_upper: Vec, theta: float) -> tuple[str, Vec]:
-    """Polygon and chart point the flow enters from a point on edge pair k."""
-    d = unit(theta)
-    e = surface.edge_seg(UPPER, k).direction()
-    outward_upper = (e[1], -e[0])
-    if d[0] * outward_upper[0] + d[1] * outward_upper[1] > 0.0:
-        return LOWER, vsub(point_on_upper, surface.identification_offset(k))
-    return UPPER, point_on_upper
-
-
-def _upper_param(surface: Surface, k: int, polygon: str, point: Vec) -> float:
-    """Edge parameter measured along the upper representative."""
-    seg = surface.edge_seg(UPPER, k)
-    q = point if polygon == UPPER else vadd(point, surface.identification_offset(k))
-    d = seg.direction()
-    L2 = d[0] * d[0] + d[1] * d[1]
-    return ((q[0] - seg.p0[0]) * d[0] + (q[1] - seg.p0[1]) * d[1]) / L2
-
-
 def trace(
     surface: Surface,
     start: tuple[str, Vec],
     theta: float,
     max_crossings: int = 100,
-    start_edge: Optional[int] = None,
+    *,
+    start_edge: int,
     start_param: Optional[float] = None,
 ) -> Trajectory:
-    """Cutting sequence of a ray. `start` is (polygon, chart point).
+    """Cutting sequence of a ray from `start`, a (polygon, chart point) on edge pair `start_edge`.
 
-    If the start point lies on an edge (pass start_edge), that edge is
-    emitted as crossing 0 and tracing continues into the polygon the
-    direction flows into. Periodicity: first return within EPS of crossing 0
-    on the same edge pair and polygon.
+    That edge is emitted as crossing 0 and tracing continues into the
+    polygon the direction flows into. Periodicity: first return within EPS
+    of crossing 0 on the same edge pair and polygon.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be a finite direction in radians, got {theta}")
+    if max_crossings < 1:
+        raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     d = unit(theta)
-    crossings: list[Crossing] = []
-    traj = Trajectory(
-        n=surface.n,
-        start_polygon=start[0],
-        start_point=start[1],
-        theta=theta,
-        crossings=crossings,
-        start_edge=start_edge,
-        start_param=start_param,
-    )
-
-    polygon, p = start
-    entry = start_edge
-    if start_edge is not None:
-        polygon, p = _entry_from_edge(
-            surface, start_edge, start[1] if start[0] == UPPER else vadd(start[1], surface.identification_offset(start_edge)), theta
-        )
-        crossings.append(
-            Crossing(
-                index=start_edge,
-                letter=letter_for_index(start_edge),
-                polygon=polygon,
-                point=p,
-                param=_upper_param(surface, start_edge, polygon, p),
-            )
-        )
-
     offsets = surface.offsets
+    t_start = surface.identification_offset(start_edge)
+    polygon = surface.entering_polygon(start_edge, theta)
+    p = start[1] if start[0] == UPPER else vadd(start[1], t_start)  # on the upper representative
+    if polygon == LOWER:
+        p = vsub(p, t_start)
+    first = Crossing(start_edge, letter_for_index(start_edge), polygon, p)
+    crossings = [first]
+    traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
+
+    entry = start_edge
     while len(crossings) < max_crossings:
         k, point = _exit_hit(surface, polygon, p, d, entry)
         if k is None:
             raise CornerHit(polygon, point, len(crossings), theta, start[0], start[1])
         t_off = offsets[k - 1]
         if polygon == UPPER:
-            entered, q = LOWER, vsub(point, t_off)
+            polygon, p = LOWER, vsub(point, t_off)
         else:
-            entered, q = UPPER, vadd(point, t_off)
-        crossings.append(
-            Crossing(
-                index=k,
-                letter=letter_for_index(k),
-                polygon=entered,
-                point=q,
-                param=_upper_param(surface, k, entered, q),
-            )
-        )
-        polygon, p, entry = entered, q, k
-        first = crossings[0]
-        last = crossings[-1]
-        if (
-            len(crossings) > 1
-            and last.index == first.index
-            and last.polygon == first.polygon
-            and vdist(last.point, first.point) < EPS
-        ):
+            polygon, p = UPPER, vadd(point, t_off)
+        entry = k
+        if k == first.index and polygon == first.polygon and vdist(p, first.point) < EPS:
             traj.periodic = True
-            traj.period = len(crossings) - 1
-            crossings.pop()  # the repeat is bookkeeping, not a new letter
+            traj.period = len(crossings)
             break
+        crossings.append(Crossing(k, letter_for_index(k), polygon, p))
     return traj
 
 
@@ -257,14 +208,7 @@ def trace_from_edge(
     if not 0.0 < param < 1.0:
         raise ValueError("edge parameter must be strictly inside (0, 1)")
     p = surface.edge_seg(UPPER, edge_index).point_at(param)
-    return trace(
-        surface,
-        (UPPER, p),
-        theta,
-        max_crossings=max_crossings,
-        start_edge=edge_index,
-        start_param=param,
-    )
+    return trace(surface, (UPPER, p), theta, max_crossings=max_crossings, start_edge=edge_index, start_param=param)
 
 
 # ---- direction normalization ----------------------------------------------
@@ -317,22 +261,14 @@ def rotation_isometry(surface: Surface, steps: int) -> Callable[[str, Vec], tupl
 
 
 def edge_permutation(surface: Surface, steps: int) -> dict[int, int]:
-    """Edge-index permutation induced by rotation_isometry, matched geometrically."""
-    iso = rotation_isometry(surface, steps)
-    perm: dict[int, int] = {}
-    for k in range(1, surface.n + 1):
-        polygon, q = iso(UPPER, surface.edge_seg(UPPER, k).midpoint())
-        target = None
-        for k2 in range(1, surface.n + 1):
-            if vdist(q, surface.edge_seg(polygon, k2).midpoint()) < MATCH_TOL:
-                target = k2
-                break
-        if target is None:
-            raise AssertionError(f"rotated edge S_{k} matches no standard edge")
-        perm[k] = target
-    if sorted(perm.values()) != list(range(1, surface.n + 1)):
-        raise AssertionError("edge matching is not a bijection")
-    return perm
+    """Edge-index permutation induced by rotation_isometry(surface, steps).
+
+    Closed form: sigma(k) - 1 = (k - 1) - steps * (n + 1)/2 (mod n); see the
+    module docstring. `tests/test_flow.py::test_edge_permutation_matches_arithmetic`
+    checks it against the isometry's midpoint matching.
+    """
+    n = surface.n
+    return {k: 1 + (k - 1 - steps * (n + 1) // 2) % n for k in range(1, n + 1)}
 
 
 def normalize_direction(surface: Surface, theta: float) -> NormalizedDirection:
@@ -435,9 +371,8 @@ def trajectory_json(traj: Trajectory) -> dict:
         "polygon": traj.start_polygon,
         "point": [round_sig(traj.start_point[0]), round_sig(traj.start_point[1])],
     }
-    if traj.start_edge is not None:
-        start["edge"] = f"S{traj.start_edge}"
-        start["t"] = round_sig(traj.start_param) if traj.start_param is not None else None
+    start["edge"] = f"S{traj.start_edge}"
+    start["t"] = round_sig(traj.start_param) if traj.start_param is not None else None
     return {
         "start": start,
         "theta": round_sig(traj.theta),

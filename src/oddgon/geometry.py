@@ -21,8 +21,6 @@ EPS = 1e-9
 CORNER_DELTA = 1e-12
 # A ray step this short, or a start this close to an edge line, is the start itself.
 STEP_MIN = 1e-12
-# Two edge midpoints this close are the same edge (the match in edge_permutation).
-MATCH_TOL = 1e-6
 # A denominator this small is zero: parallel ray and segment, a cot pole.
 PARALLEL = 1e-15
 
@@ -88,9 +86,6 @@ class Segment:
 
     def midpoint(self) -> Vec:
         return vlerp(self.p0, self.p1, 0.5)
-
-    def length(self) -> float:
-        return vdist(self.p0, self.p1)
 
     def point_at(self, t: float) -> Vec:
         return vlerp(self.p0, self.p1, t)

@@ -7,6 +7,9 @@ from .flow import Trajectory
 from .shear import VertexGuide
 from .surface import LOWER, UPPER, Surface
 
+# Every figure is WIDTH pixels wide with a MARGIN-pixel border; its height follows the drawing.
+WIDTH, MARGIN = 720, 24.0
+
 
 def _fmt(v: float) -> str:
     s = f"{v:.4f}".rstrip("0").rstrip(".")
@@ -38,22 +41,22 @@ class _Canvas:
         self._track([p])
         self.elements.append(("dot", p, fill, r))
 
-    def render(self, width: int = 720, margin: float = 24.0) -> str:
+    def render(self) -> str:
         if not self.xs:
             return '<svg xmlns="http://www.w3.org/2000/svg" width="1" height="1"/>'
         x0, x1 = min(self.xs), max(self.xs)
         y0, y1 = min(self.ys), max(self.ys)
         span_x = max(x1 - x0, 1e-9)
         span_y = max(y1 - y0, 1e-9)
-        scale = (width - 2 * margin) / span_x
-        height = int(span_y * scale + 2 * margin)
+        scale = (WIDTH - 2 * MARGIN) / span_x
+        height = int(span_y * scale + 2 * MARGIN)
 
         def tx(p):
-            return (margin + (p[0] - x0) * scale, margin + (y1 - p[1]) * scale)
+            return (MARGIN + (p[0] - x0) * scale, MARGIN + (y1 - p[1]) * scale)
 
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+            f'viewBox="0 0 {WIDTH} {height}">'
         ]
         for el in self.elements:
             if el[0] == "polygon":
@@ -83,7 +86,6 @@ def render_surface_svg(
     guide: Optional[VertexGuide] = None,
     show_aux: bool = False,
     show_primed: bool = False,
-    width: int = 720,
 ) -> str:
     """The two polygon charts (lower shaded) with optional overlays."""
     cv = _Canvas()
@@ -107,10 +109,10 @@ def render_surface_svg(
     if guide is not None:
         for gp in guide.points:
             cv.dot((gp.x, gp.y), fill="#2c3e50", r=2.5)
-    return cv.render(width=width)
+    return cv.render()
 
 
-def render_guide_svg(guide: VertexGuide, width: int = 720) -> str:
+def render_guide_svg(guide: VertexGuide) -> str:
     """Guide dots on their level lines, the target picture of the shear."""
     cv = _Canvas()
     ys = sorted({gp.y for gp in guide.points})
@@ -122,4 +124,4 @@ def render_guide_svg(guide: VertexGuide, width: int = 720) -> str:
     for gp in guide.points:
         color = "#2c3e50" if gp.polygon == UPPER else "#8e44ad"
         cv.dot((gp.x, gp.y), fill=color, r=3.0)
-    return cv.render(width=width)
+    return cv.render()

@@ -61,10 +61,6 @@ class Cylinder:
     height: float
     modulus: float
     y_interval: tuple[float, float]
-    # original edge pairs crossing this cylinder (right side, left side)
-    crossing_edges: tuple[int, int]
-    upper_band: tuple[Vec, ...]
-    lower_band: tuple[Vec, ...]
 
 
 def _slice_width(poly: list[Vec], y: float) -> float:
@@ -96,7 +92,6 @@ def decompose_cylinders(surface: Surface) -> list[Cylinder]:
     out = []
     levels = surface.levels()
     for c in range(1, surface.m + 1):
-        up, lo = surface.band_polygons(c)
         width = cylinder_width(surface, c)
         height = levels[c] - levels[c - 1]
         out.append(
@@ -106,9 +101,6 @@ def decompose_cylinders(surface: Surface) -> list[Cylinder]:
                 height=height,
                 modulus=width / height,
                 y_interval=(levels[c - 1], levels[c]),
-                crossing_edges=(c + 1, surface.n + 1 - c),
-                upper_band=tuple(up),
-                lower_band=tuple(lo),
             )
         )
     return out
@@ -164,7 +156,6 @@ class GuidePoint:
 
 @dataclass(frozen=True)
 class VertexGuide:
-    n: int
     points: tuple[GuidePoint, ...]
 
     def __iter__(self) -> Iterator[GuidePoint]:
@@ -231,7 +222,7 @@ def build_vertex_guide(n: int) -> VertexGuide:
         offset = vadd(upper_offset, t[n + 2 - k])
         emit(LOWER, k - 1, offset)
 
-    return VertexGuide(n=n, points=tuple(points))
+    return VertexGuide(points=tuple(points))
 
 
 # ---- reassembly check ------------------------------------------------------
@@ -239,8 +230,6 @@ def build_vertex_guide(n: int) -> VertexGuide:
 
 @dataclass(frozen=True)
 class ReassemblyReport:
-    n: int
-    tol: float
     max_residual: float
     passed: bool
     worst: tuple[str, str, int]
@@ -273,8 +262,6 @@ def verify_reassembly(n: int, tol: float = 1e-8) -> ReassemblyReport:
         if gp.y != image[1]:  # shear row (0 1) must keep y bit-identical
             y_ok = False
     return ReassemblyReport(
-        n=n,
-        tol=tol,
         max_residual=max_residual,
         passed=max_residual < tol and y_ok,
         worst=worst,

@@ -156,9 +156,9 @@ class Surface:
         """Translation taking the lower S_k representative onto the upper one."""
         return self.offsets[(k - 1) % self.n]
 
-    def entering_polygon(self, k: int) -> str:
-        """Polygon entered when edge pair k is crossed in a sector direction."""
-        d = unit(self.sector / 2.0)
+    def entering_polygon(self, k: int, theta: float) -> str:
+        """Polygon entered when edge pair k is crossed in direction theta."""
+        d = unit(theta)
         e = self.edge_seg(UPPER, k).direction()
         outward = (e[1], -e[0])  # ccw polygon: outward normal of the upper copy
         exits_upper = d[0] * outward[0] + d[1] * outward[1] > 0.0
@@ -311,44 +311,16 @@ def _point_json(p: Vec) -> list[float]:
     return [round_sig(p[0]), round_sig(p[1])]
 
 
-def surface_json(surface: Surface, include_derived: bool = True) -> dict:
+def _edge_json(label: str, polygon: str, kind: str, seg: Segment) -> dict:
+    return {"label": label, "polygon": polygon, "kind": kind, "p0": _point_json(seg.p0), "p1": _point_json(seg.p1)}
+
+
+def surface_json(surface: Surface) -> dict:
     """JSON-ready dict: polygons, edges (all kinds), identifications."""
     n = surface.n
-    edges = []
-    for polygon in (UPPER, LOWER):
-        for k in range(1, n + 1):
-            seg = surface.edge_seg(polygon, k)
-            edges.append(
-                {
-                    "label": f"S{k}",
-                    "polygon": polygon,
-                    "kind": ORIGINAL,
-                    "p0": _point_json(seg.p0),
-                    "p1": _point_json(seg.p1),
-                }
-            )
-    if include_derived:
-        for e in surface.aux_edges:
-            edges.append(
-                {
-                    "label": e.label,
-                    "polygon": e.polygon,
-                    "kind": AUXILIARY,
-                    "p0": _point_json(e.seg.p0),
-                    "p1": _point_json(e.seg.p1),
-                }
-            )
-        for pe in surface.primed_edges:
-            for piece in pe.pieces:
-                edges.append(
-                    {
-                        "label": f"S{pe.index}'",
-                        "polygon": piece.polygon,
-                        "kind": PRIMED,
-                        "p0": _point_json(piece.seg.p0),
-                        "p1": _point_json(piece.seg.p1),
-                    }
-                )
+    edges = [_edge_json(f"S{k}", p, ORIGINAL, surface.edge_seg(p, k)) for p in (UPPER, LOWER) for k in range(1, n + 1)]
+    edges += [_edge_json(e.label, e.polygon, AUXILIARY, e.seg) for e in surface.aux_edges]
+    edges += [_edge_json(f"S{pe.index}'", e.polygon, PRIMED, e.seg) for pe in surface.primed_edges for e in pe.pieces]
     return {
         "n": n,
         "polygons": {

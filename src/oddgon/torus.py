@@ -87,6 +87,10 @@ def torus_trace(
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be a finite direction in radians, got {theta}")
+    if len(start) != 2 or not all(map(math.isfinite, start)):
+        raise ValueError(f"start must be two finite numbers x,y, got {start}")
+    if max_crossings < 1:
+        raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     dx, dy = math.cos(theta), math.sin(theta)
     x0, y0 = start
     events: list[tuple[float, str]] = []

@@ -128,6 +128,35 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify", "--checks", ""], "--checks"),
+        (["verify", "--checks", " , "], "--checks"),
+        (["verify", "--checks", "moduli,moduli"], "--checks"),
+        (["verify", "--checks", "moduli, reassembly ,moduli"], "--checks"),
+        (["verify", "--tol", "nan"], "--tol"),
+        (["verify", "--tol", "inf"], "--tol"),
+        (["verify", "--tol", "0"], "--tol"),
+        (["verify", "--tol=-1e-9"], "--tol"),
+        (["trace", "--edge", "S2", "--t", "0.5", "--theta", "0.3", "--crossings", "-3"], "crossings"),
+        (["trace", "--edge", "S2", "--t", "0.5", "--theta", "0.3", "--crossings", "0"], "crossings"),
+        (["derive-geometric", "--edge", "S2", "--t", "0.5", "--theta", "0.3", "--crossings", "0"], "crossings"),
+        (["render", "--theta", "0.3", "--crossings", "-1"], "crossings"),
+        (["torus", "trace", "--slope", "1/3", "--crossings", "-1"], "crossings"),
+        (["torus", "derive", "--slope", "1/3", "--crossings", "0"], "crossings"),
+        (["torus", "trace", "--slope", "1/3", "--start", "0.1"], "start"),
+        (["torus", "trace", "--slope", "1/3", "--start", "nan,0.5"], "start"),
+        (["torus", "derive", "--theta", "0.3", "--start", "0.5,inf"], "start"),
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
 def test_verify_reports_extended_precision(capsys, monkeypatch):
     monkeypatch.setenv("ODDGON_PRECISION", "extended")
     code, data = run_json(capsys, "verify", "--n", "5", "--checks", "moduli")

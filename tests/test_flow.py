@@ -41,7 +41,10 @@ def test_start_on_edge_emits_first_crossing(pentagon):
     traj = trace_from_edge(pentagon, 2, 0.55, math.pi / 10)
     first = traj.crossings[0]
     assert first.letter == "B"
-    assert abs(first.param - 0.55) < 1e-12
+    # a sector direction leaves the upper S2 into the lower polygon, at the start point
+    assert first.polygon == LOWER
+    on_upper = vadd(first.point, pentagon.identification_offset(2))
+    assert vdist(on_upper, pentagon.edge_seg(UPPER, 2).point_at(0.55)) < 1e-12
 
 
 def test_crossings_alternate_polygons(pentagon):
@@ -90,15 +93,15 @@ def test_corner_hit_raises(pentagon):
     d = vsub(target, p)
     theta = math.atan2(d[1], d[0])
     with pytest.raises(CornerHit) as exc:
-        trace(pentagon, (UPPER, p), theta)
+        trace_from_edge(pentagon, 2, 0.5, theta)
     assert exc.value.crossings_done >= 0
 
 
 def _reference_trace(s, k0, u0, theta, max_crossings):
     """Brute-force tracer over edges rebuilt from the vertices.
 
-    Returns the crossings as (index, polygon, point, param) and how the trace
-    ended: None, ("periodic", period) or ("corner", polygon, point).
+    Returns the crossings as (index, polygon, point) and how the trace ended:
+    None, ("periodic", period) or ("corner", polygon, point).
     """
     n, d = s.n, unit(theta)
     verts = {UPPER: s.upper, LOWER: s.lower}
@@ -110,20 +113,13 @@ def _reference_trace(s, k0, u0, theta, max_crossings):
     def offset(k):
         return vsub(seg(UPPER, k).midpoint(), seg(LOWER, k).midpoint())
 
-    def crossing(k, polygon, point):
-        up = seg(UPPER, k)
-        q = point if polygon == UPPER else vadd(point, offset(k))
-        e = up.direction()
-        param = ((q[0] - up.p0[0]) * e[0] + (q[1] - up.p0[1]) * e[1]) / (e[0] * e[0] + e[1] * e[1])
-        return (k, polygon, point, param)
-
     p = seg(UPPER, k0).point_at(u0)
     e = seg(UPPER, k0).direction()
     outward = (e[1], -e[0])
     polygon = UPPER
     if d[0] * outward[0] + d[1] * outward[1] > 0.0:
         polygon, p = LOWER, vsub(p, offset(k0))
-    crossings = [crossing(k0, polygon, p)]
+    crossings = [(k0, polygon, p)]
     entry = k0
     while len(crossings) < max_crossings:
         hits = []
@@ -141,7 +137,7 @@ def _reference_trace(s, k0, u0, theta, max_crossings):
             polygon, p = LOWER, vsub(point, offset(k))
         else:
             polygon, p = UPPER, vadd(point, offset(k))
-        crossings.append(crossing(k, polygon, p))
+        crossings.append((k, polygon, p))
         entry = k
         first, last = crossings[0], crossings[-1]
         if last[:2] == first[:2] and vdist(last[2], first[2]) < EPS:
@@ -181,7 +177,7 @@ def test_trace_equals_brute_force_reference(n):
             assert end == ("corner", hit.polygon, hit.point), (k, u, theta)
             assert hit.crossings_done == len(want)
             continue
-        got = [(c.index, c.polygon, c.point, c.param) for c in traj.crossings]
+        got = [(c.index, c.polygon, c.point) for c in traj.crossings]
         assert got == want, (k, u, theta)
         assert end == (("periodic", traj.period) if traj.periodic else None), (k, u, theta)
     assert "corner" in ends
@@ -199,6 +195,10 @@ def test_trace_rejects_bad_inputs(pentagon):
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="theta"):
             trace_from_edge(pentagon, 2, 0.5, theta)
+    for max_crossings in (0, -3):
+        with pytest.raises(ValueError, match="max_crossings"):
+            trace_from_edge(pentagon, 2, 0.5, 0.1, max_crossings=max_crossings)
+    assert len(trace_from_edge(pentagon, 2, 0.5, 0.1, max_crossings=1).crossings) == 1
 
 
 def test_rotation_isometry_is_an_isometry(pentagon):
@@ -227,15 +227,26 @@ def test_rotation_isometry_maps_surface_to_itself(pentagon):
                 assert min(vdist(q, w) for w in vs) < 1e-9
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
+def _matched_edge_permutation(s, steps):
+    """Reference: the edge whose midpoint rotation_isometry carries each upper S_k's midpoint onto."""
+    iso = rotation_isometry(s, steps)
+    perm = {}
+    for k in range(1, s.n + 1):
+        polygon, q = iso(UPPER, s.edge_seg(UPPER, k).midpoint())
+        matches = [k2 for k2 in range(1, s.n + 1) if vdist(q, s.edge_seg(polygon, k2).midpoint()) < 1e-6]
+        assert len(matches) == 1, (steps, k, matches)
+        perm[k] = matches[0]
+    return perm
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
 def test_edge_permutation_matches_arithmetic(n):
-    # the direction bookkeeping forces sigma(k)-1 = (k-1) - j(n+1)/2 mod n
+    # the closed form sigma(k)-1 = (k-1) - j(n+1)/2 mod n is the isometry's edge matching
     s = build_surface(n)
-    half = (n + 1) // 2
-    for j in range(2 * n):
-        perm = edge_permutation(s, j)
-        for k, v in perm.items():
-            assert (v - 1) % n == ((k - 1) - j * half) % n
+    for j in range(-2 * n, 2 * n):
+        reference = _matched_edge_permutation(s, j)
+        assert sorted(reference.values()) == list(range(1, n + 1))
+        assert edge_permutation(s, j) == reference, j
 
 
 def test_normalize_direction_lands_in_sector(pentagon):

@@ -38,7 +38,6 @@ def test_segment_params():
     s = Segment((0.0, 0.0), (2.0, 0.0))
     assert s.point_at(0.25) == (0.5, 0.0)
     assert s.midpoint() == (1.0, 0.0)
-    assert s.length() == 2.0
 
 
 def test_ray_segment_hit():

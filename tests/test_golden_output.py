@@ -1,0 +1,66 @@
+"""Default CLI output, pinned byte for byte: the sha256 of stdout and the exit code.
+
+A change that is meant to leave every output alone must leave these digests
+alone. A change that alters an output on purpose updates the digest here and
+says why.
+"""
+import hashlib
+
+import pytest
+
+from oddgon.cli import main
+
+GOLDEN = [
+    ("surface --n 7", 0, "674c3be75e44d426cf0a78a5e2cf64c7f641d1425c734cc90b953391447d7908"),
+    (
+        "trace --n 5 --edge S2 --t 0.55 --theta 0.3141592653589793",
+        0,
+        "aea788e817eb1728d017e9fda4b18416711bd1b8d14aca1e8aed9a6f1ce2da60",
+    ),
+    (
+        "trace --n 9 --edge S4 --t 0.2939880348624208 --theta 2.094395215987957",
+        0,
+        "c830730ab6d48a33b47e225864ee01e3324823ea5bb81d5d74f46e9256fb7fe6",
+    ),
+    (  # a corner hit
+        "trace --n 5 --edge S2 --t 0.5 --theta 2.1225616175277833",
+        1,
+        "d136c2562467d52b4b2992357a6323162c2570e66134e9f1c30abf076920b01a",
+    ),
+    (
+        "derive-geometric --n 15 --edge S3 --t 0.31 --theta 4.1 --crossings 300",
+        0,
+        "5f25f6e0f2913536a9563cd3f62957ac2b0d15b4e4e3db03bdcf9f2d564fb117",
+    ),
+    (
+        "derive --seq BECE --cyclic --method diagram --format json",
+        0,
+        "d639ad53305a16a310619320b00da0eabac47d36b1c668ee559ca0d24c68ddaa",
+    ),
+    (
+        "diagram --n 7 --stage primed --format dot",
+        0,
+        "db38aca11e9408dec3925da5c5774b12f78eb0293256e6a234b88cc0b23660db",
+    ),
+    ("diagram --n 9 --stage arrows", 0, "94249bc7012f6647e5d4bc840f65ce6b96e219ac07997cb6274653572b0b2324"),
+    ("guide --n 9", 0, "29ecdf5f547c36482ccc79baa909749a005c8893bb85ca7bd87c9046eb8076a5"),
+    (
+        "verify --n 5 --checks identities,moduli,reassembly,equivalence,torus --seed 3",
+        0,
+        "0c8dc071e214856a77ca2a78b22d98723a4d796260b27b9a0e1fe4db57818952",
+    ),
+    ("torus derive --slope 1/3", 0, "fcfa33c6324fa176a3b6d68d0d914e0d2880b31dda7da469d105a159c243f70c"),
+    ("torus trace --slope 2/5", 0, "9a59319e5a29b2864fd4a456bf41cad8d58581bfff21ce13a80c5c51758606ed"),
+    (
+        "render --n 5 --theta 0.31 --aux --primed",
+        0,
+        "e6e8384b5fee23b5bebec64b746bb7c141856fdce5248f02c08285eb6ef2078f",
+    ),
+    ("render --n 7 --what guide", 0, "884de040917843360cf89360b647db8bfd8b4926060c5db520a0eea4e6b357ed"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_default_output_is_byte_identical(capsys, command, code, digest):
+    assert main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -66,7 +66,7 @@ def test_edge_directions_and_offsets(n):
 
 def test_pentagon_entering_polygons(pentagon):
     want = {1: UPPER, 2: LOWER, 3: LOWER, 4: UPPER, 5: UPPER}
-    got = {k: pentagon.entering_polygon(k) for k in range(1, 6)}
+    got = {k: pentagon.entering_polygon(k, pentagon.sector / 2) for k in range(1, 6)}
     assert got == want
 
 

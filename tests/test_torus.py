@@ -86,6 +86,18 @@ def test_trace_rejects_non_finite_theta(theta):
         torus_trace((0.25, 0.4), theta)
 
 
+@pytest.mark.parametrize("start", [(0.1,), (0.1, 0.2, 0.3), (math.nan, 0.5), (0.5, math.inf)])
+def test_trace_rejects_a_start_that_is_not_two_finite_numbers(start):
+    with pytest.raises(ValueError, match="start"):
+        torus_trace(start, 0.3)
+
+
+@pytest.mark.parametrize("max_crossings", [0, -1])
+def test_trace_rejects_fewer_than_one_crossing(max_crossings):
+    with pytest.raises(ValueError, match="max_crossings"):
+        torus_trace((0.25, 0.4), 0.3, max_crossings=max_crossings)
+
+
 def test_start_on_lattice_line_emits_first_crossing():
     traj = torus_trace((0.0, 0.25), math.atan2(1.0, 2.0), max_crossings=5)
     assert traj.crossings[0].t == 0.0
