@@ -72,13 +72,15 @@ def _reject_unread(args, flags: tuple[str, ...], mode: str) -> None:
 
 
 def _parse_theta(args) -> float:
-    if getattr(args, "slope", None) is not None:
-        txt = args.slope
-        if "/" in txt:
-            p, q = txt.split("/", 1)
-            return math.atan2(float(p), float(q))
-        return math.atan(float(txt))
-    return args.theta
+    if args.slope is None:
+        return args.theta
+    try:
+        nums = [float(v) for v in args.slope.split("/", 1)]
+    except ValueError:
+        nums = []
+    if not nums or not all(map(math.isfinite, nums)) or nums == [0.0, 0.0]:
+        raise ValueError(f"--slope must be a finite number or p/q other than 0/0, got {args.slope!r}")
+    return math.atan2(*nums) if len(nums) == 2 else math.atan(nums[0])
 
 
 # ---- subcommands -------------------------------------------------------------
@@ -172,9 +174,9 @@ def _check_moduli(args) -> dict:
 
 
 def _check_reassembly(args) -> dict:
-    rep = verify_reassembly(args.n, tol=max(args.tol, 1e-8))
+    rep = verify_reassembly(args.n, tol=args.tol)
     return {
-        "pass": rep.passed and rep.y_preserved,
+        "pass": rep.passed,
         "max_residual": round_sig(rep.max_residual, 3),
         "worst_vertex": list(rep.worst),
         "y_bit_identical": rep.y_preserved,
@@ -285,7 +287,11 @@ def _cmd_torus(args) -> int:
         raise ValueError("torus needs --seq, --slope, or --theta")
     _reject_unread(args, ("cyclic",), f"torus {args.action} without --seq")
     theta = _parse_theta(args)
-    start = tuple(float(v) for v in ("0.23,0.61" if args.start is None else args.start).split(","))
+    start_txt = "0.23,0.61" if args.start is None else args.start
+    try:
+        start = tuple(float(v) for v in start_txt.split(","))
+    except ValueError:
+        raise ValueError(f"--start must be two finite numbers x,y, got {start_txt!r}") from None
     traj = torus_trace(start, theta, max_crossings=100 if args.crossings is None else args.crossings)
     if args.action == "trace":
         letters = traj.period_word if traj.periodic else traj.letters

@@ -27,6 +27,7 @@ from .flow import CornerHit, crossing_events, trace_from_edge
 from .geometry import (
     EPS,
     Segment,
+    Vec,
     clip_polygon_halfplane,
     point_in_polygon,
     polygon_area,
@@ -118,16 +119,23 @@ def diagram_dot(diagram: TransitionDiagram) -> str:
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
-def _arrow_region(surface: Surface, x: int, y: int) -> list[tuple[float, float]]:
-    """Clipped (u, v) parameter region of sector chords from edge x to edge y.
+def _arrow_chords(surface: Surface, x: int, y: int) -> tuple[str, list[tuple[Vec, Vec]]]:
+    """The polygon entered through edge x, and representative sector chords in
+    it from edge x to edge y.
 
-    u parameterizes the chart representative of edge x in the polygon entered
-    through x, v the representative of edge y in the same chart; the chord
-    direction must lie in [0, pi/n).
+    u parameterizes the chart representative of edge x, v that of edge y;
+    the chord direction must lie in [0, pi/n). The chords are those at the
+    clipped (u, v) region's centroid and at the midpoints from it to its
+    first four vertices; if the region is empty or degenerate, the one
+    horizontal (theta = 0) chord if there is one; else none.
     """
     q = surface.entering_polygon(x, surface.sector / 2)
     ex = surface.edge_seg(q, x)
     ey = surface.edge_seg(q, y)
+
+    def chord(u: float, v: float) -> tuple[Vec, Vec]:
+        return ex.point_at(u), ey.point_at(v)
+
     dx = ex.direction()
     dy = ey.direction()
     # delta(u, v) = ey(v) - ex(u), affine in (u, v)
@@ -139,43 +147,28 @@ def _arrow_region(surface: Surface, x: int, y: int) -> list[tuple[float, float]]
     n2 = (-tan * dx[0] + dx[1], tan * dy[0] - dy[1])
     c2 = -(tan * base[0] - base[1])
     region = clip_polygon_halfplane(region, n2, c2)
-    if abs(polygon_area(region)) <= EPS:
-        return []
-    # Reject regions that are degenerate everywhere: chords running along an
-    # edge line or pointing exactly at the sector boundary. A linear functional
-    # that is nonnegative on the region and positive anywhere is positive at
-    # the centroid, so one interior representative decides.
-    u, v = polygon_centroid(region)
-    p1 = ex.point_at(u)
-    p2 = ey.point_at(v)
-    d = (p2[0] - p1[0], p2[1] - p1[1])
-    if d[0] <= EPS or tan * d[0] - d[1] <= EPS:
-        return []
-    mid = (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]))
-    if not point_in_polygon(mid, surface.vertices(q), eps=-EPS):
-        return []
-    return region
-
-
-def _horizontal_arrow(surface: Surface, x: int, y: int) -> Optional[tuple[float, float]]:
-    """Representative (u, v) for a horizontal (theta = 0) chord, if one exists."""
-    q = surface.entering_polygon(x, surface.sector / 2)
-    ex = surface.edge_seg(q, x)
-    ey = surface.edge_seg(q, y)
+    if abs(polygon_area(region)) > EPS:
+        # Reject regions that are degenerate everywhere: chords running along
+        # an edge line or pointing exactly at the sector boundary. A linear
+        # functional that is nonnegative on the region and positive anywhere
+        # is positive at the centroid, so one interior representative decides.
+        c = polygon_centroid(region)
+        p1, p2 = chord(*c)
+        d = (p2[0] - p1[0], p2[1] - p1[1])
+        mid = (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]))
+        if d[0] > EPS and tan * d[0] - d[1] > EPS and point_in_polygon(mid, surface.vertices(q), eps=-EPS):
+            return q, [chord(*uv) for uv in [c] + [vlerp(c, vert, 0.5) for vert in region[:4]]]
+    # the horizontal chord through the middle of the two edges' common heights
     lo = max(min(ex.p0[1], ex.p1[1]), min(ey.p0[1], ey.p1[1]))
     hi = min(max(ex.p0[1], ex.p1[1]), max(ey.p0[1], ey.p1[1]))
-    if hi - lo < EPS:
-        return None
-    ymid = 0.5 * (lo + hi)
-
-    def param_at(seg: Segment, yv: float) -> float:
-        return (yv - seg.p0[1]) / (seg.p1[1] - seg.p0[1])
-
-    u = param_at(ex, ymid)
-    v = param_at(ey, ymid)
-    if ex.point_at(u)[0] < ey.point_at(v)[0] - EPS:
-        return (u, v)
-    return None
+    if hi - lo >= EPS:
+        ymid = 0.5 * (lo + hi)
+        u = (ymid - ex.p0[1]) / (ex.p1[1] - ex.p0[1])
+        v = (ymid - ey.p0[1]) / (ey.p1[1] - ey.p0[1])
+        p1, p2 = chord(u, v)
+        if p1[0] < p2[0] - EPS:
+            return q, [(p1, p2)]
+    return q, []
 
 
 def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
@@ -185,19 +178,13 @@ def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
     arrows = []
     for x in range(1, n + 1):
         for y in range(1, n + 1):
-            if _arrow_region(surface, x, y) or _horizontal_arrow(surface, x, y):
+            if _arrow_chords(surface, x, y)[1]:
                 arrows.append(Arrow(letter_for_index(x), letter_for_index(y)))
     arrows.sort(key=lambda a: (a.source, a.target))
     return TransitionDiagram(stage="arrows", nodes=tuple(letters), arrows=tuple(arrows))
 
 
 # ---- stage 2: augmented -----------------------------------------------------
-
-
-def _region_samples(region: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """The region's centroid and the midpoints from it to its first four vertices."""
-    c = polygon_centroid(region)
-    return [c] + [vlerp(c, vert, 0.5) for vert in region[:4]]
 
 
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
@@ -214,23 +201,11 @@ def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, 
 
 def _aux_label(surface: Surface, x: int, y: int) -> tuple[str, ...]:
     """Ordered auxiliary edges crossed between consecutive hits of x then y."""
-    q = surface.entering_polygon(x, surface.sector / 2)
-    ex = surface.edge_seg(q, x)
-    ey = surface.edge_seg(q, y)
-    region = _arrow_region(surface, x, y)
-    reps = _region_samples(region) if region else []
-    if not reps:
-        hz = _horizontal_arrow(surface, x, y)
-        if hz is None:
-            raise InvalidPath(f"no arrow {letter_for_index(x)} -> {letter_for_index(y)}")
-        reps = [hz]
-    seqs = {
-        _aux_sequence_for_chord(surface, q, ex.point_at(u), ey.point_at(v))
-        for u, v in reps
-    }
+    q, chords = _arrow_chords(surface, x, y)
+    seqs = {_aux_sequence_for_chord(surface, q, a, b) for a, b in chords}
     if len(seqs) != 1:
         raise AssertionError(
-            f"auxiliary crossings differ across the {letter_for_index(x)}->{letter_for_index(y)} region: {seqs}"
+            f"the {letter_for_index(x)}->{letter_for_index(y)} chords do not cross one auxiliary sequence: {seqs}"
         )
     return seqs.pop()
 

@@ -162,20 +162,12 @@ class VertexGuide:
         return iter(self.points)
 
 
-def _bar_endpoints(surface: Surface, polygon: str, level: int) -> dict[str, Vec]:
-    """Level bar endpoints of one polygon copy at offset 0, keyed by side.
-
-    The apex level is a zero-length bar: both sides map to the apex vertex.
-    """
-    if level == surface.m:
-        pt = surface.apex()
-        up = {LEFT: pt, RIGHT: pt}
-    else:
-        up = {LEFT: surface.left_point(level), RIGHT: surface.right_point(level)}
-    if polygon == UPPER:
-        return up
-    # the half turn swaps the sides
-    return {LEFT: surface.half_turn(up[RIGHT]), RIGHT: surface.half_turn(up[LEFT])}
+_FAMILY_OF = {
+    (UPPER, RIGHT): UPPER_RIGHT,
+    (UPPER, LEFT): UPPER_LEFT,
+    (LOWER, RIGHT): LOWER_RIGHT,
+    (LOWER, LEFT): LOWER_LEFT,
+}
 
 
 def build_vertex_guide(n: int) -> VertexGuide:
@@ -196,7 +188,9 @@ def build_vertex_guide(n: int) -> VertexGuide:
     def emit(polygon: str, level: int, offset: Vec) -> None:
         if abs(offset[1]) > EPS:
             raise AssertionError(f"chain offset not horizontal: {offset}")
-        for side, p in _bar_endpoints(surface, polygon, level).items():
+        # at level m both sides are the apex: a zero-length bar
+        for side in (LEFT, RIGHT):
+            p = side_vertex(surface, _FAMILY_OF[(polygon, side)], level)
             points.append(GuidePoint(polygon=polygon, side=side, level=level, x=p[0] + offset[0], y=p[1]))
 
     # upper chain
@@ -206,11 +200,7 @@ def build_vertex_guide(n: int) -> VertexGuide:
         lower_offset = vadd(offset, t[k])
         if k == 2:
             # S_1 edge of the first glued lower copy: the lower level-0 row
-            y_shift = lower_offset[1]
-            if abs(y_shift) > EPS:
-                raise AssertionError(f"lower level-0 copy not horizontal: {lower_offset}")
-            for side, p in _bar_endpoints(surface, LOWER, 0).items():
-                points.append(GuidePoint(polygon=LOWER, side=side, level=0, x=p[0] + lower_offset[0], y=p[1]))
+            emit(LOWER, 0, lower_offset)
         offset = vsub(lower_offset, t[n + 2 - k])
         emit(UPPER, k - 1, offset)
 
@@ -234,14 +224,6 @@ class ReassemblyReport:
     passed: bool
     worst: tuple[str, str, int]
     y_preserved: bool
-
-
-_FAMILY_OF = {
-    (UPPER, RIGHT): UPPER_RIGHT,
-    (UPPER, LEFT): UPPER_LEFT,
-    (LOWER, RIGHT): LOWER_RIGHT,
-    (LOWER, LEFT): LOWER_LEFT,
-}
 
 
 def verify_reassembly(n: int, tol: float = 1e-8) -> ReassemblyReport:

@@ -48,25 +48,16 @@ def _line_crossings(p0: float, d: float, t_max: float) -> list[float]:
     """Times in (0, t_max] at which p0 + t*d crosses an integer."""
     if abs(d) < PARALLEL:
         return []
+    step = 1 if d > 0 else -1
+    k = math.floor(p0) + 1 if d > 0 else math.ceil(p0) - 1
+    if abs(p0 - round(p0)) < STEP_MIN:
+        k = round(p0) + step
     out = []
-    if d > 0:
-        k = math.floor(p0) + 1
-        if abs(p0 - round(p0)) < STEP_MIN:
-            k = round(p0) + 1
+    t = (k - p0) / d
+    while t <= t_max:
+        out.append(t)
+        k += step
         t = (k - p0) / d
-        while t <= t_max:
-            out.append(t)
-            k += 1
-            t = (k - p0) / d
-    else:
-        k = math.ceil(p0) - 1
-        if abs(p0 - round(p0)) < STEP_MIN:
-            k = round(p0) - 1
-        t = (k - p0) / d
-        while t <= t_max:
-            out.append(t)
-            k -= 1
-            t = (k - p0) / d
     return out
 
 

@@ -121,6 +121,9 @@ def test_verify_failure_exits_one(capsys):
     code, data = run_json(capsys, "verify", "--n", "5", "--checks", "moduli", "--tol", "1e-20")
     assert code == 1
     assert data["checks"]["moduli"]["pass"] is False
+    code, data = run_json(capsys, "verify", "--n", "5", "--checks", "reassembly", "--tol", "1e-20")
+    assert code == 1
+    assert data["checks"]["reassembly"]["pass"] is False
 
 
 def test_verify_unknown_check_is_usage_error(capsys):
@@ -148,6 +151,11 @@ def test_verify_unknown_check_is_usage_error(capsys):
         (["torus", "trace", "--slope", "1/3", "--start", "0.1"], "start"),
         (["torus", "trace", "--slope", "1/3", "--start", "nan,0.5"], "start"),
         (["torus", "derive", "--theta", "0.3", "--start", "0.5,inf"], "start"),
+        (["torus", "trace", "--slope", "x"], "--slope"),
+        (["torus", "trace", "--slope", "1/x"], "--slope"),
+        (["torus", "trace", "--slope", "nan"], "--slope"),
+        (["torus", "derive", "--slope", "0/0"], "--slope"),
+        (["torus", "trace", "--slope", "1/3", "--start", "a,b"], "--start"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv, named):

@@ -129,16 +129,18 @@ def test_pentagon_arrows(pentagon):
     assert ("D", "D") not in got
 
 
-def test_pentagon_arrow_reversal_symmetry(pentagon):
-    # time reversal: X -> Y admissible iff Y -> X admissible
-    got = {(a.source, a.target) for a in build_arrows_diagram(pentagon).arrows}
-    assert got == {(b, a) for a, b in got}
-
-
-@pytest.mark.parametrize("n,count", [(5, 8), (7, 12), (9, 16)])
+@pytest.mark.parametrize("n,count", [(n, 2 * (n - 1)) for n in range(5, 27, 2)])
 def test_arrow_counts(n, count):
-    diagram = build_arrows_diagram(build_surface(n))
-    assert len(diagram.arrows) == count
+    surface = build_surface(n)
+    got = {(a.source, a.target) for a in build_arrows_diagram(surface).arrows}
+    assert len(got) == count
+    # time reversal: X -> Y admissible iff Y -> X admissible
+    assert got == {(b, a) for a, b in got}
+    # each of the 2(n-3) auxiliary diagonals labels exactly one arrow
+    _, aux_of = build_augmented_diagram(surface)
+    labels = [name for seq in aux_of.values() for name in seq]
+    assert sorted(labels) == sorted(e.label for e in surface.aux_edges)
+    assert len(labels) == 2 * (n - 3)
 
 
 def test_pentagon_augmented_labels(pipelines):

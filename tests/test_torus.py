@@ -104,6 +104,40 @@ def test_start_on_lattice_line_emits_first_crossing():
     assert traj.crossings[0].letter == "B"
 
 
+def _letters_or_corner(start, theta):
+    try:
+        traj = torus_trace(start, theta, max_crossings=40)
+    except CornerHit:
+        return None
+    return traj.letters, traj.periodic, traj.period
+
+
+def test_mirrored_traces_read_the_same_letters():
+    # x -> -x and y -> -y map the lattice onto itself and keep each crossing
+    # on its family of lines, so a trace in a direction with a negative
+    # component must read the letters of its first-quadrant mirror image
+    rng = random.Random(3)
+    compared = 0
+    for i in range(600):
+        x, y = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        if i % 3 == 1:
+            x = float(rng.randint(-2, 2))  # on a vertical lattice line
+        elif i % 3 == 2:
+            y = float(rng.randint(-2, 2))  # on a horizontal lattice line
+        if i % 4 == 0:
+            theta = math.atan2(rng.randint(1, 4), rng.randint(1, 4))  # periodic
+        else:
+            theta = rng.uniform(0.01, math.pi / 2 - 0.01)
+        base = _letters_or_corner((x, y), theta)
+        if base is None:
+            continue
+        compared += 1
+        assert _letters_or_corner((-x, y), math.pi - theta) == base
+        assert _letters_or_corner((x, -y), -theta) == base
+        assert _letters_or_corner((-x, -y), theta + math.pi) == base
+    assert compared > 500
+
+
 def _runs_by_a(word: str) -> tuple[int, list[int], int, int]:
     parts = word.split("A")
     return (word.count("A"), [len(p) for p in parts[1:-1]], len(parts[0]), len(parts[-1]))
