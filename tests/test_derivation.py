@@ -129,6 +129,12 @@ def test_pentagon_arrows(pentagon):
     assert ("D", "D") not in got
 
 
+def test_pentagon_arrow_reversal_symmetry(pentagon):
+    # time reversal: X -> Y admissible iff Y -> X admissible
+    got = {(a.source, a.target) for a in build_arrows_diagram(pentagon).arrows}
+    assert got == {(b, a) for a, b in got}
+
+
 @pytest.mark.parametrize("n,count", [(n, 2 * (n - 1)) for n in range(5, 27, 2)])
 def test_arrow_counts(n, count):
     surface = build_surface(n)
