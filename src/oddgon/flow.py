@@ -13,7 +13,10 @@ against the midpoint matching of `rotation_isometry`.
 
 `crossing_events` is the one scan of a traced trajectory against edge
 pieces; the geometric derivation feeds it the primed edges carried onto the
-trajectory's charts, so a trajectory is traced once in any direction.
+trajectory's charts, so a trajectory is traced once in any direction. Every
+piece scan reads `geometry.segment_row` rows through `geometry.interior_hits`;
+the tracer reads the same rows of the polygon edges (`Surface.exit_rows`)
+with their denominators worked out once per direction.
 """
 from __future__ import annotations
 
@@ -27,9 +30,11 @@ from .geometry import (
     STEP_MIN,
     Segment,
     Vec,
-    ray_segment_hit,
+    interior_hits,
+    ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
     rotation,
     round_sig,
+    segment_row,
     unit,
     vadd,
     vdist,
@@ -108,25 +113,22 @@ class Trajectory:
         return a.polygon, a.point, exit_point
 
 
-def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, entry: int) -> tuple[Optional[int], Vec]:
+def _exit_hit(rows, segs: tuple[Segment, ...], p: Vec, d: Vec, entry: int) -> tuple[Optional[int], Vec]:
     """Exit edge and exit point of the ray p + t*d: its smallest hit with t > STEP_MIN.
 
-    Reads the polygon's `exit_rows` and repeats ray_segment_hit's arithmetic
-    inline, so t and u are the same floats; the first edge wins a tie. Skips
-    the entry edge: a convex polygon is not left through it, but near its
-    direction float error puts a self-hit above STEP_MIN. The edge is None
-    for a corner hit: no exit at all (the point is p) or an exit within
-    CORNER_DELTA of an edge end.
+    Reads one polygon's direction-fixed rows (built in `trace`) and repeats
+    ray_segment_hit's arithmetic inline, so t and u are the same floats; the
+    first edge wins a tie. Skips the entry edge: a convex polygon is not left
+    through it, but near its direction float error puts a self-hit above
+    STEP_MIN. The edge is None for a corner hit: no exit at all (the point is
+    p) or an exit within CORNER_DELTA of an edge end.
     """
     px, py = p
     dx, dy = d
     u_min, u_max = -EPS, 1.0 + EPS
     best_k = best_t = best_u = None
-    for k, ax, ay, ex, ey, guard in surface.exit_rows[polygon]:
+    for k, ax, ay, ex, ey, denom in rows:
         if k == entry:
-            continue
-        denom = dx * ey - dy * ex
-        if abs(denom) < guard:
             continue
         wx, wy = ax - px, ay - py
         u = (wx * dy - wy * dx) / denom
@@ -139,7 +141,7 @@ def _exit_hit(surface: Surface, polygon: str, p: Vec, d: Vec, entry: int) -> tup
             best_k, best_t, best_u = k, t, u
     if best_k is None:
         return None, p  # degenerate direction from boundary
-    seg = surface.edge_segs[polygon][best_k - 1]
+    seg = segs[best_k - 1]
     point = vlerp(seg.p0, seg.p1, best_u)
     if min(vdist(point, seg.p0), vdist(point, seg.p1)) < CORNER_DELTA:
         return None, point
@@ -167,6 +169,19 @@ def trace(
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     d = unit(theta)
     offsets = surface.offsets
+    # the direction is fixed, so each edge's denominator dx*ey - dy*ex is
+    # worked out once per trajectory, and edges parallel to d (under the
+    # exit_rows guard) are dropped: rows (k, ax, ay, ex, ey, denom)
+    dx, dy = d
+    exits = {
+        polygon: tuple(
+            (k, ax, ay, ex, ey, dx * ey - dy * ex)
+            for ax, ay, ex, ey, guard, k in rows
+            if abs(dx * ey - dy * ex) >= guard
+        )
+        for polygon, rows in surface.exit_rows.items()
+    }
+    letters = tuple(letter_for_index(k) for k in range(1, surface.n + 1))
     t_start = surface.identification_offset(start_edge)
     polygon = surface.entering_polygon(start_edge, theta)
     p = start[1] if start[0] == UPPER else vadd(start[1], t_start)  # on the upper representative
@@ -178,7 +193,7 @@ def trace(
 
     entry = start_edge
     while len(crossings) < max_crossings:
-        k, point = _exit_hit(surface, polygon, p, d, entry)
+        k, point = _exit_hit(exits[polygon], surface.edge_segs[polygon], p, d, entry)
         if k is None:
             raise CornerHit(polygon, point, len(crossings), theta, start[0], start[1])
         t_off = offsets[k - 1]
@@ -191,7 +206,7 @@ def trace(
             traj.periodic = True
             traj.period = len(crossings)
             break
-        crossings.append(Crossing(k, letter_for_index(k), polygon, p))
+        crossings.append(Crossing(k, letters[k - 1], polygon, p))
     return traj
 
 
@@ -308,19 +323,29 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     at i + t with kind `e.kind` and name `e.label` stripped of its prime, so
     a primed piece is named by the letter it is the image of. Hits at equal
     times keep the order of `edges`. Periodic orbits include the closing
-    segment.
+    segment. The pieces become `segment_row` rows once per call, and
+    `interior_hits` reads them per segment.
     """
-    events: list[tuple[float, str, str]] = [
-        (float(i), ORIGINAL, c.letter) for i, c in enumerate(traj.crossings)
-    ]
-    m = len(traj.crossings)
+    rows = {
+        polygon: [segment_row(e.seg, (e.kind, e.label.rstrip("'"))) for e in pieces]
+        for polygon, pieces in edges.items()
+    }
+    offsets, n = surface.offsets, surface.n
+    crossings = traj.crossings
+    events: list[tuple[float, str, str]] = [(float(i), ORIGINAL, c.letter) for i, c in enumerate(crossings)]
+    m = len(crossings)
     for i in range(m if traj.periodic else m - 1):
-        polygon, a, b = traj.segment(i, surface)
-        d = vsub(b, a)
-        for e in edges[polygon]:
-            hit = ray_segment_hit(a, d, e.seg)
-            if hit is not None and EPS < hit.t < 1.0 - EPS and EPS < hit.u < 1.0 - EPS:
-                events.append((i + hit.t, e.kind, e.label.rstrip("'")))
+        # segment i in a's chart, from a's entry point to b's point carried
+        # back across the identification b entered by (Trajectory.segment)
+        a, b = crossings[i], crossings[(i + 1) % m]
+        px, py = a.point
+        (bx, by), (ox, oy) = b.point, offsets[(b.index - 1) % n]
+        if a.polygon == UPPER:
+            dx, dy = bx + ox - px, by + oy - py
+        else:
+            dx, dy = bx - ox - px, by - oy - py
+        for t, (kind, name) in interior_hits(px, py, dx, dy, rows[a.polygon]):
+            events.append((i + t, kind, name))
     events.sort(key=lambda ev: ev[0])
     yield from events
 

@@ -14,6 +14,9 @@ from typing import Optional, Sequence
 Vec = tuple[float, float]
 
 # ---- tolerance policy --------------------------------------------------------
+# Every piece scan (trajectory crossing events, chord labels) reads
+# `segment_row` rows through `interior_hits`, which applies the EPS windows
+# and the PARALLEL guard; the tracer's exit scan reads the edges' rows.
 # Segment parameters, containment, clipped areas, chord windows, guide
 # snapping and the periodic return: closer than this counts as on.
 EPS = 1e-9
@@ -110,7 +113,8 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment) -> Optional[Hit]:
     reported; callers decide whether an endpoint hit is a corner event.
     """
     # the arithmetic of cross(d, e), cross(w, e), cross(w, d) and vlerp,
-    # written out on local floats: the scans call this for every piece
+    # written out on local floats; interior_hits and the tracer's exit scan
+    # repeat it, so their t and u are the same floats
     ax, ay = seg.p0
     ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
     dx, dy = d
@@ -123,6 +127,40 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment) -> Optional[Hit]:
     if u < -EPS or u > 1.0 + EPS:
         return None
     return Hit(t=t, u=u, point=(ax + ex * u, ay + ey * u))
+
+
+Row = tuple[float, float, float, float, float, object]
+
+
+def segment_row(seg: Segment, tag) -> Row:
+    """Flat scan row (ax, ay, ex, ey, guard, tag) of a segment.
+
+    (ax, ay) is seg.p0, (ex, ey) its direction vector and guard
+    ray_segment_hit's parallel bound PARALLEL * max(1, |e|).
+    """
+    ax, ay = seg.p0
+    ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
+    return (ax, ay, ex, ey, PARALLEL * max(1.0, math.hypot(ex, ey)), tag)
+
+
+def interior_hits(px: float, py: float, dx: float, dy: float, rows: Sequence[Row]) -> list[tuple[float, object]]:
+    """(t, tag) of every row crossed strictly inside both the step and the row.
+
+    The step is p + t*d for t in (EPS, 1 - EPS); the row's own parameter u
+    must lie in (EPS, 1 - EPS) too. The arithmetic is ray_segment_hit's, so
+    every t is the same float; hits keep the order of `rows`.
+    """
+    hi = 1.0 - EPS
+    out = []
+    for ax, ay, ex, ey, guard, tag in rows:
+        denom = dx * ey - dy * ex
+        if abs(denom) < guard:
+            continue
+        wx, wy = ax - px, ay - py
+        t = (wx * ey - wy * ex) / denom
+        if EPS < t < hi and EPS < (wx * dy - wy * dx) / denom < hi:
+            out.append((t, tag))
+    return out
 
 
 def clip_polygon_halfplane(poly: Sequence[Vec], n: Vec, c: float) -> list[Vec]:

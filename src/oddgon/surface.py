@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import (
-    PARALLEL,
     Mat2,
+    Row,
     Segment,
     Vec,
     point_in_polygon,
     round_sig,
+    segment_row,
     unit,
     vadd,
     vscale,
@@ -95,12 +96,6 @@ def flip_shear_matrix(n: int) -> Mat2:
     return Mat2(-1.0, 2.0 / math.tan(math.pi / n), 0.0, 1.0)
 
 
-def _exit_row(k: int, seg: Segment) -> tuple[int, float, float, float, float, float]:
-    ax, ay = seg.p0
-    ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
-    return (k, ax, ay, ex, ey, PARALLEL * max(1.0, math.hypot(ex, ey)))
-
-
 class Surface:
     """Geometric model of one double odd n-gon, with derived edge systems."""
 
@@ -126,9 +121,7 @@ class Surface:
         # Per-polygon edge tables, read by the tracer at every step.
         # edge_segs[polygon][k - 1] is S_k; offsets[k - 1] is the translation
         # taking the lower S_k onto the upper one (upper midpoint minus lower
-        # midpoint); exit_rows[polygon] holds (k, ax, ay, ex, ey, guard) per
-        # edge: S_k's start point, its direction vector and the
-        # ray_segment_hit parallel guard PARALLEL * max(1, |e|).
+        # midpoint); exit_rows[polygon] holds S_k's `segment_row`, tagged k.
         self.edge_segs: dict[str, tuple[Segment, ...]] = {
             polygon: tuple(Segment(vs[k - 1], vs[k % n]) for k in range(1, n + 1))
             for polygon, vs in ((UPPER, self.upper), (LOWER, self.lower))
@@ -136,8 +129,8 @@ class Surface:
         self.offsets: tuple[Vec, ...] = tuple(
             vsub(up.midpoint(), lo.midpoint()) for up, lo in zip(self.edge_segs[UPPER], self.edge_segs[LOWER])
         )
-        self.exit_rows: dict[str, tuple[tuple[int, float, float, float, float, float], ...]] = {
-            polygon: tuple(_exit_row(k, seg) for k, seg in enumerate(segs, start=1))
+        self.exit_rows: dict[str, tuple[Row, ...]] = {
+            polygon: tuple(segment_row(seg, k) for k, seg in enumerate(segs, start=1))
             for polygon, segs in self.edge_segs.items()
         }
 

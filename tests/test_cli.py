@@ -156,6 +156,11 @@ def test_verify_unknown_check_is_usage_error(capsys):
         (["torus", "trace", "--slope", "nan"], "--slope"),
         (["torus", "derive", "--slope", "0/0"], "--slope"),
         (["torus", "trace", "--slope", "1/3", "--start", "a,b"], "--start"),
+        (["derive", "--seq", "XYZ", "--n", "5"], "--seq"),
+        (["derive", "--seq", "abz", "--n", "5"], "--seq"),
+        (["derive", "--seq", "XYZ", "--n", "5", "--method", "diagram"], "--seq"),
+        (["derive", "--seq", "ABF", "--cyclic", "--n", "5", "--format", "json"], "A..E"),
+        (["derive", "--seq", "ABCDEFGH I", "--n", "9"], "A..I"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv, named):

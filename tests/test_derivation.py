@@ -8,6 +8,8 @@ from oddgon.derivation import (
     WINDOWS,
     Arrow,
     InvalidPath,
+    _arrow_chords,
+    _aux_sequence_for_chord,
     _dual_steps,
     _scan_sampled_transitions,
     build_arrows_diagram,
@@ -21,7 +23,8 @@ from oddgon.derivation import (
     ksl_window,
     sandwich_equivalence_check,
 )
-from oddgon.surface import AUXILIARY, ORIGINAL, PRIMED, build_surface
+from oddgon.geometry import EPS, ray_segment_hit
+from oddgon.surface import AUXILIARY, ORIGINAL, PRIMED, build_surface, index_for_letter
 
 words = st.text(alphabet="ABCDE", min_size=0, max_size=40)
 
@@ -147,6 +150,25 @@ def test_arrow_counts(n, count):
     labels = [name for seq in aux_of.values() for name in seq]
     assert sorted(labels) == sorted(e.label for e in surface.aux_edges)
     assert len(labels) == 2 * (n - 3)
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_aux_sequences_equal_the_per_piece_reference(n):
+    # the per-piece scan the row scan replaced: ray_segment_hit, then the strict window
+    surface = build_surface(n)
+    chords = 0
+    for arrow in build_arrows_diagram(surface).arrows:
+        q, pairs = _arrow_chords(surface, index_for_letter(arrow.source), index_for_letter(arrow.target))
+        for a, b in pairs:
+            d = (b[0] - a[0], b[1] - a[1])
+            hits = []
+            for e in surface.aux_for(q):
+                hit = ray_segment_hit(a, d, e.seg)
+                if hit is not None and EPS < hit.t < 1.0 - EPS and EPS < hit.u < 1.0 - EPS:
+                    hits.append((hit.t, e.label))
+            assert _aux_sequence_for_chord(surface, q, a, b) == tuple(label for _, label in sorted(hits))
+            chords += 1
+    assert chords >= 2 * (n - 1)
 
 
 def test_pentagon_augmented_labels(pipelines):

@@ -20,14 +20,16 @@ from oddgon.geometry import (
     EPS,
     STEP_MIN,
     Segment,
+    interior_hits,
     point_in_polygon,
     ray_segment_hit,
+    segment_row,
     unit,
     vadd,
     vdist,
     vsub,
 )
-from oddgon.surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, build_surface, letter_for_index
+from oddgon.surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Edge, build_surface, letter_for_index
 
 
 def test_period_four_orbit(pentagon):
@@ -389,6 +391,88 @@ def test_crossing_events_stream(pentagon):
     assert {kind for _, kind, _ in events} == {ORIGINAL, AUXILIARY, PRIMED}
     # primed pieces are named by the letter of the edge they are the image of
     assert all(name in "ABCDE" for _, kind, name in events if kind == PRIMED)
+
+
+def _reference_hits(a, d, pieces):
+    """The per-piece scan the row scans replace: ray_segment_hit, then the strict window."""
+    hits = []
+    for e in pieces:
+        hit = ray_segment_hit(a, d, e.seg)
+        if hit is not None and EPS < hit.t < 1.0 - EPS and EPS < hit.u < 1.0 - EPS:
+            hits.append((hit.t, e))
+    return hits
+
+
+def _reference_events(surface, traj, edges):
+    events = [(float(i), ORIGINAL, c.letter) for i, c in enumerate(traj.crossings)]
+    m = len(traj.crossings)
+    for i in range(m if traj.periodic else m - 1):
+        polygon, a, b = traj.segment(i, surface)
+        for t, e in _reference_hits(a, vsub(b, a), edges[polygon]):
+            events.append((i + t, e.kind, e.label.rstrip("'")))
+    events.sort(key=lambda ev: ev[0])
+    return events
+
+
+def _carried_primed(s, steps):
+    """The primed pieces moved by rotation_isometry(s, steps), as derive_geometric moves them."""
+    move = rotation_isometry(s, steps)
+    out = {UPPER: [], LOWER: []}
+    for polygon in (UPPER, LOWER):
+        for piece in s.primed_for(polygon):
+            target, p0 = move(polygon, piece.seg.p0)
+            _, p1 = move(polygon, piece.seg.p1)
+            out[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_crossing_events_equal_the_per_piece_reference(n):
+    s = build_surface(n)
+    aux_and_primed = {p: s.aux_for(p) + s.primed_for(p) for p in (UPPER, LOWER)}
+    rng = random.Random(1100 + n)
+    inputs = []
+    for i in range(18):
+        if i % 3 == 0:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+        elif i % 3 == 1:  # near an edge direction
+            theta = rng.randrange(2 * n) * math.pi / n + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(3.0, 12.0)
+        else:  # perpendicular to an edge: a periodic direction
+            theta = (2 * rng.randrange(2 * n) + 1) * math.pi / (2 * n)
+        inputs.append((rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta))
+    periodic = compared = 0
+    for k, u, theta in inputs:
+        try:
+            traj = trace_from_edge(s, k, u, theta, max_crossings=120)
+        except CornerHit:
+            continue
+        periodic += traj.periodic
+        steps = normalize_direction(s, theta).steps
+        for edges in (aux_and_primed, _carried_primed(s, -steps), _carried_primed(s, rng.randrange(1, 2 * n))):
+            assert list(crossing_events(s, traj, edges)) == _reference_events(s, traj, edges), (k, u, theta)
+            compared += 1
+    assert periodic >= 2 and compared >= 36
+
+
+def test_interior_hits_at_the_window_edges():
+    # rows placed so that t or u is exactly EPS or 1 - EPS, or the ray is
+    # parallel within the guard although t and u would be inside
+    hi = 1.0 - EPS
+    pieces = [
+        Segment((EPS, -0.5), (EPS, 0.5)),
+        Segment((hi, -0.5), (hi, 0.5)),
+        Segment((0.5, -EPS), (0.5, 1.0 - EPS)),
+        Segment((0.5, -hi), (0.5, EPS)),
+        Segment((0.3, -1e-16), (0.7, 1e-16)),
+        Segment((0.25, -0.5), (0.75, 0.5)),
+    ]
+    a, d = (0.0, 0.0), (1.0, 0.0)
+    edges = [Edge(str(i), PRIMED, UPPER, i, seg) for i, seg in enumerate(pieces)]
+    windows = [(hit.t, hit.u) for hit in (ray_segment_hit(a, d, seg) for seg in pieces[:4])]
+    assert windows == [(EPS, 0.5), (hi, 0.5), (0.5, EPS), (0.5, hi)]
+    want = [(t, e.label) for t, e in _reference_hits(a, d, edges)]
+    assert want == [(0.5, "5")]
+    assert interior_hits(a[0], a[1], d[0], d[1], [segment_row(e.seg, e.label) for e in edges]) == want
 
 
 def _window_match(got: str, want: str) -> bool:
