@@ -32,7 +32,7 @@ from .shear import (
     telescoping_identity,
     verify_reassembly,
 )
-from .surface import build_surface, index_for_letter, letter_for_index, surface_json
+from .surface import build_surface, check_n, index_for_letter, letter_for_index, surface_json
 from .torus import torus_derive_geometric, torus_derive_rule, torus_trace
 
 
@@ -253,6 +253,7 @@ _CHECKS = {
 
 
 def _cmd_verify(args) -> int:
+    check_n(args.n)  # not every check builds a surface
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     available = f"available: {', '.join(sorted(_CHECKS))}"
     if not names:

@@ -16,7 +16,8 @@ pieces; the geometric derivation feeds it the primed edges carried onto the
 trajectory's charts, so a trajectory is traced once in any direction. Every
 piece scan reads `geometry.segment_row` rows through `geometry.interior_hits`;
 the tracer reads the same rows of the polygon edges (`Surface.exit_rows`)
-with their denominators worked out once per direction.
+with their denominators worked out once per direction. Both scans read only
+the rows of direction-fixed reach tables (`geometry.reach`).
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .geometry import (
     Vec,
     interior_hits,
     ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
+    reach,
     rotation,
     round_sig,
     segment_row,
@@ -113,23 +115,21 @@ class Trajectory:
         return a.polygon, a.point, exit_point
 
 
-def _exit_hit(rows, segs: tuple[Segment, ...], p: Vec, d: Vec, entry: int) -> tuple[Optional[int], Vec]:
+def _exit_hit(rows, segs: tuple[Segment, ...], p: Vec, d: Vec) -> tuple[Optional[int], Vec]:
     """Exit edge and exit point of the ray p + t*d: its smallest hit with t > STEP_MIN.
 
-    Reads one polygon's direction-fixed rows (built in `trace`) and repeats
-    ray_segment_hit's arithmetic inline, so t and u are the same floats; the
-    first edge wins a tie. Skips the entry edge: a convex polygon is not left
-    through it, but near its direction float error puts a self-hit above
-    STEP_MIN. The edge is None for a corner hit: no exit at all (the point is
-    p) or an exit within CORNER_DELTA of an edge end.
+    Reads the reach table of the polygon and entry edge (built in `trace`)
+    and repeats ray_segment_hit's arithmetic inline, so t and u are the same
+    floats; the first edge wins a tie. The table leaves out the entry edge: a
+    convex polygon is not left through it, but near its direction float error
+    puts a self-hit above STEP_MIN. The edge is None for a corner hit: no exit
+    at all (the point is p) or an exit within CORNER_DELTA of an edge end.
     """
     px, py = p
     dx, dy = d
     u_min, u_max = -EPS, 1.0 + EPS
     best_k = best_t = best_u = None
     for k, ax, ay, ex, ey, denom in rows:
-        if k == entry:
-            continue
         wx, wy = ax - px, ay - py
         u = (wx * dy - wy * dx) / denom
         if u < u_min or u > u_max:
@@ -171,14 +171,18 @@ def trace(
     offsets = surface.offsets
     # the direction is fixed, so each edge's denominator dx*ey - dy*ex is
     # worked out once per trajectory, and edges parallel to d (under the
-    # exit_rows guard) are dropped: rows (k, ax, ay, ex, ey, denom)
+    # exit_rows guard) are dropped. exits[polygon][k - 1] is the reach table
+    # of a step entering through S_k, rows (k, ax, ay, ex, ey, denom)
     dx, dy = d
     exits = {
-        polygon: tuple(
-            (k, ax, ay, ex, ey, dx * ey - dy * ex)
-            for ax, ay, ex, ey, guard, k in rows
-            if abs(dx * ey - dy * ex) >= guard
-        )
+        polygon: [
+            tuple(
+                (k, ax, ay, ex, ey, dx * ey - dy * ex)
+                for ax, ay, ex, ey, guard, k in table
+                if k != side[5] and abs(dx * ey - dy * ex) >= guard
+            )
+            for side, table in zip(rows, reach(d, rows, [(side,) for side in rows]))
+        ]
         for polygon, rows in surface.exit_rows.items()
     }
     letters = tuple(letter_for_index(k) for k in range(1, surface.n + 1))
@@ -193,7 +197,7 @@ def trace(
 
     entry = start_edge
     while len(crossings) < max_crossings:
-        k, point = _exit_hit(exits[polygon], surface.edge_segs[polygon], p, d, entry)
+        k, point = _exit_hit(exits[polygon][entry - 1], surface.edge_segs[polygon], p, d)
         if k is None:
             raise CornerHit(polygon, point, len(crossings), theta, start[0], start[1])
         t_off = offsets[k - 1]
@@ -324,12 +328,14 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     a primed piece is named by the letter it is the image of. Hits at equal
     times keep the order of `edges`. Periodic orbits include the closing
     segment. The pieces become `segment_row` rows once per call, and
-    `interior_hits` reads them per segment.
+    `interior_hits` reads, per segment, the reach table of its polygon, entry
+    edge and exit edge, built the first time that triple comes up.
     """
     rows = {
         polygon: [segment_row(e.seg, (e.kind, e.label.rstrip("'"))) for e in pieces]
         for polygon, pieces in edges.items()
     }
+    d, tables = unit(traj.theta), {}
     offsets, n = surface.offsets, surface.n
     crossings = traj.crossings
     events: list[tuple[float, str, str]] = [(float(i), ORIGINAL, c.letter) for i, c in enumerate(crossings)]
@@ -344,7 +350,11 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
             dx, dy = bx + ox - px, by + oy - py
         else:
             dx, dy = bx - ox - px, by - oy - py
-        for t, (kind, name) in interior_hits(px, py, dx, dy, rows[a.polygon]):
+        key = (a.polygon, a.index, b.index)
+        if key not in tables:
+            sides = surface.exit_rows[a.polygon]
+            tables[key] = reach(d, rows[a.polygon], [(sides[a.index - 1], sides[b.index - 1])])[0]
+        for t, (kind, name) in interior_hits(px, py, dx, dy, tables[key]):
             events.append((i + t, kind, name))
     events.sort(key=lambda ev: ev[0])
     yield from events

@@ -26,6 +26,10 @@ CORNER_DELTA = 1e-12
 STEP_MIN = 1e-12
 # A denominator this small is zero: parallel ray and segment, a cot pole.
 PARALLEL = 1e-15
+# `reach` widens each row's span across the direction by this much: the exit
+# window [-EPS, 1 + EPS] reaches EPS past a unit side, a periodic return
+# closes within EPS, and rounding is far below either.
+REACH = 2 * EPS
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -161,6 +165,26 @@ def interior_hits(px: float, py: float, dx: float, dy: float, rows: Sequence[Row
         if EPS < t < hi and EPS < (wx * dy - wy * dx) / denom < hi:
             out.append((t, tag))
     return out
+
+
+def reach(d: Vec, rows: Sequence[Row], windows: Sequence[Sequence[Row]]) -> list[list[Row]]:
+    """Per window, the rows, in order, that a line of direction d meeting every row of the window can meet.
+
+    Such a line keeps one value of s(x) = dx*y - dy*x, so it meets a row only
+    where that value lies in the row's span of s. Spans are widened by REACH,
+    so every row the full scan accepts is kept: this only prunes.
+    """
+    dx, dy = d
+
+    def span(row: Row) -> tuple[float, float]:
+        s0 = dx * row[1] - dy * row[0]
+        s1 = s0 + dx * row[3] - dy * row[2]
+        return min(s0, s1) - REACH, max(s0, s1) + REACH
+
+    spans = [(row, span(row)) for row in rows]
+    ends = [[span(row) for row in window] for window in windows]
+    bounds = [(max(lo for lo, _ in e), min(hi for _, hi in e)) for e in ends]
+    return [[row for row, (a, b) in spans if a <= hi and lo <= b] for lo, hi in bounds]
 
 
 def clip_polygon_halfplane(poly: Sequence[Vec], n: Vec, c: float) -> list[Vec]:

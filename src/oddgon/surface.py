@@ -51,6 +51,11 @@ def letter_for_index(k: int) -> str:
     return chr(ord("A") + k - 1)
 
 
+def check_n(n: int) -> None:
+    if not 5 <= n <= 25 or n % 2 == 0:
+        raise ValueError(f"n must be an odd integer from 5 to 25 (edges are lettered A..Z), got {n}")
+
+
 def index_for_letter(label: str) -> int:
     """Accepts 'C', 'S3' or '3'."""
     s = label.strip()
@@ -100,8 +105,7 @@ class Surface:
     """Geometric model of one double odd n-gon, with derived edge systems."""
 
     def __init__(self, n: int):
-        if not 5 <= n <= 25 or n % 2 == 0:
-            raise ValueError(f"n must be an odd integer from 5 to 25 (edges are lettered A..Z), got {n}")
+        check_n(n)
         self.n = n
         self.alpha = 2.0 * math.pi / n
         self.sector = math.pi / n

@@ -161,6 +161,9 @@ def test_verify_unknown_check_is_usage_error(capsys):
         (["derive", "--seq", "XYZ", "--n", "5", "--method", "diagram"], "--seq"),
         (["derive", "--seq", "ABF", "--cyclic", "--n", "5", "--format", "json"], "A..E"),
         (["derive", "--seq", "ABCDEFGH I", "--n", "9"], "A..I"),
+        (["verify", "--n", "4", "--checks", "identities"], "odd integer from 5 to 25"),
+        (["verify", "--n", "6", "--checks", "identities,torus"], "odd integer from 5 to 25"),
+        (["verify", "--n", "3", "--checks", "torus"], "odd integer from 5 to 25"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv, named):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oddgon import flow
 from oddgon.derivation import cyclic_normal_form, ksl_cyclic, ksl_window
 from oddgon.flow import (
     CornerHit,
@@ -23,6 +24,7 @@ from oddgon.geometry import (
     interior_hits,
     point_in_polygon,
     ray_segment_hit,
+    reach,
     segment_row,
     unit,
     vadd,
@@ -148,6 +150,26 @@ def _reference_trace(s, k0, u0, theta, max_crossings):
     return crossings, None
 
 
+def _test_direction(s, rng, i, k, u):
+    """Direction of input i: random, near an edge direction, or aimed at a vertex of the upper polygon."""
+    if i % 3 == 0:
+        return rng.uniform(0.0, 2.0 * math.pi)
+    if i % 3 == 1:
+        return rng.randrange(2 * s.n) * math.pi / s.n + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(3.0, 12.0)
+    v = vsub(s.upper[rng.randrange(s.n)], s.edge_seg(UPPER, k).point_at(u))
+    return math.atan2(v[1], v[0])
+
+
+def _near_vertex_inputs(s, rng):
+    """Starts within 1e-6..1e-13 of a vertex, where the reach tables' margin decides what is scanned."""
+    inputs = []
+    for i, j in enumerate(range(6, 14)):
+        for u in (10.0**-j, 1.0 - 10.0**-j):
+            k = rng.randrange(1, s.n + 1)
+            inputs.append((k, u, _test_direction(s, rng, i, k, u)))
+    return inputs
+
+
 @pytest.mark.parametrize("n", [5, 9, 15, 25])
 def test_trace_equals_brute_force_reference(n):
     s = build_surface(n)
@@ -161,16 +183,12 @@ def test_trace_equals_brute_force_reference(n):
 
     rng = random.Random(700 + n)
     ends = []
+    inputs = []
     for i in range(48):
         k, u = rng.randrange(1, n + 1), rng.uniform(0.02, 0.98)
-        if i % 3 == 0:
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-        elif i % 3 == 1:  # near an edge direction
-            theta = rng.randrange(2 * n) * math.pi / n + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(3.0, 12.0)
-        else:  # aimed at a vertex of the upper polygon
-            p = s.edge_seg(UPPER, k).point_at(u)
-            v = vsub(s.upper[rng.randrange(n)], p)
-            theta = math.atan2(v[1], v[0])
+        inputs.append((k, u, _test_direction(s, rng, i, k, u)))
+    inputs += _near_vertex_inputs(s, rng)
+    for k, u, theta in inputs:
         want, end = _reference_trace(s, k, u, theta, 150)
         ends.append(end and end[0])
         try:
@@ -440,6 +458,7 @@ def test_crossing_events_equal_the_per_piece_reference(n):
         else:  # perpendicular to an edge: a periodic direction
             theta = (2 * rng.randrange(2 * n) + 1) * math.pi / (2 * n)
         inputs.append((rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta))
+    inputs += _near_vertex_inputs(s, rng)  # vertex-aimed directions among them
     periodic = compared = 0
     for k, u, theta in inputs:
         try:
@@ -452,6 +471,42 @@ def test_crossing_events_equal_the_per_piece_reference(n):
             assert list(crossing_events(s, traj, edges)) == _reference_events(s, traj, edges), (k, u, theta)
             compared += 1
     assert periodic >= 2 and compared >= 36
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_reach_tables_keep_every_exit_and_prune(n, monkeypatch):
+    s = build_surface(n)
+    rng = random.Random(1300 + n)
+    # each exit table holds every edge the full scan accepts from a point of
+    # its entry edge, the ends and the EPS overhang of the exit window included
+    sizes = []
+    for _ in range(24):
+        d = unit(rng.uniform(0.0, 2.0 * math.pi))
+        for polygon, rows in s.exit_rows.items():
+            for side, table in zip(rows, reach(d, rows, [(side,) for side in rows])):
+                entry, kept = side[5], {row[5] for row in table}
+                sizes.append(len(kept - {entry}))
+                for u in (-EPS, 0.0, 1e-13, rng.random(), 1.0 - 1e-13, 1.0, 1.0 + EPS):
+                    p = s.edge_seg(polygon, entry).point_at(u)
+                    hits = {k: ray_segment_hit(p, d, s.edge_seg(polygon, k)) for k in range(1, n + 1) if k != entry}
+                    assert {k for k, hit in hits.items() if hit is not None and hit.t > STEP_MIN} <= kept
+    assert sum(sizes) / len(sizes) <= 6.0
+
+    # and the tracer and the event scan read the pruned tables, not full rows
+    scanned = {"exit": [], "piece": []}
+    exit_hit, hits_of = flow._exit_hit, flow.interior_hits
+    monkeypatch.setattr(flow, "_exit_hit", lambda rows, *a: scanned["exit"].append(len(rows)) or exit_hit(rows, *a))
+    monkeypatch.setattr(flow, "interior_hits", lambda *a: scanned["piece"].append(len(a[-1])) or hits_of(*a))
+    edges = {p: s.aux_for(p) + s.primed_for(p) for p in (UPPER, LOWER)}
+    for _ in range(24):
+        try:
+            traj = trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi), 100)
+        except CornerHit:
+            continue
+        list(crossing_events(s, traj, edges))
+    assert sum(scanned["exit"]) / len(scanned["exit"]) <= 6.0
+    if n >= 15:
+        assert sum(scanned["piece"]) / len(scanned["piece"]) <= 0.6 * len(edges[UPPER])
 
 
 def test_interior_hits_at_the_window_edges():
