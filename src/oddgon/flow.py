@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .geometry import (
     CORNER_DELTA,
+    CORNER_SHORTCUT,
     EPS,
     STEP_MIN,
     Segment,
@@ -39,8 +41,6 @@ from .geometry import (
     segment_row,
     unit,
     vadd,
-    vdist,
-    vlerp,
     vsub,
 )
 from .surface import (
@@ -71,8 +71,7 @@ class CornerHit(Exception):
         super().__init__(f"trajectory within corner tolerance at {point} in {polygon} after {crossings_done} crossings")
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     index: int  # original edge index 1..n
     letter: str
     polygon: str  # polygon entered at this crossing
@@ -119,16 +118,17 @@ def _exit_hit(rows, segs: tuple[Segment, ...], p: Vec, d: Vec) -> tuple[Optional
     """Exit edge and exit point of the ray p + t*d: its smallest hit with t > STEP_MIN.
 
     Reads the reach table of the polygon and entry edge (built in `trace`)
-    and repeats ray_segment_hit's arithmetic inline, so t and u are the same
-    floats; the first edge wins a tie. The table leaves out the entry edge: a
-    convex polygon is not left through it, but near its direction float error
-    puts a self-hit above STEP_MIN. The edge is None for a corner hit: no exit
-    at all (the point is p) or an exit within CORNER_DELTA of an edge end.
+    and repeats ray_segment_hit's arithmetic inline, so t, u and the point
+    are the same floats; the first edge wins a tie. The table leaves out the
+    entry edge: a convex polygon is not left through it, but near its
+    direction float error puts a self-hit above STEP_MIN. The edge is None
+    for a corner hit: no exit at all (the point is p) or an exit within
+    CORNER_DELTA of an edge end.
     """
     px, py = p
     dx, dy = d
     u_min, u_max = -EPS, 1.0 + EPS
-    best_k = best_t = best_u = None
+    best_k = best_t = None
     for k, ax, ay, ex, ey, denom in rows:
         wx, wy = ax - px, ay - py
         u = (wx * dy - wy * dx) / denom
@@ -138,14 +138,17 @@ def _exit_hit(rows, segs: tuple[Segment, ...], p: Vec, d: Vec) -> tuple[Optional
         if t <= STEP_MIN:
             continue
         if best_t is None or t < best_t:
-            best_k, best_t, best_u = k, t, u
+            best_k, best_t, best_u, bx, by, bex, bey = k, t, u, ax, ay, ex, ey
     if best_k is None:
         return None, p  # degenerate direction from boundary
-    seg = segs[best_k - 1]
-    point = vlerp(seg.p0, seg.p1, best_u)
-    if min(vdist(point, seg.p0), vdist(point, seg.p1)) < CORNER_DELTA:
-        return None, point
-    return best_k, point
+    x, y = bx + bex * best_u, by + bey * best_u
+    # an exit at least CORNER_SHORTCUT in from both ends of a unit side is no
+    # corner hit, so only exits near an end pay for the exact distances
+    if best_u < CORNER_SHORTCUT or best_u > 1.0 - CORNER_SHORTCUT:
+        (x0, y0), (x1, y1) = segs[best_k - 1].p0, segs[best_k - 1].p1
+        if min(math.hypot(x - x0, y - y0), math.hypot(x - x1, y - y1)) < CORNER_DELTA:
+            return None, (x, y)
+    return best_k, (x, y)
 
 
 def trace(
@@ -186,30 +189,33 @@ def trace(
         for polygon, rows in surface.exit_rows.items()
     }
     letters = tuple(letter_for_index(k) for k in range(1, surface.n + 1))
-    t_start = surface.identification_offset(start_edge)
+    tx, ty = surface.identification_offset(start_edge)
     polygon = surface.entering_polygon(start_edge, theta)
-    p = start[1] if start[0] == UPPER else vadd(start[1], t_start)  # on the upper representative
+    fx, fy = start[1]
+    if start[0] != UPPER:  # onto the upper representative
+        fx, fy = fx + tx, fy + ty
     if polygon == LOWER:
-        p = vsub(p, t_start)
-    first = Crossing(start_edge, letter_for_index(start_edge), polygon, p)
-    crossings = [first]
+        fx, fy = fx - tx, fy - ty
+    p = (fx, fy)
+    crossings = [Crossing(start_edge, letter_for_index(start_edge), polygon, p)]
     traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
 
-    entry = start_edge
+    first_polygon, entry, segs = polygon, start_edge, surface.edge_segs
     while len(crossings) < max_crossings:
-        k, point = _exit_hit(exits[polygon][entry - 1], surface.edge_segs[polygon], p, d)
+        k, point = _exit_hit(exits[polygon][entry - 1], segs[polygon], p, d)
         if k is None:
             raise CornerHit(polygon, point, len(crossings), theta, start[0], start[1])
-        t_off = offsets[k - 1]
+        (x, y), (ox, oy) = point, offsets[k - 1]
         if polygon == UPPER:
-            polygon, p = LOWER, vsub(point, t_off)
+            polygon, x, y = LOWER, x - ox, y - oy
         else:
-            polygon, p = UPPER, vadd(point, t_off)
+            polygon, x, y = UPPER, x + ox, y + oy
         entry = k
-        if k == first.index and polygon == first.polygon and vdist(p, first.point) < EPS:
+        if k == start_edge and polygon == first_polygon and math.hypot(x - fx, y - fy) < EPS:
             traj.periodic = True
             traj.period = len(crossings)
             break
+        p = (x, y)
         crossings.append(Crossing(k, letters[k - 1], polygon, p))
     return traj
 
@@ -315,11 +321,11 @@ class GeometricDerivation:
     cyclic: bool
     normalized_theta: float
     rotation_steps: int
-    primed_hits: tuple[tuple[float, str], ...]  # (time, derived letter)
+    primed_hits: tuple[tuple[float, str], ...]  # (crossing_events time, derived letter), unrounded
 
 
-def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]):
-    """Time-ordered (time, kind, name) crossings of a traced trajectory.
+def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]) -> list[tuple[float, str, str]]:
+    """Time-ordered (time, kind, name) crossings of a traced trajectory, as a list.
 
     Time is crossing-index-valued: original crossing i comes at time i with
     kind ORIGINAL and its letter; a proper crossing of the piece `e` in
@@ -330,34 +336,43 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     segment. The pieces become `segment_row` rows once per call, and
     `interior_hits` reads, per segment, the reach table of its polygon, entry
     edge and exit edge, built the first time that triple comes up.
+
+    Each segment's hits follow its original crossing, sorted stably by the
+    float time i + t. Below 2**24 crossings that time lies strictly between
+    i and i + 1 (t is in (EPS, 1 - EPS)), so this is the stable sort of the
+    whole stream by time, ties included, without sorting the whole stream.
     """
     rows = {
         polygon: [segment_row(e.seg, (e.kind, e.label.rstrip("'"))) for e in pieces]
         for polygon, pieces in edges.items()
     }
     d, tables = unit(traj.theta), {}
-    offsets, n = surface.offsets, surface.n
-    crossings = traj.crossings
-    events: list[tuple[float, str, str]] = [(float(i), ORIGINAL, c.letter) for i, c in enumerate(crossings)]
+    offsets, n, crossings = surface.offsets, surface.n, traj.crossings
+    events: list[tuple[float, str, str]] = []
     m = len(crossings)
-    for i in range(m if traj.periodic else m - 1):
-        # segment i in a's chart, from a's entry point to b's point carried
-        # back across the identification b entered by (Trajectory.segment)
-        a, b = crossings[i], crossings[(i + 1) % m]
-        px, py = a.point
-        (bx, by), (ox, oy) = b.point, offsets[(b.index - 1) % n]
-        if a.polygon == UPPER:
+    segments = m if traj.periodic else m - 1
+    for i, (k, letter, polygon, (px, py)) in enumerate(crossings):
+        events.append((float(i), ORIGINAL, letter))
+        if i == segments:
+            break
+        # segment i in this chart, from the entry point to the next crossing's
+        # point carried back across the identification it entered by
+        # (Trajectory.segment)
+        exit_k, _, _, (bx, by) = crossings[(i + 1) % m]
+        ox, oy = offsets[(exit_k - 1) % n]
+        if polygon == UPPER:
             dx, dy = bx + ox - px, by + oy - py
         else:
             dx, dy = bx - ox - px, by - oy - py
-        key = (a.polygon, a.index, b.index)
-        if key not in tables:
-            sides = surface.exit_rows[a.polygon]
-            tables[key] = reach(d, rows[a.polygon], [(sides[a.index - 1], sides[b.index - 1])])[0]
-        for t, (kind, name) in interior_hits(px, py, dx, dy, tables[key]):
-            events.append((i + t, kind, name))
-    events.sort(key=lambda ev: ev[0])
-    yield from events
+        table = tables.get((polygon, k, exit_k))
+        if table is None:
+            sides = surface.exit_rows[polygon]
+            table = tables[polygon, k, exit_k] = reach(d, rows[polygon], [(sides[k - 1], sides[exit_k - 1])])[0]
+        hits = [(i + t, kind, name) for t, (kind, name) in interior_hits(px, py, dx, dy, table)]
+        if len(hits) > 1:
+            hits.sort(key=itemgetter(0))
+        events.extend(hits)
+    return events
 
 
 def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
@@ -396,7 +411,7 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
         cyclic=traj.periodic,
         normalized_theta=norm.theta,
         rotation_steps=norm.steps,
-        primed_hits=tuple((round_sig(t, 12), ch) for t, ch in events),
+        primed_hits=tuple(events),
     )
 
 

@@ -26,6 +26,12 @@ CORNER_DELTA = 1e-12
 STEP_MIN = 1e-12
 # A denominator this small is zero: parallel ray and segment, a cot pole.
 PARALLEL = 1e-15
+# The tracer runs the exact corner test (distance from the exit to each edge
+# end against CORNER_DELTA) only for an exit whose edge parameter lies within
+# this of 0 or 1. Sides have unit length, so an exit farther in is this far
+# from both ends up to rounding far below CORNER_DELTA: the shortcut never
+# changes a decision.
+CORNER_SHORTCUT = 1e6 * CORNER_DELTA
 # `reach` widens each row's span across the direction by this much: the exit
 # window [-EPS, 1 + EPS] reaches EPS past a unit side, a periodic return
 # closes within EPS, and rounding is far below either.

@@ -7,6 +7,7 @@ from oddgon import flow
 from oddgon.derivation import cyclic_normal_form, ksl_cyclic, ksl_window
 from oddgon.flow import (
     CornerHit,
+    Crossing,
     crossing_events,
     derive_geometric,
     edge_permutation,
@@ -18,6 +19,7 @@ from oddgon.flow import (
 )
 from oddgon.geometry import (
     CORNER_DELTA,
+    CORNER_SHORTCUT,
     EPS,
     STEP_MIN,
     Segment,
@@ -188,11 +190,14 @@ def test_trace_equals_brute_force_reference(n):
         k, u = rng.randrange(1, n + 1), rng.uniform(0.02, 0.98)
         inputs.append((k, u, _test_direction(s, rng, i, k, u)))
     inputs += _near_vertex_inputs(s, rng)
-    for k, u, theta in inputs:
-        want, end = _reference_trace(s, k, u, theta, 150)
+    cases = [(k, u, theta, 150) for k, u, theta in inputs]
+    for _ in range(3):  # as long as a long-derive trace
+        cases.append((rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi), 3000))
+    for k, u, theta, length in cases:
+        want, end = _reference_trace(s, k, u, theta, length)
         ends.append(end and end[0])
         try:
-            traj = trace_from_edge(s, k, u, theta, max_crossings=150)
+            traj = trace_from_edge(s, k, u, theta, max_crossings=length)
         except CornerHit as hit:
             assert end == ("corner", hit.polygon, hit.point), (k, u, theta)
             assert hit.crossings_done == len(want)
@@ -201,6 +206,52 @@ def test_trace_equals_brute_force_reference(n):
         assert got == want, (k, u, theta)
         assert end == (("periodic", traj.period) if traj.periodic else None), (k, u, theta)
     assert "corner" in ends
+
+
+@pytest.mark.parametrize("n", [5, 25])
+@pytest.mark.parametrize("polygon", [UPPER, LOWER])
+def test_corner_shortcut_keeps_every_corner_decision(n, polygon):
+    # first exits aimed at edge parameters on both sides of CORNER_DELTA and
+    # of the CORNER_SHORTCUT margin, from each end of the exit edge
+    s = build_surface(n)
+    rng = random.Random(1500 + n)
+    for k in range(1, n + 1):
+        u = rng.uniform(0.2, 0.8)
+        p = s.edge_seg(UPPER, k).point_at(u)
+        if polygon == LOWER:
+            p = vsub(p, s.identification_offset(k))
+        exit_edge = s.edge_seg(polygon, 1 + (k - 1 + n // 2) % n)
+        for delta in (0.5 * CORNER_DELTA, CORNER_DELTA, 2.0 * CORNER_DELTA, 0.5 * CORNER_SHORTCUT, 2.0 * CORNER_SHORTCUT):
+            for v in (delta, 1.0 - delta):
+                aim = vsub(exit_edge.point_at(v), p)
+                theta = math.atan2(aim[1], aim[0])
+                want, end = _reference_trace(s, k, u, theta, 30)
+                assert want[0][1] == polygon
+                try:
+                    traj = trace_from_edge(s, k, u, theta, max_crossings=30)
+                except CornerHit as hit:
+                    assert end == ("corner", hit.polygon, hit.point), (k, u, v)
+                    assert hit.crossings_done == len(want), (k, u, v)
+                    first_exit_corner = hit.crossings_done == 1
+                else:
+                    assert [(c.index, c.polygon, c.point) for c in traj.crossings] == want, (k, u, v)
+                    assert end == (("periodic", traj.period) if traj.periodic else None), (k, u, v)
+                    first_exit_corner = False
+                # half CORNER_DELTA from a vertex is a corner, twice as far is not
+                if delta < CORNER_DELTA:
+                    assert first_exit_corner, (k, u, v)
+                elif delta > CORNER_DELTA:
+                    assert not first_exit_corner, (k, u, v)
+
+
+def test_crossing_is_an_immutable_named_tuple(pentagon):
+    c = trace_from_edge(pentagon, 2, 0.55, math.pi / 10).crossings[1]
+    assert Crossing._fields == ("index", "letter", "polygon", "point")
+    assert tuple(c) == (c.index, c.letter, c.polygon, c.point)
+    with pytest.raises(AttributeError):
+        c.index = 1
+    with pytest.raises(AttributeError):
+        c.point = (0.0, 0.0)
 
 
 def test_trace_rejects_bad_inputs(pentagon):
