@@ -146,7 +146,7 @@ def _cmd_diagram(args) -> int:
 
         diagram = build_arrows_diagram(build_surface(args.n))
     else:
-        diagram = build_pipeline_diagrams(build_surface(args.n)).stage(args.stage)
+        diagram = build_pipeline_diagrams(build_surface(args.n)).stages[args.stage]
     if args.format == "dot":
         _emit(diagram_dot(diagram), args.out)
     else:

@@ -127,8 +127,7 @@ def _arrow_chords(surface: Surface, x: int, y: int) -> tuple[str, list[tuple[Vec
     u parameterizes the chart representative of edge x, v that of edge y;
     the chord direction must lie in [0, pi/n). The chords are those at the
     clipped (u, v) region's centroid and at the midpoints from it to its
-    first four vertices; if the region is empty or degenerate, the one
-    horizontal (theta = 0) chord if there is one; else none.
+    first four vertices; none if the region is empty or degenerate.
     """
     q = surface.entering_polygon(x, surface.sector / 2)
     ex = surface.edge_seg(q, x)
@@ -159,16 +158,6 @@ def _arrow_chords(surface: Surface, x: int, y: int) -> tuple[str, list[tuple[Vec
         mid = (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]))
         if d[0] > EPS and tan * d[0] - d[1] > EPS and point_in_polygon(mid, surface.vertices(q), eps=-EPS):
             return q, [chord(*uv) for uv in [c] + [vlerp(c, vert, 0.5) for vert in region[:4]]]
-    # the horizontal chord through the middle of the two edges' common heights
-    lo = max(min(ex.p0[1], ex.p1[1]), min(ey.p0[1], ey.p1[1]))
-    hi = min(max(ex.p0[1], ex.p1[1]), max(ey.p0[1], ey.p1[1]))
-    if hi - lo >= EPS:
-        ymid = 0.5 * (lo + hi)
-        u = (ymid - ex.p0[1]) / (ex.p1[1] - ex.p0[1])
-        v = (ymid - ey.p0[1]) / (ey.p1[1] - ey.p0[1])
-        p1, p2 = chord(u, v)
-        if p1[0] < p2[0] - EPS:
-            return q, [(p1, p2)]
     return q, []
 
 
@@ -376,9 +365,6 @@ class DiagramPipeline:
     node_letters: frozenset[str]
     covered_at: int  # 1-based plan sample at which every predicted transition had been seen
 
-    def stage(self, name: str) -> TransitionDiagram:
-        return self.stages[name]
-
 
 def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
     """Build arrows, augmented, dual, and primed diagrams for one surface.
@@ -444,8 +430,10 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
 def _token_stream(pipeline: DiagramPipeline, word: str) -> tuple[list[tuple[str, str]], list[int]]:
     """(kind, name) tokens of the word's unique augmented walk, and per token
     its anchor: the index of the letter it is or follows."""
+    alphabet = pipeline.stages["arrows"].nodes
     for ch in word:
-        index_for_letter(ch)  # validates the alphabet
+        if ch not in alphabet:
+            raise InvalidPath(f"letter {ch!r} is not in the alphabet {''.join(alphabet)}")
     if not word:
         return [], []
     stream: list[tuple[str, str]] = [(ORIGINAL, word[0])]
@@ -548,10 +536,7 @@ def sandwich_equivalence_check(pipeline: DiagramPipeline, seed: int = 0) -> Equi
         cur = rng.choice(starts)
         path = [cur]
         while len(path) < WINDOW_LEN:
-            nxt = succ.get(path[-1])
-            if not nxt:
-                break
-            path.append(rng.choice(nxt))
+            path.append(rng.choice(succ[path[-1]]))
         w = "".join(path)
         expected = ksl_window(w)
         got = derive_via_diagrams(pipeline, w)

@@ -166,6 +166,8 @@ def trace(
     polygon the direction flows into. Periodicity: first return within EPS
     of crossing 0 on the same edge pair and polygon.
     """
+    if not 1 <= start_edge <= surface.n:
+        raise ValueError(f"edge index {start_edge} out of range for n={surface.n}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be a finite direction in radians, got {theta}")
     if max_crossings < 1:
@@ -228,8 +230,6 @@ def trace_from_edge(
     max_crossings: int = 100,
 ) -> Trajectory:
     """Trace from a point given by its parameter on the upper representative."""
-    if not 1 <= edge_index <= surface.n:
-        raise ValueError(f"edge index {edge_index} out of range for n={surface.n}")
     if not 0.0 < param < 1.0:
         raise ValueError("edge parameter must be strictly inside (0, 1)")
     p = surface.edge_seg(UPPER, edge_index).point_at(param)
@@ -307,6 +307,7 @@ def normalize_direction(surface: Surface, theta: float) -> NormalizedDirection:
         th_norm -= sector
     if th_norm < 0.0:
         th_norm = 0.0
+    steps %= 2 * surface.n  # theta % 2pi may round up to 2pi itself
     perm = edge_permutation(surface, steps)
     letter_map = {letter_for_index(k): letter_for_index(v) for k, v in perm.items()}
     return NormalizedDirection(theta=th_norm, steps=steps, letter_map=letter_map)

@@ -62,10 +62,6 @@ def cross(a: Vec, b: Vec) -> float:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def vdist(a: Vec, b: Vec) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def unit(theta: float) -> Vec:
     return (math.cos(theta), math.sin(theta))
 
@@ -221,12 +217,8 @@ def polygon_area(poly: Sequence[Vec]) -> float:
 
 
 def polygon_centroid(poly: Sequence[Vec]) -> Vec:
+    """Area centroid of a simple polygon; its area must be nonzero."""
     a = polygon_area(poly)
-    if abs(a) < 1e-30:
-        # degenerate: average the vertices
-        xs = sum(p[0] for p in poly) / len(poly)
-        ys = sum(p[1] for p in poly) / len(poly)
-        return (xs, ys)
     cx = cy = 0.0
     m = len(poly)
     for i in range(m):

@@ -3,21 +3,17 @@
 These functions are the oracle side of every dual-route check: they never
 call into the float implementation modules, and they evaluate the vertex
 coordinate and sheared-coordinate formulas directly from their summation
-definitions at >= 64 significant digits (128 with ODDGON_PRECISION=extended).
+definitions at BASE_DIGITS = 64 significant digits.
 """
 from __future__ import annotations
-
-import os
 
 import mpmath
 
 BASE_DIGITS = 64
-EXTENDED_DIGITS = 128
 
 
 def oracle_digits() -> int:
-    mode = os.environ.get("ODDGON_PRECISION", "").strip().lower()
-    return EXTENDED_DIGITS if mode == "extended" else BASE_DIGITS
+    return BASE_DIGITS
 
 
 def _ws():

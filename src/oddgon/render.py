@@ -42,8 +42,6 @@ class _Canvas:
         self.elements.append(("dot", p, fill, r))
 
     def render(self) -> str:
-        if not self.xs:
-            return '<svg xmlns="http://www.w3.org/2000/svg" width="1" height="1"/>'
         x0, x1 = min(self.xs), max(self.xs)
         y0, y1 = min(self.ys), max(self.ys)
         span_x = max(x1 - x0, 1e-9)

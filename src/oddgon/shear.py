@@ -3,8 +3,9 @@
 The double odd n-gon decomposes into (n-1)/2 horizontal cylinders, all of
 modulus 2cot(pi/n), so the parabolic shear M_n acts as one full Dehn twist
 per cylinder. Sheared vertex x-coordinates have cosine-polynomial closed
-forms; the vertex generator guide reproduces them by a purely geometric
-"snaking" chain of polygon gluings, and verify_reassembly confronts the two.
+forms (`sheared_x`; the tests check them against `highprec`). The vertex
+guide reaches the same points by a geometric "snaking" chain of polygon
+gluings; verify_reassembly compares each with `shear_matrix(n).apply(v)`.
 """
 from __future__ import annotations
 

@@ -7,6 +7,7 @@ import pytest
 
 from oddgon.cli import main
 from oddgon.geometry import vsub
+from oddgon.shear import build_vertex_guide
 from oddgon.surface import UPPER, build_surface
 
 
@@ -42,6 +43,9 @@ def test_derive_empty_status(capsys):
     assert code == 0
     assert data["status"] == "empty"
     assert data["derived"] == ""
+    code, data = run_json(capsys, "derive", "--seq", "", "--method", "diagram", "--format", "json")
+    assert code == 0
+    assert data["status"] == "empty"
 
 
 def test_derive_method_diagram_agrees(capsys):
@@ -113,7 +117,7 @@ def test_verify_passes(capsys):
     assert code == 0
     assert data["checks"]["moduli"]["pass"] is True
     assert data["checks"]["reassembly"]["pass"] is True
-    assert data["precision_digits"] in (64, 128)
+    assert data["precision_digits"] == 64
 
 
 def test_verify_failure_exits_one(capsys):
@@ -173,13 +177,6 @@ def test_out_of_range_values_are_usage_errors(capsys, argv, named):
     assert named in captured.err
 
 
-def test_verify_reports_extended_precision(capsys, monkeypatch):
-    monkeypatch.setenv("ODDGON_PRECISION", "extended")
-    code, data = run_json(capsys, "verify", "--n", "5", "--checks", "moduli")
-    assert code == 0
-    assert data["precision_digits"] == 128
-
-
 def test_torus_rule_via_cli(capsys):
     code, data = run_json(capsys, "torus", "derive", "--seq", "ABBB", "--cyclic")
     assert code == 0
@@ -212,12 +209,21 @@ def test_render_writes_svg(tmp_path, capsys):
     assert "polyline" in text or "line" in text
 
 
+def test_render_guide_overlay_adds_one_dot_per_guide_point(capsys):
+    plain = run_cli(capsys, "render", "--n", "7", "--theta", "0.31")
+    overlaid = run_cli(capsys, "render", "--n", "7", "--theta", "0.31", "--guide")
+    assert plain[0] == overlaid[0] == 0
+    points = len(build_vertex_guide(7).points)
+    assert overlaid[1].count("<circle") == plain[1].count("<circle") + points
+
+
 def test_usage_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
-    assert main(["trace", "--edge", "Q", "--t", "0.5", "--theta", "0.1"]) == 2
     capsys.readouterr()
+    assert main(["trace", "--edge", "Q", "--t", "0.5", "--theta", "0.1"]) == 2
+    assert capsys.readouterr() == ("", "error: edge index 17 out of range for n=5\n")
     assert main(["surface", "--n", "27"]) == 2
     assert "from 5 to 25" in capsys.readouterr().err
 
@@ -271,6 +277,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
         (["torus", "derive", "--seq", "AB", "--slope", "1/3", "--start", "0.5,0.5"], ["--slope", "--start"]),
         (["torus", "derive", "--seq", "AB", "--theta", "0.3", "--crossings", "9"], ["--theta", "--crossings"]),
         (["torus", "derive", "--slope", "1/3", "--cyclic"], ["--cyclic"]),
+        (["torus", "trace", "--seq", "AB"], ["--seq"]),
     ],
 )
 def test_flags_one_mode_does_not_read_are_usage_errors(capsys, argv, flags):

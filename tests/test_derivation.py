@@ -174,7 +174,7 @@ def test_aux_sequences_equal_the_per_piece_reference(n):
 def test_pentagon_augmented_labels(pipelines):
     pipe = pipelines[5]
     assert {k: v for k, v in pipe.aux_of.items() if v} == PENTAGON_AUX
-    aug = pipe.stage("augmented")
+    aug = pipe.stages["augmented"]
     labels = {(a.source, a.target): a.label for a in aug.arrows}
     assert labels[("B", "E")] == "l1"
     assert labels[("E", "C")] == "u2"
@@ -182,14 +182,14 @@ def test_pentagon_augmented_labels(pipelines):
 
 
 def test_pentagon_dual_diagram(pipelines):
-    dual = pipelines[5].stage("dual")
+    dual = pipelines[5].stages["dual"]
     assert dual.nodes == ("A", "D", "l1", "l2", "u1", "u2")
     got = {(a.source, a.target, a.label) for a in dual.arrows}
     assert got == PENTAGON_DUAL
 
 
 def test_pentagon_primed_diagram(pipelines):
-    primed = pipelines[5].stage("primed")
+    primed = pipelines[5].stages["primed"]
     got = {(a.source, a.target): a.label for a in primed.arrows}
     assert got == PENTAGON_PRIMED
 
@@ -197,9 +197,9 @@ def test_pentagon_primed_diagram(pipelines):
 @pytest.mark.parametrize("n,dual_nodes,dual_arrows", [(5, 6, 12), (7, 10, 20), (9, 14, 28)])
 def test_pipeline_sizes(pipelines, n, dual_nodes, dual_arrows):
     pipe = pipelines[n]
-    assert len(pipe.stage("dual").nodes) == dual_nodes
-    assert len(pipe.stage("dual").arrows) == dual_arrows
-    assert len(pipe.stage("primed").arrows) == dual_arrows
+    assert len(pipe.stages["dual"].nodes) == dual_nodes
+    assert len(pipe.stages["dual"].arrows) == dual_arrows
+    assert len(pipe.stages["primed"].arrows) == dual_arrows
 
 
 def test_node_letters_are_the_direction_fixed_edges(pipelines):
@@ -280,6 +280,16 @@ def test_derive_via_diagrams_rejects_inadmissible_words(pipelines):
         derive_via_diagrams(pipelines[5], "AXB")
 
 
+@pytest.mark.parametrize("word", ["Z", "e", "1", "BEZ", "F"])
+def test_derive_via_diagrams_rejects_letters_outside_the_alphabet(pipelines, word):
+    # the pentagon's alphabet is A..E; index_for_letter would take all of these
+    bad = next(ch for ch in word if ch not in "ABCDE")
+    with pytest.raises(InvalidPath, match=repr(bad)):
+        derive_via_diagrams(pipelines[5], word)
+    with pytest.raises(InvalidPath, match=repr(bad)):
+        derive_via_diagrams(pipelines[5], word, cyclic=True)
+
+
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_equivalence_check_passes(pipelines, n):
     report = sandwich_equivalence_check(pipelines[n], seed=1)
@@ -303,7 +313,7 @@ def test_diagram_json_and_dot(pentagon):
 
 
 def test_labeled_dot_output(pipelines):
-    dot = diagram_dot(pipelines[5].stage("primed"))
+    dot = diagram_dot(pipelines[5].stages["primed"])
     assert "label=" in dot
     assert "B'" in dot
 

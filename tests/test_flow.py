@@ -30,7 +30,6 @@ from oddgon.geometry import (
     segment_row,
     unit,
     vadd,
-    vdist,
     vsub,
 )
 from oddgon.surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Edge, build_surface, letter_for_index
@@ -50,7 +49,7 @@ def test_start_on_edge_emits_first_crossing(pentagon):
     # a sector direction leaves the upper S2 into the lower polygon, at the start point
     assert first.polygon == LOWER
     on_upper = vadd(first.point, pentagon.identification_offset(2))
-    assert vdist(on_upper, pentagon.edge_seg(UPPER, 2).point_at(0.55)) < 1e-12
+    assert math.dist(on_upper, pentagon.edge_seg(UPPER, 2).point_at(0.55)) < 1e-12
 
 
 def test_crossings_alternate_polygons(pentagon):
@@ -137,7 +136,7 @@ def _reference_trace(s, k0, u0, theta, max_crossings):
             return crossings, ("corner", polygon, p)
         _, k, point = min(hits, key=lambda h: h[0])  # the first edge wins a tie
         edge = seg(polygon, k)
-        if min(vdist(point, edge.p0), vdist(point, edge.p1)) < CORNER_DELTA:
+        if min(math.dist(point, edge.p0), math.dist(point, edge.p1)) < CORNER_DELTA:
             return crossings, ("corner", polygon, point)
         if polygon == UPPER:
             polygon, p = LOWER, vsub(point, offset(k))
@@ -146,7 +145,7 @@ def _reference_trace(s, k0, u0, theta, max_crossings):
         crossings.append((k, polygon, p))
         entry = k
         first, last = crossings[0], crossings[-1]
-        if last[:2] == first[:2] and vdist(last[2], first[2]) < EPS:
+        if last[:2] == first[:2] and math.dist(last[2], first[2]) < EPS:
             crossings.pop()
             return crossings, ("periodic", len(crossings))
     return crossings, None
@@ -259,10 +258,12 @@ def test_trace_rejects_bad_inputs(pentagon):
         trace_from_edge(pentagon, 2, 0.0, 0.1)
     with pytest.raises(ValueError):
         trace_from_edge(pentagon, 2, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        trace_from_edge(pentagon, 0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        trace_from_edge(pentagon, 6, 0.5, 0.1)
+    p = pentagon.edge_seg(UPPER, 2).point_at(0.5)
+    for k in (0, 6, -1):  # trace owns the start-edge check
+        with pytest.raises(ValueError, match=f"edge index {k} out of range for n=5"):
+            trace_from_edge(pentagon, k, 0.5, 0.1)
+        with pytest.raises(ValueError, match=f"edge index {k} out of range for n=5"):
+            trace(pentagon, (UPPER, p), 0.3, start_edge=k)
     for theta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="theta"):
             trace_from_edge(pentagon, 2, 0.5, theta)
@@ -282,7 +283,7 @@ def test_rotation_isometry_is_an_isometry(pentagon):
                 pa, qa = iso(UPPER, a)
                 pb, qb = iso(UPPER, b)
                 assert pa == pb
-                assert abs(vdist(qa, qb) - vdist(a, b)) < 1e-12
+                assert abs(math.dist(qa, qb) - math.dist(a, b)) < 1e-12
         # polygon parity: odd steps swap the two copies
         polygon, _ = iso(UPPER, pentagon.apex())
         assert (polygon == LOWER) == (steps % 2 == 1)
@@ -295,7 +296,7 @@ def test_rotation_isometry_maps_surface_to_itself(pentagon):
             for v in pentagon.vertices(polygon):
                 q_polygon, q = iso(polygon, v)
                 vs = pentagon.vertices(q_polygon)
-                assert min(vdist(q, w) for w in vs) < 1e-9
+                assert min(math.dist(q, w) for w in vs) < 1e-9
 
 
 def _matched_edge_permutation(s, steps):
@@ -304,7 +305,7 @@ def _matched_edge_permutation(s, steps):
     perm = {}
     for k in range(1, s.n + 1):
         polygon, q = iso(UPPER, s.edge_seg(UPPER, k).midpoint())
-        matches = [k2 for k2 in range(1, s.n + 1) if vdist(q, s.edge_seg(polygon, k2).midpoint()) < 1e-6]
+        matches = [k2 for k2 in range(1, s.n + 1) if math.dist(q, s.edge_seg(polygon, k2).midpoint()) < 1e-6]
         assert len(matches) == 1, (steps, k, matches)
         perm[k] = matches[0]
     return perm
@@ -329,6 +330,39 @@ def test_normalize_direction_lands_in_sector(pentagon):
         # the rotation accounts for the angle difference exactly
         diff = (theta - norm.theta) % (2.0 * math.pi)
         assert abs(diff - (norm.steps * pentagon.sector) % (2.0 * math.pi)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 9, 25])
+def test_normalize_direction_keeps_steps_below_2n(n, monkeypatch):
+    # theta % 2pi rounds up to 2pi for tiny negative theta; steps must still
+    # come out reduced, and the derived letters must not depend on that
+    s = build_surface(n)
+    thetas = [-1e-300, -5e-324, math.nextafter(2.0 * math.pi, 0.0)]
+    for k in range(-2 * n, 2 * n + 1):
+        b = k * math.pi / n
+        thetas += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+    derived = []
+    for theta in thetas:
+        norm = normalize_direction(s, theta)
+        assert 0 <= norm.steps < 2 * n, theta
+        assert 0.0 <= norm.theta < s.sector, theta
+        try:
+            traj = trace_from_edge(s, 2, 0.55, theta, max_crossings=60)
+        except CornerHit:
+            continue
+        derived.append((traj, derive_geometric(s, traj).letters))
+    assert len(derived) > len(thetas) // 2
+
+    def unreduced(surface, theta):  # the same rotation, reported as steps + 2n
+        norm = normalize_direction(surface, theta)
+        steps = norm.steps + 2 * n
+        perm = edge_permutation(surface, steps)
+        letter_map = {letter_for_index(k): letter_for_index(v) for k, v in perm.items()}
+        return flow.NormalizedDirection(theta=norm.theta, steps=steps, letter_map=letter_map)
+
+    monkeypatch.setattr(flow, "normalize_direction", unreduced)
+    for traj, letters in derived:
+        assert derive_geometric(s, traj).letters == letters, traj.theta
 
 
 def test_normalize_in_sector_is_identity(pentagon):

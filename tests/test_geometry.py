@@ -12,7 +12,6 @@ from oddgon.geometry import (
     ray_segment_hit,
     rotation,
     round_sig,
-    vdist,
 )
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -31,7 +30,7 @@ def test_rotation_basics():
 def test_rotation_composes(a, b):
     ra, rb, rab = rotation(a), rotation(b), rotation(a + b)
     for p in [(1.0, 0.0), (0.3, -2.0)]:
-        assert vdist(ra.apply(rb.apply(p)), rab.apply(p)) < 1e-9
+        assert math.dist(ra.apply(rb.apply(p)), rab.apply(p)) < 1e-9
 
 
 def test_segment_params():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oddgon.geometry import polygon_area, vadd, vdist, vlerp
+from oddgon.geometry import polygon_area, vadd, vlerp
 from oddgon.surface import (
     LOWER,
     UPPER,
@@ -31,10 +31,10 @@ def test_upper_polygon_shape(n):
     vs = s.vertices(UPPER)
     assert len(vs) == n
     assert vs[0] == (0.0, 0.0)
-    assert vdist(vs[1], (1.0, 0.0)) < 1e-15
+    assert math.dist(vs[1], (1.0, 0.0)) < 1e-15
     # all sides unit length, counterclockwise
     for i in range(n):
-        assert abs(vdist(vs[i], vs[(i + 1) % n]) - 1.0) < 1e-12
+        assert abs(math.dist(vs[i], vs[(i + 1) % n]) - 1.0) < 1e-12
     assert polygon_area(vs) > 0
 
 
@@ -43,11 +43,11 @@ def test_lower_is_half_turn_image(n):
     s = build_surface(n)
     up, lo = s.vertices(UPPER), s.vertices(LOWER)
     assert polygon_area(lo) > 0  # half-turn preserves orientation
-    assert vdist(s.center, vlerp(up[n - 1], up[0], 0.5)) < 1e-12
+    assert math.dist(s.center, vlerp(up[n - 1], up[0], 0.5)) < 1e-12
     for v in up:
         img = s.half_turn(v)
-        assert min(vdist(img, w) for w in lo) < 1e-12
-        assert vdist(s.half_turn(img), v) < 1e-12  # involution
+        assert min(math.dist(img, w) for w in lo) < 1e-12
+        assert math.dist(s.half_turn(img), v) < 1e-12  # involution
 
 
 @pytest.mark.parametrize("n", ODD_NS)
@@ -61,7 +61,7 @@ def test_edge_directions_and_offsets(n):
         # identified lower edge is the parallel translate by -t_k
         t = s.identification_offset(k)
         lower_seg = s.edge_seg(LOWER, k)
-        assert vdist(vadd(lower_seg.midpoint(), t), seg.midpoint()) < 1e-12
+        assert math.dist(vadd(lower_seg.midpoint(), t), seg.midpoint()) < 1e-12
 
 
 def test_pentagon_entering_polygons(pentagon):
@@ -78,7 +78,7 @@ def test_crossing_an_edge_lands_where_identification_says(pentagon):
         for u in (0.2, 0.5, 0.8):
             p_up = pentagon.edge_seg(UPPER, k).point_at(u)
             p_lo = pentagon.edge_seg(LOWER, k).point_at(1.0 - u)
-            assert vdist(vadd(p_lo, t), p_up) < 1e-12
+            assert math.dist(vadd(p_lo, t), p_up) < 1e-12
 
 
 def test_letters_and_indices():
@@ -112,7 +112,7 @@ def test_aux_edges_structure(n):
     lower_mids = {e.label[1:]: e.seg.midpoint() for e in per_polygon[LOWER]}
     for e in per_polygon[UPPER]:
         img = s.half_turn(e.seg.midpoint())
-        assert vdist(img, lower_mids[e.label[1:]]) < 1e-12
+        assert math.dist(img, lower_mids[e.label[1:]]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -142,7 +142,7 @@ def test_shear_matrices(n):
     assert (v.a, v.b, v.c, v.d) == (-1.0, 2.0 * cot, 0.0, 1.0)
     # flip-shear is an involution
     for p in [(1.0, 0.0), (0.0, 1.0), (0.3, -2.0)]:
-        assert vdist(v.apply(v.apply(p)), p) < 1e-12
+        assert math.dist(v.apply(v.apply(p)), p) < 1e-12
 
 
 def test_surface_json_is_deterministic(pentagon):
