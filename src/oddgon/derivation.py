@@ -178,10 +178,11 @@ def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
 
 
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
-    rows = [segment_row(e.seg, e.label) for e in surface.aux_for(polygon)]
-    hits = interior_hits(a[0], a[1], b[0] - a[0], b[1] - a[1], rows)
+    rows = [segment_row(e.seg, (AUXILIARY, e.label)) for e in surface.aux_for(polygon)]
+    hits: list[tuple[float, str, str]] = []
+    interior_hits(a[0], a[1], b[0] - a[0], b[1] - a[1], rows, 0.0, hits)
     hits.sort()
-    return tuple(label for _, label in hits)
+    return tuple(label for _, _, label in hits)
 
 
 def _aux_label(surface: Surface, x: int, y: int) -> tuple[str, ...]:
@@ -263,26 +264,48 @@ def _enumerate_dual_transitions(
     return found
 
 
-def _dual_steps(stream: list[tuple[str, str]], nodes: frozenset[str]):
-    """Dual transitions of a time-ordered (kind, name) stream, in one pass.
+def _dual_steps(
+    stream: list[tuple[object, str, str]],
+    nodes: frozenset[str],
+    aux_of: Optional[dict[tuple[str, str], tuple[str, ...]]] = None,
+):
+    """Dual transitions of a time-ordered (time, kind, name) stream, in one pass.
 
     For each dual node (an auxiliary token, or an original one named by a
     node letter) at position i, yields (i, j, originals, primeds): j is the
     next dual node's position (None after the last), and the two strings
-    hold the original and primed letters strictly between them.
+    hold the original and primed letters strictly between them. Given
+    `aux_of`, the same pass raises AssertionError unless the auxiliary names
+    between each two consecutive original letters x, y are the augmented
+    label aux_of[(x, y)]; the sampled scan passes it, while a diagram walk,
+    whose stream is built from aux_of, does not.
     """
-    i = None
+    i = x = None
     originals: list[str] = []
     primeds: list[str] = []
-    for j, (kind, name) in enumerate(stream):
-        if kind == AUXILIARY or (kind == ORIGINAL and name in nodes):
+    between: list[str] = []
+    for j, (_, kind, name) in enumerate(stream):
+        if kind == PRIMED:
+            primeds.append(name)
+            continue
+        if aux_of is not None:
+            if kind == AUXILIARY:
+                between.append(name)
+            else:
+                if x is not None and tuple(between) != aux_of.get((x, name)):
+                    if (x, name) not in aux_of:
+                        raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
+                    raise AssertionError(
+                        f"sampled aux crossings {tuple(between)} for {x}->{name} differ from "
+                        f"region label {aux_of[(x, name)]}"
+                    )
+                x, between = name, []
+        if kind == AUXILIARY or name in nodes:
             if i is not None:
                 yield i, j, "".join(originals), "".join(primeds)
             i, originals, primeds = j, [], []
-        elif kind == ORIGINAL:
+        else:
             originals.append(name)
-        elif kind == PRIMED:
-            primeds.append(name)
     if i is not None:
         yield i, None, "".join(originals), "".join(primeds)
 
@@ -309,9 +332,9 @@ def _scan_sampled_transitions(
 ) -> tuple[dict[tuple[str, str, str], str], dict[tuple[str, str, str], int]]:
     """Observed primed content per dual transition, from the traced sample plan.
 
-    Each sample's crossing events are read in order as (kind, name) tokens:
-    the auxiliary names between consecutive original letters must equal the
-    clipping-derived augmented labels, and `_dual_steps` fills the table.
+    `_dual_steps` reads each sample's crossing events in one pass: it checks
+    that the auxiliary names between consecutive original letters equal the
+    clipping-derived augmented labels, and its steps fill the table.
     Also returns, per transition, the 1-based sample that first realized it.
     """
     nodes = _node_letters(surface)
@@ -323,28 +346,11 @@ def _scan_sampled_transitions(
             traj = trace_from_edge(surface, k, u, theta, max_crossings=PLAN_CROSSINGS)
         except CornerHit:
             continue
-        stream = [(kind, name) for _, kind, name in crossing_events(surface, traj, edges)]
-
-        x = None
-        between: list[str] = []
-        for kind, name in stream:
-            if kind == AUXILIARY:
-                between.append(name)
-            elif kind == ORIGINAL:
-                if x is not None:
-                    if (x, name) not in aux_of:
-                        raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
-                    if tuple(between) != aux_of[(x, name)]:
-                        raise AssertionError(
-                            f"sampled aux crossings {tuple(between)} for {x}->{name} differ from "
-                            f"region label {aux_of[(x, name)]}"
-                        )
-                x, between = name, []
-
-        for i, j, originals, primeds in _dual_steps(stream, nodes):
+        events = crossing_events(surface, traj, edges)
+        for i, j, originals, primeds in _dual_steps(events, nodes, aux_of):
             if j is None:
                 continue
-            key = (stream[i][1], stream[j][1], originals)
+            key = (events[i][2], events[j][2], originals)
             if key in observed and observed[key] != primeds:
                 raise AssertionError(
                     f"primed content of dual transition {key} is not well defined: "
@@ -427,27 +433,24 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
 # ---- walking words through the diagrams ------------------------------------
 
 
-def _token_stream(pipeline: DiagramPipeline, word: str) -> tuple[list[tuple[str, str]], list[int]]:
-    """(kind, name) tokens of the word's unique augmented walk, and per token
-    its anchor: the index of the letter it is or follows."""
+def _token_stream(pipeline: DiagramPipeline, word: str) -> list[tuple[int, str, str]]:
+    """(anchor, kind, name) tokens of the word's unique augmented walk; a
+    token's anchor is the index of the letter it is or follows."""
     alphabet = pipeline.stages["arrows"].nodes
     for ch in word:
         if ch not in alphabet:
             raise InvalidPath(f"letter {ch!r} is not in the alphabet {''.join(alphabet)}")
     if not word:
-        return [], []
-    stream: list[tuple[str, str]] = [(ORIGINAL, word[0])]
-    anchors = [0]
+        return []
+    stream: list[tuple[int, str, str]] = [(0, ORIGINAL, word[0])]
     for i in range(len(word) - 1):
         pair = (word[i], word[i + 1])
         if pair not in pipeline.aux_of:
             raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
         for name in pipeline.aux_of[pair]:
-            stream.append((AUXILIARY, name))
-            anchors.append(i)
-        stream.append((ORIGINAL, word[i + 1]))
-        anchors.append(i + 1)
-    return stream, anchors
+            stream.append((i, AUXILIARY, name))
+        stream.append((i + 1, ORIGINAL, word[i + 1]))
+    return stream
 
 
 def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = False) -> str:
@@ -460,19 +463,19 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
     L = len(word)
     walked = word * 3 if cyclic else word
     lo, hi = (L, 2 * L) if cyclic else (0, L)
-    stream, anchors = _token_stream(pipeline, walked)
+    stream = _token_stream(pipeline, walked)
     out: list[str] = []
     for i, j, originals, _ in _dual_steps(stream, pipeline.node_letters):
-        if not lo <= anchors[i] < hi:
+        anchor, kind, name = stream[i]
+        if not lo <= anchor < hi:
             continue
-        kind, name = stream[i]
-        if kind == ORIGINAL and 0 < anchors[i] < len(walked) - 1:
+        if kind == ORIGINAL and 0 < anchor < len(walked) - 1:
             out.append(name)
         if j is None:
             if cyclic:
                 raise AssertionError("tripled walk ended before its transitions completed")
             continue
-        key = (name, stream[j][1], originals)
+        key = (name, stream[j][2], originals)
         if key not in pipeline.transitions:
             raise InvalidPath(f"no dual transition {key[0]}->{key[1]} via {originals!r}")
         out.append(pipeline.transitions[key])

@@ -14,10 +14,13 @@ against the midpoint matching of `rotation_isometry`.
 `crossing_events` is the one scan of a traced trajectory against edge
 pieces; the geometric derivation feeds it the primed edges carried onto the
 trajectory's charts, so a trajectory is traced once in any direction. Every
-piece scan reads `geometry.segment_row` rows through `geometry.interior_hits`;
-the tracer reads the same rows of the polygon edges (`Surface.exit_rows`)
-with their denominators worked out once per direction. Both scans read only
-the rows of direction-fixed reach tables (`geometry.reach`).
+piece scan reads `geometry.segment_row` rows through `geometry.interior_hits`,
+which appends a segment's (time, kind, name) events to the stream itself.
+The tracer's loop scans the same rows of the polygon edges
+(`Surface.exit_rows`) inline, with their denominators worked out once per
+direction. Both scans read only the rows of direction-fixed reach tables
+(`geometry.reach`), and each walks its trajectory in one flat loop that
+builds no temporary list per crossing.
 """
 from __future__ import annotations
 
@@ -114,43 +117,6 @@ class Trajectory:
         return a.polygon, a.point, exit_point
 
 
-def _exit_hit(rows, segs: tuple[Segment, ...], p: Vec, d: Vec) -> tuple[Optional[int], Vec]:
-    """Exit edge and exit point of the ray p + t*d: its smallest hit with t > STEP_MIN.
-
-    Reads the reach table of the polygon and entry edge (built in `trace`)
-    and repeats ray_segment_hit's arithmetic inline, so t, u and the point
-    are the same floats; the first edge wins a tie. The table leaves out the
-    entry edge: a convex polygon is not left through it, but near its
-    direction float error puts a self-hit above STEP_MIN. The edge is None
-    for a corner hit: no exit at all (the point is p) or an exit within
-    CORNER_DELTA of an edge end.
-    """
-    px, py = p
-    dx, dy = d
-    u_min, u_max = -EPS, 1.0 + EPS
-    best_k = best_t = None
-    for k, ax, ay, ex, ey, denom in rows:
-        wx, wy = ax - px, ay - py
-        u = (wx * dy - wy * dx) / denom
-        if u < u_min or u > u_max:
-            continue
-        t = (wx * ey - wy * ex) / denom
-        if t <= STEP_MIN:
-            continue
-        if best_t is None or t < best_t:
-            best_k, best_t, best_u, bx, by, bex, bey = k, t, u, ax, ay, ex, ey
-    if best_k is None:
-        return None, p  # degenerate direction from boundary
-    x, y = bx + bex * best_u, by + bey * best_u
-    # an exit at least CORNER_SHORTCUT in from both ends of a unit side is no
-    # corner hit, so only exits near an end pay for the exact distances
-    if best_u < CORNER_SHORTCUT or best_u > 1.0 - CORNER_SHORTCUT:
-        (x0, y0), (x1, y1) = segs[best_k - 1].p0, segs[best_k - 1].p1
-        if min(math.hypot(x - x0, y - y0), math.hypot(x - x1, y - y1)) < CORNER_DELTA:
-            return None, (x, y)
-    return best_k, (x, y)
-
-
 def trace(
     surface: Surface,
     start: tuple[str, Vec],
@@ -198,27 +164,52 @@ def trace(
         fx, fy = fx + tx, fy + ty
     if polygon == LOWER:
         fx, fy = fx - tx, fy - ty
-    p = (fx, fy)
-    crossings = [Crossing(start_edge, letter_for_index(start_edge), polygon, p)]
+    x, y = fx, fy
+    crossings = [Crossing(start_edge, letter_for_index(start_edge), polygon, (x, y))]
     traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
 
+    # each step scans the reach table of its polygon and entry edge for the
+    # smallest hit with t > STEP_MIN, with ray_segment_hit's arithmetic
+    # inline, so t, u and the exit point are the same floats; the first edge
+    # wins a tie. The table leaves out the entry edge: a convex polygon is not
+    # left through it, but near its direction float error puts a self-hit
+    # above STEP_MIN. No exit at all, or an exit within CORNER_DELTA of an
+    # edge end, is a corner hit.
     first_polygon, entry, segs = polygon, start_edge, surface.edge_segs
-    while len(crossings) < max_crossings:
-        k, point = _exit_hit(exits[polygon][entry - 1], segs[polygon], p, d)
-        if k is None:
-            raise CornerHit(polygon, point, len(crossings), theta, start[0], start[1])
-        (x, y), (ox, oy) = point, offsets[k - 1]
+    u_min, u_max, near_end = -EPS, 1.0 + EPS, 1.0 - CORNER_SHORTCUT
+    append, new = crossings.append, tuple.__new__  # Crossing's fields without its generated __new__
+    for _ in range(max_crossings - 1):  # one crossing per step after crossing 0
+        best_t = None
+        for k, ax, ay, ex, ey, denom in exits[polygon][entry - 1]:
+            wx, wy = ax - x, ay - y
+            u = (wx * dy - wy * dx) / denom
+            if u < u_min or u > u_max:
+                continue
+            t = (wx * ey - wy * ex) / denom
+            if t <= STEP_MIN:
+                continue
+            if best_t is None or t < best_t:
+                best_k, best_t, best_u, bx, by, bex, bey = k, t, u, ax, ay, ex, ey
+        if best_t is None:  # degenerate direction from boundary
+            raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
+        x, y = bx + bex * best_u, by + bey * best_u
+        # an exit at least CORNER_SHORTCUT in from both ends of a unit side is
+        # no corner hit, so only exits near an end pay for the exact distances
+        if best_u < CORNER_SHORTCUT or best_u > near_end:
+            (x0, y0), (x1, y1) = segs[polygon][best_k - 1].p0, segs[polygon][best_k - 1].p1
+            if min(math.hypot(x - x0, y - y0), math.hypot(x - x1, y - y1)) < CORNER_DELTA:
+                raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
+        ox, oy = offsets[best_k - 1]
         if polygon == UPPER:
             polygon, x, y = LOWER, x - ox, y - oy
         else:
             polygon, x, y = UPPER, x + ox, y + oy
-        entry = k
-        if k == start_edge and polygon == first_polygon and math.hypot(x - fx, y - fy) < EPS:
+        entry = best_k
+        if best_k == start_edge and polygon == first_polygon and math.hypot(x - fx, y - fy) < EPS:
             traj.periodic = True
             traj.period = len(crossings)
             break
-        p = (x, y)
-        crossings.append(Crossing(k, letters[k - 1], polygon, p))
+        append(new(Crossing, (best_k, letters[best_k - 1], polygon, (x, y))))
     return traj
 
 
@@ -246,11 +237,10 @@ class NormalizedDirection:
     letter_map: dict[str, str]  # original letter -> normalized letter
 
     def apply(self, word: str) -> str:
-        return "".join(self.letter_map.get(ch, ch) for ch in word)
+        return word.translate(str.maketrans(self.letter_map))
 
     def invert(self, word: str) -> str:
-        inv = {v: k for k, v in self.letter_map.items()}
-        return "".join(inv.get(ch, ch) for ch in word)
+        return word.translate(str.maketrans({v: k for k, v in self.letter_map.items()}))
 
 
 def rotation_isometry(surface: Surface, steps: int) -> Callable[[str, Vec], tuple[str, Vec]]:
@@ -334,33 +324,33 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     at i + t with kind `e.kind` and name `e.label` stripped of its prime, so
     a primed piece is named by the letter it is the image of. Hits at equal
     times keep the order of `edges`. Periodic orbits include the closing
-    segment. The pieces become `segment_row` rows once per call, and
-    `interior_hits` reads, per segment, the reach table of its polygon, entry
-    edge and exit edge, built the first time that triple comes up.
-
-    Each segment's hits follow its original crossing, sorted stably by the
-    float time i + t. Below 2**24 crossings that time lies strictly between
-    i and i + 1 (t is in (EPS, 1 - EPS)), so this is the stable sort of the
-    whole stream by time, ties included, without sorting the whole stream.
+    segment. The pieces become `segment_row` rows once per call. Per
+    segment, `interior_hits` reads the reach table of its polygon, entry edge
+    and exit edge, built the first time that triple comes up, and appends the
+    segment's hits to the list itself, after its original crossing and sorted
+    stably by the float time i + t. Below 2**24 crossings that time lies
+    strictly between i and i + 1 (t is in (EPS, 1 - EPS)), so this is the
+    stable sort of the whole stream by time, ties included, without sorting
+    the whole stream.
     """
     rows = {
         polygon: [segment_row(e.seg, (e.kind, e.label.rstrip("'"))) for e in pieces]
         for polygon, pieces in edges.items()
     }
     d, tables = unit(traj.theta), {}
-    offsets, n, crossings = surface.offsets, surface.n, traj.crossings
+    offsets, crossings = surface.offsets, traj.crossings
     events: list[tuple[float, str, str]] = []
-    m = len(crossings)
-    segments = m if traj.periodic else m - 1
-    for i, (k, letter, polygon, (px, py)) in enumerate(crossings):
-        events.append((float(i), ORIGINAL, letter))
-        if i == segments:
-            break
+    append = events.append
+    # segment i runs from crossing i to crossing i + 1; a periodic orbit's
+    # last segment closes on crossing 0
+    ends = crossings[1:] + crossings[:1] if traj.periodic else crossings[1:]
+    base = 0.0
+    for (k, letter, polygon, (px, py)), (exit_k, _, _, (bx, by)) in zip(crossings, ends):
+        append((base, ORIGINAL, letter))
         # segment i in this chart, from the entry point to the next crossing's
         # point carried back across the identification it entered by
         # (Trajectory.segment)
-        exit_k, _, _, (bx, by) = crossings[(i + 1) % m]
-        ox, oy = offsets[(exit_k - 1) % n]
+        ox, oy = offsets[exit_k - 1]
         if polygon == UPPER:
             dx, dy = bx + ox - px, by + oy - py
         else:
@@ -369,10 +359,10 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
         if table is None:
             sides = surface.exit_rows[polygon]
             table = tables[polygon, k, exit_k] = reach(d, rows[polygon], [(sides[k - 1], sides[exit_k - 1])])[0]
-        hits = [(i + t, kind, name) for t, (kind, name) in interior_hits(px, py, dx, dy, table)]
-        if len(hits) > 1:
-            hits.sort(key=itemgetter(0))
-        events.extend(hits)
+        interior_hits(px, py, dx, dy, table, base, events)
+        base += 1.0
+    if not traj.periodic:
+        append((base, ORIGINAL, crossings[-1].letter))
     return events
 
 
@@ -395,18 +385,18 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
             _, p1 = back(polygon, piece.seg.p1)
             primed[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
 
+    # original letter -> its normalized letter, for the letters that normalize to a node letter
     node_letters = {letter_for_index(k) for k in surface.node_indices}
-    events: list[tuple[float, str]] = []
-    for t, kind, name in crossing_events(surface, traj, primed):
-        if kind == ORIGINAL:
-            name = norm.letter_map[name]
-            if name not in node_letters:
-                continue
-        events.append((t, name))
+    node_of = {letter: name for letter, name in norm.letter_map.items() if name in node_letters}
+    events = [
+        (t, node_of[name] if kind == ORIGINAL else name)
+        for t, kind, name in crossing_events(surface, traj, primed)
+        if kind != ORIGINAL or name in node_of
+    ]
     if traj.periodic:
         word = "".join(ch for t, ch in events if 0.0 <= t < float(traj.period))
     else:
-        word = "".join(ch for _, ch in events)
+        word = "".join(map(itemgetter(1), events))
     return GeometricDerivation(
         letters=norm.invert(word),
         cyclic=traj.periodic,

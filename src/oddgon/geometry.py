@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 Vec = tuple[float, float]
@@ -16,7 +17,7 @@ Vec = tuple[float, float]
 # ---- tolerance policy --------------------------------------------------------
 # Every piece scan (trajectory crossing events, chord labels) reads
 # `segment_row` rows through `interior_hits`, which applies the EPS windows
-# and the PARALLEL guard; the tracer's exit scan reads the edges' rows.
+# and the PARALLEL guard; the tracer's loop scans the edges' rows itself.
 # Segment parameters, containment, clipped areas, chord windows, guide
 # snapping and the periodic return: closer than this counts as on.
 EPS = 1e-9
@@ -119,7 +120,7 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment) -> Optional[Hit]:
     reported; callers decide whether an endpoint hit is a corner event.
     """
     # the arithmetic of cross(d, e), cross(w, e), cross(w, d) and vlerp,
-    # written out on local floats; interior_hits and the tracer's exit scan
+    # written out on local floats; interior_hits and the loop of flow.trace
     # repeat it, so their t and u are the same floats
     ax, ay = seg.p0
     ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
@@ -149,24 +150,27 @@ def segment_row(seg: Segment, tag) -> Row:
     return (ax, ay, ex, ey, PARALLEL * max(1.0, math.hypot(ex, ey)), tag)
 
 
-def interior_hits(px: float, py: float, dx: float, dy: float, rows: Sequence[Row]) -> list[tuple[float, object]]:
-    """(t, tag) of every row crossed strictly inside both the step and the row.
+def interior_hits(px: float, py: float, dx: float, dy: float, rows: Sequence[Row], base: float, events: list) -> None:
+    """Append (base + t, kind, name) to `events` for every row crossed strictly inside both the step and the row.
 
-    The step is p + t*d for t in (EPS, 1 - EPS); the row's own parameter u
-    must lie in (EPS, 1 - EPS) too. The arithmetic is ray_segment_hit's, so
-    every t is the same float; hits keep the order of `rows`.
+    Each row's tag is a (kind, name) pair. The step is p + t*d for t in
+    (EPS, 1 - EPS); the row's own parameter u must lie in (EPS, 1 - EPS) too.
+    The arithmetic is ray_segment_hit's, so every t is the same float. The
+    appended events are sorted stably by their time base + t, so hits at
+    equal times keep the order of `rows`.
     """
     hi = 1.0 - EPS
-    out = []
-    for ax, ay, ex, ey, guard, tag in rows:
+    start = len(events)
+    for ax, ay, ex, ey, guard, (kind, name) in rows:
         denom = dx * ey - dy * ex
         if abs(denom) < guard:
             continue
         wx, wy = ax - px, ay - py
         t = (wx * ey - wy * ex) / denom
         if EPS < t < hi and EPS < (wx * dy - wy * dx) / denom < hi:
-            out.append((t, tag))
-    return out
+            events.append((base + t, kind, name))
+    if len(events) - start > 1:
+        events[start:] = sorted(events[start:], key=itemgetter(0))
 
 
 def reach(d: Vec, rows: Sequence[Row], windows: Sequence[Sequence[Row]]) -> list[list[Row]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .flow import CornerHit
 from .geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
@@ -18,8 +18,7 @@ from .geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
 HORIZONTAL, VERTICAL = "A", "B"
 
 
-@dataclass(frozen=True)
-class TorusCrossing:
+class TorusCrossing(NamedTuple):
     t: float
     letter: str
     point: tuple[float, float]
@@ -61,10 +60,6 @@ def _line_crossings(p0: float, d: float, t_max: float) -> list[float]:
     return out
 
 
-def _frac_dist(x: float) -> float:
-    return abs(x - round(x))
-
-
 def torus_trace(
     start: tuple[float, float],
     theta: float,
@@ -85,9 +80,10 @@ def torus_trace(
     dx, dy = math.cos(theta), math.sin(theta)
     x0, y0 = start
     events: list[tuple[float, str]] = []
-    if _frac_dist(y0) < STEP_MIN:
+    # distances to the nearest lattice line are abs(x - round(x)) throughout
+    if abs(y0 - round(y0)) < STEP_MIN:
         events.append((0.0, HORIZONTAL))
-    elif _frac_dist(x0) < STEP_MIN:
+    elif abs(x0 - round(x0)) < STEP_MIN:
         events.append((0.0, VERTICAL))
 
     # generous horizon; extended on demand until max_crossings is reached
@@ -99,27 +95,28 @@ def torus_trace(
     events.sort()
     events = events[:max_crossings] if t_max is None else events
 
+    # each crossing is checked for a corner; the first return to crossing 0's
+    # letter and point modulo the lattice ends one period
     crossings: list[TorusCrossing] = []
+    period = None
     for t, letter in events:
         px, py = x0 + t * dx, y0 + t * dy
-        other = _frac_dist(px) if letter == HORIZONTAL else _frac_dist(py)
-        if other < CORNER_DELTA:
+        other = px if letter == HORIZONTAL else py
+        if abs(other - round(other)) < CORNER_DELTA:
             raise CornerHit("torus", (px, py), len(crossings), theta, "torus", start)
-        crossings.append(TorusCrossing(t=t, letter=letter, point=(px, py)))
+        if not crossings:
+            letter0, fx, fy = letter, px, py
+        elif period is None and letter == letter0:
+            rx, ry = px - fx, py - fy
+            if abs(rx - round(rx)) < EPS and abs(ry - round(ry)) < EPS:
+                period = len(crossings)
+        crossings.append(TorusCrossing(t, letter, (px, py)))
 
     traj = TorusTrajectory(start=start, theta=theta, crossings=crossings)
-    first = crossings[0] if crossings else None
-    for i in range(1, len(crossings)):
-        c = crossings[i]
-        if (
-            c.letter == first.letter
-            and _frac_dist(c.point[0] - first.point[0]) < EPS
-            and _frac_dist(c.point[1] - first.point[1]) < EPS
-        ):
-            traj.periodic = True
-            traj.period = i
-            traj.crossings = crossings[:i]
-            break
+    if period is not None:
+        traj.periodic = True
+        traj.period = period
+        traj.crossings = crossings[:period]
     return traj
 
 

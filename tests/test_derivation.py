@@ -212,7 +212,7 @@ def test_node_letters_are_the_direction_fixed_edges(pipelines):
 
 
 def test_dual_steps_splits_a_stream_at_dual_nodes():
-    stream = [
+    tokens = [
         (ORIGINAL, "B"),  # before the first dual node: in no transition
         (ORIGINAL, "A"),  # node letter
         (PRIMED, "B"),
@@ -226,13 +226,17 @@ def test_dual_steps_splits_a_stream_at_dual_nodes():
         (ORIGINAL, "C"),
         (PRIMED, "D"),
     ]
-    assert list(_dual_steps(stream, frozenset("AD"))) == [
-        (1, 5, "B", "BE"),
-        (5, 6, "", ""),
-        (6, 9, "E", "C"),
-        (9, None, "C", "D"),
-    ]
-    assert list(_dual_steps([(ORIGINAL, "B"), (PRIMED, "C")], frozenset("AD"))) == []
+    stream = [(t, kind, name) for t, (kind, name) in enumerate(tokens)]
+    steps = [(1, 5, "B", "BE"), (5, 6, "", ""), (6, 9, "E", "C"), (9, None, "C", "D")]
+    assert list(_dual_steps(stream, frozenset("AD"))) == steps
+    assert list(_dual_steps([(0, ORIGINAL, "B"), (1, PRIMED, "C")], frozenset("AD"))) == []
+    # given the augmented labels, the same pass checks the auxiliary names between letters
+    aux_of = {("B", "A"): (), ("A", "B"): (), ("B", "E"): ("l1", "u1"), ("E", "D"): (), ("D", "C"): ()}
+    assert list(_dual_steps(stream, frozenset("AD"), aux_of)) == steps
+    with pytest.raises(AssertionError, match=r"\('l1', 'u1'\) for B->E differ from region label \('l1',\)"):
+        list(_dual_steps(stream, frozenset("AD"), {**aux_of, ("B", "E"): ("l1",)}))
+    with pytest.raises(AssertionError, match="pair D->C has no arrow"):
+        list(_dual_steps(stream, frozenset("AD"), {k: v for k, v in aux_of.items() if k != ("D", "C")}))
 
 
 def test_sampled_scan_checks_the_augmented_labels(pentagon, monkeypatch):

@@ -556,6 +556,13 @@ def test_crossing_events_equal_the_per_piece_reference(n):
             assert list(crossing_events(s, traj, edges)) == _reference_events(s, traj, edges), (k, u, theta)
             compared += 1
     assert periodic >= 2 and compared >= 36
+    # one trace as long as a long-derive trace, in a generic direction, on the
+    # primed set derive_geometric carries onto its charts
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    traj = trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta, max_crossings=3000)
+    assert len(traj.crossings) == 3000
+    edges = _carried_primed(s, -normalize_direction(s, theta).steps)
+    assert list(crossing_events(s, traj, edges)) == _reference_events(s, traj, edges)
 
 
 @pytest.mark.parametrize("n", range(5, 27, 2))
@@ -577,21 +584,40 @@ def test_reach_tables_keep_every_exit_and_prune(n, monkeypatch):
                     assert {k for k, hit in hits.items() if hit is not None and hit.t > STEP_MIN} <= kept
     assert sum(sizes) / len(sizes) <= 6.0
 
-    # and the tracer and the event scan read the pruned tables, not full rows
-    scanned = {"exit": [], "piece": []}
-    exit_hit, hits_of = flow._exit_hit, flow.interior_hits
-    monkeypatch.setattr(flow, "_exit_hit", lambda rows, *a: scanned["exit"].append(len(rows)) or exit_hit(rows, *a))
-    monkeypatch.setattr(flow, "interior_hits", lambda *a: scanned["piece"].append(len(a[-1])) or hits_of(*a))
+    # and the tracer and the event scan read the pruned tables flow.reach
+    # builds for them, and nothing else: recorded, the tables are small, and
+    # emptied, the tracer finds no exit and the scan no piece
+    built, scanned = [], []
+
+    def recorded(d, rows, windows):
+        tables = reach(d, rows, windows)
+        for window, table in zip(windows, tables):
+            if len(window) == 1:  # a tracer table of one entry edge
+                built.append(len({row[5] for row in table} - {window[0][5]}))
+        return tables
+
+    hits_of = flow.interior_hits
+    monkeypatch.setattr(flow, "reach", recorded)
+    monkeypatch.setattr(flow, "interior_hits", lambda *a: scanned.append(len(a[4])) or hits_of(*a))
     edges = {p: s.aux_for(p) + s.primed_for(p) for p in (UPPER, LOWER)}
+    traced = []
     for _ in range(24):
+        k, u, theta = rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)
         try:
-            traj = trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi), 100)
+            traj = trace_from_edge(s, k, u, theta, 100)
         except CornerHit:
             continue
+        traced.append((k, u, theta, traj))
         list(crossing_events(s, traj, edges))
-    assert sum(scanned["exit"]) / len(scanned["exit"]) <= 6.0
+    assert len(traced) >= 12 and sum(built) / len(built) <= 6.0
     if n >= 15:
-        assert sum(scanned["piece"]) / len(scanned["piece"]) <= 0.6 * len(edges[UPPER])
+        assert sum(scanned) / len(scanned) <= 0.6 * len(edges[UPPER])
+    monkeypatch.setattr(flow, "reach", lambda d, rows, windows: [[] for _ in windows])
+    for k, u, theta, traj in traced:
+        with pytest.raises(CornerHit) as exc:
+            trace_from_edge(s, k, u, theta, 100)
+        assert exc.value.crossings_done == 1
+        assert all(kind == ORIGINAL for _, kind, _ in crossing_events(s, traj, edges))
 
 
 def test_interior_hits_at_the_window_edges():
@@ -610,9 +636,11 @@ def test_interior_hits_at_the_window_edges():
     edges = [Edge(str(i), PRIMED, UPPER, i, seg) for i, seg in enumerate(pieces)]
     windows = [(hit.t, hit.u) for hit in (ray_segment_hit(a, d, seg) for seg in pieces[:4])]
     assert windows == [(EPS, 0.5), (hi, 0.5), (0.5, EPS), (0.5, hi)]
-    want = [(t, e.label) for t, e in _reference_hits(a, d, edges)]
-    assert want == [(0.5, "5")]
-    assert interior_hits(a[0], a[1], d[0], d[1], [segment_row(e.seg, e.label) for e in edges]) == want
+    want = [(3.0 + t, e.kind, e.label) for t, e in _reference_hits(a, d, edges)]
+    assert want == [(3.5, PRIMED, "5")]
+    events = [(3.0, ORIGINAL, "A")]
+    interior_hits(a[0], a[1], d[0], d[1], [segment_row(e.seg, (e.kind, e.label)) for e in edges], 3.0, events)
+    assert events == [(3.0, ORIGINAL, "A")] + want
 
 
 def _window_match(got: str, want: str) -> bool:

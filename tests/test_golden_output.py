@@ -57,6 +57,12 @@ GOLDEN = [
         "e6e8384b5fee23b5bebec64b746bb7c141856fdce5248f02c08285eb6ef2078f",
     ),
     ("render --n 7 --what guide", 0, "884de040917843360cf89360b647db8bfd8b4926060c5db520a0eea4e6b357ed"),
+    (
+        "diagram --n 25 --stage primed --format dot",
+        0,
+        "2e099c31f5b737b03f739ad86b33fc4a8787576473a354653c15c67377b12ff4",
+    ),
+    ("diagram --n 15 --stage dual", 0, "cb862f5bb53ac0df68e8e5277d69c63c93485894c71ab12237e940ec7164e00b"),
 ]
 
 
