@@ -32,7 +32,7 @@ from .shear import (
     telescoping_identity,
     verify_reassembly,
 )
-from .surface import build_surface, check_n, index_for_letter, letter_for_index, surface_json
+from .surface import build_surface, check_n, index_for_letter, surface_json
 from .torus import torus_derive_geometric, torus_derive_rule, torus_trace
 
 
@@ -103,9 +103,8 @@ def _cmd_trace(args) -> int:
 def _cmd_derive(args) -> int:
     s = build_surface(args.n)
     word = args.seq
-    last = letter_for_index(s.n)
-    if not all("A" <= ch <= last for ch in word):
-        raise ValueError(f"--seq letters must lie in A..{last} for n={s.n}, got {word!r}")
+    if not set(word) <= set(s.letters):
+        raise ValueError(f"--seq letters must lie in A..{s.letters[-1]} for n={s.n}, got {word!r}")
     if args.method == "ksl":
         derived = ksl_cyclic(word) if args.cyclic else ksl_window(word)
     else:
@@ -299,12 +298,11 @@ def _cmd_torus(args) -> int:
         raise ValueError(f"--start must be two finite numbers x,y, got {start_txt!r}") from None
     traj = torus_trace(start, theta, max_crossings=100 if args.crossings is None else args.crossings)
     if args.action == "trace":
-        letters = traj.period_word if traj.periodic else traj.letters
         _emit_json(
             {
                 "start": [round_sig(start[0]), round_sig(start[1])],
                 "theta": round_sig(theta),
-                "letters": list(letters),
+                "letters": list(traj.letters),
                 "periodic": traj.periodic,
                 "period": traj.period,
             },
@@ -314,8 +312,7 @@ def _cmd_torus(args) -> int:
     derived = torus_derive_geometric(traj)
     if traj.periodic:
         derived = cyclic_normal_form(derived)
-    word = traj.period_word if traj.periodic else traj.letters
-    _emit_derived(word, traj.periodic, "geometric", derived, args.out)
+    _emit_derived(traj.letters, traj.periodic, "geometric", derived, args.out)
     return 0
 
 

@@ -33,10 +33,9 @@ from .geometry import (
     polygon_area,
     polygon_centroid,
     ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
-    segment_row,
     vlerp,
 )
-from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface, index_for_letter, letter_for_index
+from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface, index_for_letter
 
 import math
 
@@ -163,22 +162,21 @@ def _arrow_chords(surface: Surface, x: int, y: int) -> tuple[str, list[tuple[Vec
 
 def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
     """Which ordered letter pairs occur consecutively for sector directions."""
-    n = surface.n
-    letters = [letter_for_index(k) for k in range(1, n + 1)]
+    letters = surface.letters
     arrows = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
+    for x in range(1, surface.n + 1):
+        for y in range(1, surface.n + 1):
             if _arrow_chords(surface, x, y)[1]:
-                arrows.append(Arrow(letter_for_index(x), letter_for_index(y)))
+                arrows.append(Arrow(letters[x - 1], letters[y - 1]))
     arrows.sort(key=lambda a: (a.source, a.target))
-    return TransitionDiagram(stage="arrows", nodes=tuple(letters), arrows=tuple(arrows))
+    return TransitionDiagram(stage="arrows", nodes=letters, arrows=tuple(arrows))
 
 
 # ---- stage 2: augmented -----------------------------------------------------
 
 
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
-    rows = [segment_row(e.seg, (AUXILIARY, e.label)) for e in surface.aux_for(polygon)]
+    rows = [e.row for e in surface.aux_for(polygon)]
     hits: list[tuple[float, str, str]] = []
     interior_hits(a[0], a[1], b[0] - a[0], b[1] - a[1], rows, 0.0, hits)
     hits.sort()
@@ -191,7 +189,7 @@ def _aux_label(surface: Surface, x: int, y: int) -> tuple[str, ...]:
     seqs = {_aux_sequence_for_chord(surface, q, a, b) for a, b in chords}
     if len(seqs) != 1:
         raise AssertionError(
-            f"the {letter_for_index(x)}->{letter_for_index(y)} chords do not cross one auxiliary sequence: {seqs}"
+            f"the {surface.letters[x - 1]}->{surface.letters[y - 1]} chords do not cross one auxiliary sequence: {seqs}"
         )
     return seqs.pop()
 
@@ -211,10 +209,6 @@ def build_augmented_diagram(surface: Surface) -> tuple[TransitionDiagram, dict]:
 # ---- stages 3 and 4: dual and primed ---------------------------------------
 
 
-def _node_letters(surface: Surface) -> frozenset[str]:
-    return frozenset(letter_for_index(k) for k in surface.node_indices)
-
-
 def _successors(aux_of: dict[tuple[str, str], tuple[str, ...]]) -> dict[str, list[str]]:
     """Letter -> the letters an arrow leads to, both in sorted order."""
     succ: dict[str, list[str]] = {}
@@ -232,7 +226,7 @@ def _enumerate_dual_transitions(
     letters. Walks that fail to reach a dual node within a generous bound
     would mean a node-free cycle, which the geometry rules out.
     """
-    nodes = _node_letters(surface)
+    nodes = surface.node_letters
     succ = _successors(aux_of)
     found: set[tuple[str, str, str]] = set()
     bound = 4 * surface.n
@@ -337,7 +331,6 @@ def _scan_sampled_transitions(
     clipping-derived augmented labels, and its steps fill the table.
     Also returns, per transition, the 1-based sample that first realized it.
     """
-    nodes = _node_letters(surface)
     edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
     observed: dict[tuple[str, str, str], str] = {}
     first_seen: dict[tuple[str, str, str], int] = {}
@@ -347,7 +340,7 @@ def _scan_sampled_transitions(
         except CornerHit:
             continue
         events = crossing_events(surface, traj, edges)
-        for i, j, originals, primeds in _dual_steps(events, nodes, aux_of):
+        for i, j, originals, primeds in _dual_steps(events, surface.node_letters, aux_of):
             if j is None:
                 continue
             key = (events[i][2], events[j][2], originals)
@@ -384,7 +377,7 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
     augmented, aux_of = build_augmented_diagram(surface)
     # the augmented build makes the arrows diagram once; its arrows, unlabeled, are that diagram's
     arrows = tuple(Arrow(a.source, a.target) for a in augmented.arrows)
-    nodes = _node_letters(surface)
+    nodes = surface.node_letters
 
     # the two direction-fixed letters must occur in a unique reversible context
     for letter in nodes:

@@ -11,11 +11,14 @@ the half turn that swaps the polygons, whose edges point opposite ways.
 `tests/test_flow.py::test_edge_permutation_matches_arithmetic` pins it
 against the midpoint matching of `rotation_isometry`.
 
-`crossing_events` is the one scan of a traced trajectory against edge
-pieces; the geometric derivation feeds it the primed edges carried onto the
-trajectory's charts, so a trajectory is traced once in any direction. Every
-piece scan reads `geometry.segment_row` rows through `geometry.interior_hits`,
-which appends a segment's (time, kind, name) events to the stream itself.
+A traced trajectory owns its segments (`Trajectory.segment_ends`) and, with
+the torus tracer, its letters (`CuttingSequence`: a periodic trajectory is
+one period). `crossing_events` is the one scan of a traced trajectory
+against edge pieces; the geometric derivation feeds it the primed edges
+carried onto the trajectory's charts, so a trajectory is traced once in any
+direction. Every piece scan reads the pieces' cached `Edge.row` rows through
+`geometry.interior_hits`, which appends a segment's (time, kind, name)
+events to the stream itself.
 The tracer's loop scans the same rows of the polygon edges
 (`Surface.exit_rows`) inline, with their denominators worked out once per
 direction. Both scans read only the rows of direction-fixed reach tables
@@ -41,7 +44,6 @@ from .geometry import (
     reach,
     rotation,
     round_sig,
-    segment_row,
     unit,
     vadd,
     vsub,
@@ -53,7 +55,6 @@ from .surface import (
     UPPER,
     Edge,
     Surface,
-    letter_for_index,
     other_polygon,
 )
 
@@ -81,8 +82,24 @@ class Crossing(NamedTuple):
     point: Vec  # entry point, in the entered polygon's chart
 
 
+class CuttingSequence:
+    """The letters of a traced trajectory's crossings, for `trace` and `torus.torus_trace` alike.
+
+    A periodic trajectory holds exactly one period: both tracers stop at the
+    first return, so `period == len(crossings)` and `period_word` is `letters`.
+    """
+
+    @property
+    def letters(self) -> str:
+        return "".join(c.letter for c in self.crossings)
+
+    @property
+    def period_word(self) -> Optional[str]:
+        return self.letters if self.periodic else None
+
+
 @dataclass
-class Trajectory:
+class Trajectory(CuttingSequence):
     start_polygon: str
     start_point: Vec
     theta: float
@@ -93,22 +110,17 @@ class Trajectory:
     start_param: Optional[float] = None
 
     @property
-    def letters(self) -> str:
-        return "".join(c.letter for c in self.crossings)
-
-    @property
-    def period_word(self) -> Optional[str]:
-        if not self.periodic or self.period is None:
-            return None
-        return self.letters[: self.period]
+    def segment_ends(self) -> list[Crossing]:
+        """The crossing each segment ends at: segment i runs from crossing i to
+        segment_ends[i]. A periodic orbit's last segment closes on crossing 0."""
+        return self.crossings[1:] + self.crossings[:1] if self.periodic else self.crossings[1:]
 
     def segment(self, i: int, surface: Surface) -> tuple[str, Vec, Vec]:
-        """Chart segment between crossings i and i+1: (polygon, from, to).
-
-        The index wraps, so the last segment of a periodic orbit closes it.
-        """
+        """Chart segment i, (polygon, from, to): from crossing i to segment_ends[i],
+        whose point is carried back across the identification it entered by."""
         a = self.crossings[i]
-        b = self.crossings[(i + 1) % len(self.crossings)]
+        # segment_ends[i] is crossings[i + 1] but for the last segment; reading that copies no list per call
+        b = self.crossings[i + 1] if i + 1 < len(self.crossings) else self.segment_ends[i]
         t = surface.identification_offset(b.index)
         if a.polygon == UPPER:
             exit_point = vadd(b.point, t)  # b entered the lower chart
@@ -156,7 +168,7 @@ def trace(
         ]
         for polygon, rows in surface.exit_rows.items()
     }
-    letters = tuple(letter_for_index(k) for k in range(1, surface.n + 1))
+    letters = surface.letters
     tx, ty = surface.identification_offset(start_edge)
     polygon = surface.entering_polygon(start_edge, theta)
     fx, fy = start[1]
@@ -165,7 +177,7 @@ def trace(
     if polygon == LOWER:
         fx, fy = fx - tx, fy - ty
     x, y = fx, fy
-    crossings = [Crossing(start_edge, letter_for_index(start_edge), polygon, (x, y))]
+    crossings = [Crossing(start_edge, letters[start_edge - 1], polygon, (x, y))]
     traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
 
     # each step scans the reach table of its polygon and entry edge for the
@@ -298,8 +310,7 @@ def normalize_direction(surface: Surface, theta: float) -> NormalizedDirection:
     if th_norm < 0.0:
         th_norm = 0.0
     steps %= 2 * surface.n  # theta % 2pi may round up to 2pi itself
-    perm = edge_permutation(surface, steps)
-    letter_map = {letter_for_index(k): letter_for_index(v) for k, v in perm.items()}
+    letter_map = {surface.letters[k - 1]: surface.letters[v - 1] for k, v in edge_permutation(surface, steps).items()}
     return NormalizedDirection(theta=th_norm, steps=steps, letter_map=letter_map)
 
 
@@ -321,10 +332,10 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     Time is crossing-index-valued: original crossing i comes at time i with
     kind ORIGINAL and its letter; a proper crossing of the piece `e` in
     `edges[polygon]` strictly inside segment i (which spans (i, i+1)) comes
-    at i + t with kind `e.kind` and name `e.label` stripped of its prime, so
-    a primed piece is named by the letter it is the image of. Hits at equal
-    times keep the order of `edges`. Periodic orbits include the closing
-    segment. The pieces become `segment_row` rows once per call. Per
+    at i + t tagged as `e.row` is: kind `e.kind` and name `e.label` stripped
+    of its prime, so a primed piece is named by the letter it is the image
+    of. Hits at equal times keep the order of `edges`. Segment i ends at
+    `traj.segment_ends[i]`, so periodic orbits include the closing segment. Per
     segment, `interior_hits` reads the reach table of its polygon, entry edge
     and exit edge, built the first time that triple comes up, and appends the
     segment's hits to the list itself, after its original crossing and sorted
@@ -333,19 +344,13 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     stable sort of the whole stream by time, ties included, without sorting
     the whole stream.
     """
-    rows = {
-        polygon: [segment_row(e.seg, (e.kind, e.label.rstrip("'"))) for e in pieces]
-        for polygon, pieces in edges.items()
-    }
+    rows = {polygon: [e.row for e in pieces] for polygon, pieces in edges.items()}
     d, tables = unit(traj.theta), {}
     offsets, crossings = surface.offsets, traj.crossings
     events: list[tuple[float, str, str]] = []
     append = events.append
-    # segment i runs from crossing i to crossing i + 1; a periodic orbit's
-    # last segment closes on crossing 0
-    ends = crossings[1:] + crossings[:1] if traj.periodic else crossings[1:]
     base = 0.0
-    for (k, letter, polygon, (px, py)), (exit_k, _, _, (bx, by)) in zip(crossings, ends):
+    for (k, letter, polygon, (px, py)), (exit_k, _, _, (bx, by)) in zip(crossings, traj.segment_ends):
         append((base, ORIGINAL, letter))
         # segment i in this chart, from the entry point to the next crossing's
         # point carried back across the identification it entered by
@@ -386,19 +391,14 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
             primed[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
 
     # original letter -> its normalized letter, for the letters that normalize to a node letter
-    node_letters = {letter_for_index(k) for k in surface.node_indices}
-    node_of = {letter: name for letter, name in norm.letter_map.items() if name in node_letters}
+    node_of = {letter: name for letter, name in norm.letter_map.items() if name in surface.node_letters}
     events = [
         (t, node_of[name] if kind == ORIGINAL else name)
         for t, kind, name in crossing_events(surface, traj, primed)
         if kind != ORIGINAL or name in node_of
     ]
-    if traj.periodic:
-        word = "".join(ch for t, ch in events if 0.0 <= t < float(traj.period))
-    else:
-        word = "".join(map(itemgetter(1), events))
     return GeometricDerivation(
-        letters=norm.invert(word),
+        letters=norm.invert("".join(map(itemgetter(1), events))),
         cyclic=traj.periodic,
         normalized_theta=norm.theta,
         rotation_steps=norm.steps,
@@ -407,7 +407,7 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
 
 
 def trajectory_json(traj: Trajectory) -> dict:
-    letters = traj.period_word if traj.periodic else traj.letters
+    """JSON-ready dict of a trace: its start, direction and letters, which are one period when periodic."""
     start: dict = {
         "polygon": traj.start_polygon,
         "point": [round_sig(traj.start_point[0]), round_sig(traj.start_point[1])],
@@ -417,7 +417,7 @@ def trajectory_json(traj: Trajectory) -> dict:
     return {
         "start": start,
         "theta": round_sig(traj.theta),
-        "letters": list(letters),
+        "letters": list(traj.letters),
         "periodic": traj.periodic,
         "period": traj.period,
     }

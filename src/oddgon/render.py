@@ -99,7 +99,7 @@ def render_surface_svg(
             for piece in e.pieces:
                 cv.line(piece.seg.p0, piece.seg.p1, stroke="#27ae60", width=1.2, dashed=True)
     if trajectory is not None:
-        for i in range(len(trajectory.crossings) - 1):
+        for i in range(len(trajectory.segment_ends)):
             _, a, b = trajectory.segment(i, surface)
             cv.line(a, b, stroke="#c0392b", width=1.6)
         for c in trajectory.crossings:

@@ -3,8 +3,10 @@
 The surface is two regular n-gons (n odd): an upper copy with bottom edge
 from (0,0) to (1,0), and a lower copy obtained by a half turn about the
 midpoint of the upper polygon's last edge. Opposite (parallel) edges are
-identified by translation. On top of the n original edge pairs the model
-carries:
+identified by translation. A `Surface` owns its alphabet (`letters`) and its
+two direction-fixed ("node") edges (`node_indices`, `node_letters`), and
+every edge piece owns its flat scan row (`Edge.row`). On top of the n
+original edge pairs the model carries:
 
   * auxiliary diagonals (horizontal and pi/n-slanted chords, n-3 per
     polygon) that stratify each polygon into cylinder bands, and
@@ -76,6 +78,12 @@ class Edge:
     index: int
     seg: Segment
 
+    @cached_property
+    def row(self) -> Row:
+        """The piece's `segment_row`, tagged (kind, label without its prime): a
+        primed piece is named by the letter it is the image of."""
+        return segment_row(self.seg, (self.kind, self.label.rstrip("'")))
+
 
 @dataclass(frozen=True)
 class PrimedEdge:
@@ -110,6 +118,10 @@ class Surface:
         self.alpha = 2.0 * math.pi / n
         self.sector = math.pi / n
         self.m = (n - 1) // 2
+        # letters[k - 1] names S_k; the node edges S_1, S_{(n+3)/2} keep their direction under the flip-shear
+        self.letters: tuple[str, ...] = tuple(letter_for_index(k) for k in range(1, n + 1))
+        self.node_indices: tuple[int, int] = (1, (n + 3) // 2)
+        self.node_letters: frozenset[str] = frozenset(self.letters[k - 1] for k in self.node_indices)
 
         # Upper polygon, ccw; edge S_k runs from vertex k-1 to vertex k and
         # points in direction (k-1)*alpha.
@@ -160,11 +172,6 @@ class Surface:
         outward = (e[1], -e[0])  # ccw polygon: outward normal of the upper copy
         exits_upper = d[0] * outward[0] + d[1] * outward[1] > 0.0
         return LOWER if exits_upper else UPPER
-
-    @property
-    def node_indices(self) -> tuple[int, int]:
-        """Original edges fixed in direction by the flip-shear: S_1 and S_{(n+3)/2}."""
-        return (1, (self.n + 3) // 2)
 
     # ---- side points and levels ----------------------------------------
 
@@ -252,7 +259,7 @@ class Surface:
         return out
 
     def _primed_edge(self, k: int) -> PrimedEdge:
-        label = letter_for_index(k) + "'"
+        label = self.letters[k - 1] + "'"
         if k in self.node_indices:
             pieces = tuple(
                 Edge(label=label, kind=PRIMED, polygon=p, index=k, seg=self.edge_seg(p, k))

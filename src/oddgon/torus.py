@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .flow import CornerHit
+from .flow import CornerHit, CuttingSequence
 from .geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
 
 HORIZONTAL, VERTICAL = "A", "B"
@@ -25,22 +25,12 @@ class TorusCrossing(NamedTuple):
 
 
 @dataclass
-class TorusTrajectory:
+class TorusTrajectory(CuttingSequence):
     start: tuple[float, float]
     theta: float
     crossings: list[TorusCrossing]
     periodic: bool = False
     period: Optional[int] = None
-
-    @property
-    def letters(self) -> str:
-        return "".join(c.letter for c in self.crossings)
-
-    @property
-    def period_word(self) -> Optional[str]:
-        if not self.periodic or self.period is None:
-            return None
-        return self.letters[: self.period]
 
 
 def _line_crossings(p0: float, d: float, t_max: float) -> list[float]:

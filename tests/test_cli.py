@@ -209,6 +209,15 @@ def test_render_writes_svg(tmp_path, capsys):
     assert "polyline" in text or "line" in text
 
 
+def test_render_draws_every_segment_of_a_trajectory(capsys):
+    # the BECE orbit's four segments, the closing one included
+    code, svg = run_cli(capsys, "render", "--n", "5", "--theta", "0.3141592653589793")
+    assert code == 0 and svg.count("<line") == 4
+    # an open 60-crossing trace has one segment fewer than crossings
+    code, svg = run_cli(capsys, "render", "--n", "5", "--theta", "0.31")
+    assert code == 0 and svg.count("<line") == 59
+
+
 def test_render_guide_overlay_adds_one_dot_per_guide_point(capsys):
     plain = run_cli(capsys, "render", "--n", "7", "--theta", "0.31")
     overlaid = run_cli(capsys, "render", "--n", "7", "--theta", "0.31", "--guide")

@@ -206,6 +206,8 @@ def test_node_letters_are_the_direction_fixed_edges(pipelines):
     assert set(pipelines[5].node_letters) == {"A", "D"}
     assert set(pipelines[7].node_letters) == {"A", "E"}
     assert set(pipelines[9].node_letters) == {"A", "F"}
+    for n, pipe in pipelines.items():
+        assert pipe.node_letters == build_surface(n).node_letters
 
 
 # ---- reading dual transitions --------------------------------------------------

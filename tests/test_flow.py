@@ -42,6 +42,26 @@ def test_period_four_orbit(pentagon):
     assert cyclic_normal_form(traj.period_word) == cyclic_normal_form("BECE")
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_periodic_trace_holds_one_period(n):
+    """A periodic trajectory is one period: its letters are its period word,
+    and its geometric derivation reads no primed hit outside [0, period)."""
+    s, rng, periodic = build_surface(n), random.Random(n), 0
+    for _ in range(12):
+        theta = 0.5 * s.sector + rng.randrange(2 * n) * s.sector  # completely periodic, any sector
+        try:
+            traj = trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta, max_crossings=400)
+        except CornerHit:
+            continue
+        if not traj.periodic:
+            continue
+        periodic += 1
+        assert len(traj.crossings) == traj.period
+        assert traj.period_word == traj.letters
+        assert all(0.0 <= t < traj.period for t, _ in derive_geometric(s, traj).primed_hits)
+    assert periodic >= 6
+
+
 def test_start_on_edge_emits_first_crossing(pentagon):
     traj = trace_from_edge(pentagon, 2, 0.55, math.pi / 10)
     first = traj.crossings[0]

@@ -63,6 +63,19 @@ GOLDEN = [
         "2e099c31f5b737b03f739ad86b33fc4a8787576473a354653c15c67377b12ff4",
     ),
     ("diagram --n 15 --stage dual", 0, "cb862f5bb53ac0df68e8e5277d69c63c93485894c71ab12237e940ec7164e00b"),
+    ("diagram --n 11 --stage augmented", 0, "021b6d47e6fbe88dce86e9c5f3909cd47e7c1e760cda2a7f32c09791a93c916e"),
+    (  # periodic: the BECE orbit
+        "derive-geometric --n 5 --edge S2 --t 0.55 --theta 0.3141592653589793",
+        0,
+        "822ac11c6ba32dfe8708c6f4c728d1f96cdfcba036145a3c7bcb6063cd9c5b54",
+    ),
+    ("torus derive --theta 0.5 --crossings 50", 0, "fbec92e7eaa5d57c51f6850513d33159c253478de9e87ece03c9325cea60ce85"),
+    ("torus trace --theta 0.5 --crossings 30", 0, "8710cee216876ad95bf308fb021a444f8d1a85e1543647968e3c96d5c4e8b97f"),
+    (  # the BECE orbit drawn closed, with all four segments
+        "render --n 5 --theta 0.3141592653589793",
+        0,
+        "5830c36f15d14f501166c98521b07f028a65ba5c19654eb2ff4103dfda559f72",
+    ),
 ]
 
 

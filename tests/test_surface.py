@@ -96,6 +96,13 @@ def test_node_indices(n, want):
     assert build_surface(n).node_indices == want
 
 
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_node_letters_are_the_letters_of_the_node_indices(n):
+    s = build_surface(n)
+    assert s.letters == tuple(letter_for_index(k) for k in range(1, n + 1))
+    assert s.node_letters == {s.letters[k - 1] for k in s.node_indices}
+
+
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_aux_edges_structure(n):
     s = build_surface(n)

@@ -56,6 +56,21 @@ def test_slope_one_third_orbit():
     assert cyclic_normal_form(derived) == cyclic_normal_form("ABB")
 
 
+def test_periodic_torus_trace_holds_one_period():
+    rng, periodic = random.Random(4), 0
+    for _ in range(60):
+        theta = math.atan2(rng.randrange(1, 6), rng.randrange(1, 6))
+        try:
+            traj = torus_trace((rng.random(), rng.random()), theta, max_crossings=rng.randrange(12, 60))
+        except CornerHit:
+            continue
+        if traj.periodic:
+            periodic += 1
+            assert len(traj.crossings) == traj.period
+            assert traj.period_word == traj.letters
+    assert periodic >= 30
+
+
 def test_negative_control_against_the_sandwich_rule():
     # the double-n-gon rule does not transfer to the square torus
     assert ksl_cyclic("ABBB") == "AB"
