@@ -86,12 +86,17 @@ class CuttingSequence:
     """The letters of a traced trajectory's crossings, for `trace` and `torus.torus_trace` alike.
 
     A periodic trajectory holds exactly one period: both tracers stop at the
-    first return, so `period == len(crossings)` and `period_word` is `letters`.
+    first return, so `period` is `len(crossings)` and `period_word` is
+    `letters`; an open trajectory has neither.
     """
 
     @property
     def letters(self) -> str:
         return "".join(c.letter for c in self.crossings)
+
+    @property
+    def period(self) -> Optional[int]:
+        return len(self.crossings) if self.periodic else None
 
     @property
     def period_word(self) -> Optional[str]:
@@ -106,7 +111,6 @@ class Trajectory(CuttingSequence):
     crossings: list[Crossing]
     start_edge: int
     periodic: bool = False
-    period: Optional[int] = None
     start_param: Optional[float] = None
 
     @property
@@ -219,7 +223,6 @@ def trace(
         entry = best_k
         if best_k == start_edge and polygon == first_polygon and math.hypot(x - fx, y - fy) < EPS:
             traj.periodic = True
-            traj.period = len(crossings)
             break
         append(new(Crossing, (best_k, letters[best_k - 1], polygon, (x, y))))
     return traj

@@ -5,12 +5,14 @@ vertical edges (lines x in Z) is the sanity case: its derivation rule
 ("between every two A's, remove a B") is NOT the sandwich rule, and the tests
 pin that contrast. The shear here is M = (1 1; 0 1); derivation applies the
 inverse (1 -1; 0 1) to the whole line and re-reads the cutting sequence.
+The tracer, like `flow.trace`, ends a periodic orbit at its first return.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .flow import CornerHit, CuttingSequence
 from .geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
@@ -30,24 +32,36 @@ class TorusTrajectory(CuttingSequence):
     theta: float
     crossings: list[TorusCrossing]
     periodic: bool = False
-    period: Optional[int] = None
 
 
-def _line_crossings(p0: float, d: float, t_max: float) -> list[float]:
-    """Times in (0, t_max] at which p0 + t*d crosses an integer."""
+def _line_crossings(p0: float, d: float) -> Iterator[float]:
+    """Times t > 0, in increasing order, at which p0 + t*d crosses an integer."""
     if abs(d) < PARALLEL:
-        return []
+        return iter(())
     step = 1 if d > 0 else -1
     k = math.floor(p0) + 1 if d > 0 else math.ceil(p0) - 1
     if abs(p0 - round(p0)) < STEP_MIN:
         k = round(p0) + step
-    out = []
-    t = (k - p0) / d
-    while t <= t_max:
-        out.append(t)
-        k += step
-        t = (k - p0) / d
-    return out
+    return ((j - p0) / d for j in itertools.count(k, step))
+
+
+def _lattice_crossings(x0: float, y0: float, dx: float, dy: float) -> Iterator[tuple[float, str]]:
+    """(t, letter) of each lattice line the line crosses, in time order with an
+    A before a B at the same time; a start on a lattice line is crossed at t = 0."""
+    # distances to the nearest lattice line are abs(x - round(x)) throughout
+    if abs(y0 - round(y0)) < STEP_MIN:
+        yield 0.0, HORIZONTAL
+    elif abs(x0 - round(x0)) < STEP_MIN:
+        yield 0.0, VERTICAL
+    horizontal, vertical = _line_crossings(y0, dy), _line_crossings(x0, dx)
+    ta, tb = next(horizontal, math.inf), next(vertical, math.inf)
+    while True:
+        if ta <= tb:
+            yield ta, HORIZONTAL
+            ta = next(horizontal, math.inf)
+        else:
+            yield tb, VERTICAL
+            tb = next(vertical, math.inf)
 
 
 def torus_trace(
@@ -58,8 +72,9 @@ def torus_trace(
 ) -> TorusTrajectory:
     """Cutting sequence of the line start + t*(cos theta, sin theta).
 
-    A start on a lattice line emits that crossing at t = 0. CornerHit when
-    any crossing passes within CORNER_DELTA of a lattice point.
+    A start on a lattice line emits that crossing at t = 0. The walk stops
+    after `max_crossings`, past `t_max`, or at the first return; CornerHit
+    when a crossing before that passes within CORNER_DELTA of a lattice point.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be a finite direction in radians, got {theta}")
@@ -69,45 +84,24 @@ def torus_trace(
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     dx, dy = math.cos(theta), math.sin(theta)
     x0, y0 = start
-    events: list[tuple[float, str]] = []
-    # distances to the nearest lattice line are abs(x - round(x)) throughout
-    if abs(y0 - round(y0)) < STEP_MIN:
-        events.append((0.0, HORIZONTAL))
-    elif abs(x0 - round(x0)) < STEP_MIN:
-        events.append((0.0, VERTICAL))
-
-    # generous horizon; extended on demand until max_crossings is reached
-    horizon = t_max if t_max is not None else (max_crossings + 2) / (abs(dx) + abs(dy))
-    for t in _line_crossings(y0, dy, horizon):
-        events.append((t, HORIZONTAL))
-    for t in _line_crossings(x0, dx, horizon):
-        events.append((t, VERTICAL))
-    events.sort()
-    events = events[:max_crossings] if t_max is None else events
-
     # each crossing is checked for a corner; the first return to crossing 0's
     # letter and point modulo the lattice ends one period
     crossings: list[TorusCrossing] = []
-    period = None
-    for t, letter in events:
+    for t, letter in itertools.islice(_lattice_crossings(x0, y0, dx, dy), max_crossings):
+        if t_max is not None and t > t_max:
+            break
         px, py = x0 + t * dx, y0 + t * dy
         other = px if letter == HORIZONTAL else py
         if abs(other - round(other)) < CORNER_DELTA:
             raise CornerHit("torus", (px, py), len(crossings), theta, "torus", start)
         if not crossings:
             letter0, fx, fy = letter, px, py
-        elif period is None and letter == letter0:
+        elif letter == letter0:
             rx, ry = px - fx, py - fy
             if abs(rx - round(rx)) < EPS and abs(ry - round(ry)) < EPS:
-                period = len(crossings)
+                return TorusTrajectory(start, theta, crossings, periodic=True)
         crossings.append(TorusCrossing(t, letter, (px, py)))
-
-    traj = TorusTrajectory(start=start, theta=theta, crossings=crossings)
-    if period is not None:
-        traj.periodic = True
-        traj.period = period
-        traj.crossings = crossings[:period]
-    return traj
+    return TorusTrajectory(start, theta, crossings)
 
 
 def torus_derive_rule(word: str, cyclic: bool = False) -> str:

@@ -385,6 +385,29 @@ def test_normalize_direction_keeps_steps_below_2n(n, monkeypatch):
         assert derive_geometric(s, traj).letters == letters, traj.theta
 
 
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_directions_within_rounding_of_zero_derive_one_cyclic_word(n):
+    # a direction within rounding of 0 mod 2pi may normalize to sector 0 or
+    # to sector 2n - 1; the orbit is the same horizontal periodic one either
+    # way, so its derived word may start elsewhere but is the same cyclic
+    # word. S1 is horizontal: a ray along it is a corner hit at every theta
+    s = build_surface(n)
+    for k in range(1, n + 1):
+        for u in (0.13, 0.55, 0.81):
+            words = set()
+            for theta in (0.0, -1e-300, -1e-17, 2.0 * math.pi, -2.0 * math.pi):
+                if k == 1:
+                    with pytest.raises(CornerHit):
+                        trace_from_edge(s, k, u, theta, max_crossings=4 * n)
+                    continue
+                traj = trace_from_edge(s, k, u, theta, max_crossings=4 * n)
+                assert traj.periodic, (k, u, theta)
+                derived = derive_geometric(s, traj)
+                assert derived.cyclic
+                words.add(cyclic_normal_form(derived.letters))
+            assert len(words) == (k != 1), (k, u, words)
+
+
 def test_normalize_in_sector_is_identity(pentagon):
     norm = normalize_direction(pentagon, math.pi / 10)
     assert norm.steps == 0

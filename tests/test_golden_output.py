@@ -71,6 +71,21 @@ GOLDEN = [
     ),
     ("torus derive --theta 0.5 --crossings 50", 0, "fbec92e7eaa5d57c51f6850513d33159c253478de9e87ece03c9325cea60ce85"),
     ("torus trace --theta 0.5 --crossings 30", 0, "8710cee216876ad95bf308fb021a444f8d1a85e1543647968e3c96d5c4e8b97f"),
+    (  # periodic, a bound far past the first return
+        "torus trace --slope 1/3 --crossings 2000",
+        0,
+        "a622a5c788ab64a26a1ca489f9de1570d482afe124bb68004b1359c6db50317b",
+    ),
+    (  # a start on a vertical lattice line
+        "torus derive --slope 2/5 --start 0,0.3",
+        0,
+        "6122fd549ff7b9ceac738cc2fc7e1112ba2fbca9904ed712c92e95817e154153",
+    ),
+    (  # open, both direction components negative
+        "torus derive --theta -2.5 --crossings 40",
+        0,
+        "0b4512049720989f095218a179ecf08b73af5bfceadea7b164c3da908df8e811",
+    ),
     (  # the BECE orbit drawn closed, with all four segments
         "render --n 5 --theta 0.3141592653589793",
         0,

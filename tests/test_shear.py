@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -132,3 +134,16 @@ def test_guide_marks_every_level_on_both_sides(n):
         for side in ("left", "right"):
             for level in range(m + 1):
                 assert (polygon, side, level) in seen
+
+
+def test_highprec_imports_only_mpmath():
+    # the oracle stays free of float code: no module of the float
+    # implementation, and not math, may be imported into it
+    tree = ast.parse(Path(highprec.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "mpmath"}

@@ -1,13 +1,19 @@
 import math
 import random
+import tracemalloc
+from typing import Optional
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oddgon import torus
 from oddgon.derivation import cyclic_normal_form, ksl_cyclic
 from oddgon.flow import CornerHit
+from oddgon.geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
 from oddgon.torus import (
+    TorusCrossing,
+    TorusTrajectory,
     torus_derive_geometric,
     torus_derive_rule,
     torus_trace,
@@ -184,3 +190,122 @@ def test_rule_matches_geometric_on_random_orbits():
         assert runs_g == runs_r
         assert lead_g in (lead_r, lead_r - 1)
         assert trail_g in (trail_r, trail_r - 1)
+
+
+def _reference_line_crossings(p0: float, d: float, t_max: float) -> list[float]:
+    if abs(d) < PARALLEL:
+        return []
+    step = 1 if d > 0 else -1
+    k = math.floor(p0) + 1 if d > 0 else math.ceil(p0) - 1
+    if abs(p0 - round(p0)) < STEP_MIN:
+        k = round(p0) + step
+    out = []
+    t = (k - p0) / d
+    while t <= t_max:
+        out.append(t)
+        k += step
+        t = (k - p0) / d
+    return out
+
+
+def _reference_trace(start, theta, max_crossings=100, t_max: Optional[float] = None) -> TorusTrajectory:
+    """Brute-force tracer: every lattice crossing up to a horizon, sorted and
+    corner-checked, then cut to one period at the first return."""
+    dx, dy = math.cos(theta), math.sin(theta)
+    x0, y0 = start
+    events = []
+    if abs(y0 - round(y0)) < STEP_MIN:
+        events.append((0.0, "A"))
+    elif abs(x0 - round(x0)) < STEP_MIN:
+        events.append((0.0, "B"))
+    horizon = t_max if t_max is not None else (max_crossings + 2) / (abs(dx) + abs(dy))
+    events += [(t, "A") for t in _reference_line_crossings(y0, dy, horizon)]
+    events += [(t, "B") for t in _reference_line_crossings(x0, dx, horizon)]
+    events.sort()
+    events = events[:max_crossings] if t_max is None else events
+    crossings, period = [], None
+    for t, letter in events:
+        px, py = x0 + t * dx, y0 + t * dy
+        other = px if letter == "A" else py
+        if abs(other - round(other)) < CORNER_DELTA:
+            raise CornerHit("torus", (px, py), len(crossings), theta, "torus", start)
+        if not crossings:
+            letter0, fx, fy = letter, px, py
+        elif period is None and letter == letter0:
+            rx, ry = px - fx, py - fy
+            if abs(rx - round(rx)) < EPS and abs(ry - round(ry)) < EPS:
+                period = len(crossings)
+        crossings.append(TorusCrossing(t, letter, (px, py)))
+    if period is None:
+        return TorusTrajectory(start, theta, crossings)
+    return TorusTrajectory(start, theta, crossings[:period], periodic=True)
+
+
+def _walk_cases(count: int, seed: int):
+    """(start, theta, max_crossings): generic, rational and axis directions in
+    all four quadrants; generic starts, starts on (or within STEP_MIN of) a
+    lattice line, and lattice points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if kind < 2:
+            theta = rng.uniform(-math.pi, math.pi)
+        elif kind < 4:
+            p, q = rng.choice([(p, q) for p in range(-5, 6) for q in range(-5, 6) if (p, q) != (0, 0)])
+            theta = math.atan2(p, q)
+        else:
+            theta = rng.randrange(-4, 5) * math.pi / 2
+        x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        where = rng.randrange(6)
+        if where in (1, 3):
+            x = float(rng.randint(-3, 3)) + (1e-13 if where == 3 else 0.0)
+        if where in (2, 3, 4):
+            y = float(rng.randint(-3, 3))
+        yield (x, y), theta, rng.randint(1, 300)
+
+
+def _outcome(start, theta, max_crossings):
+    try:
+        traj = torus.torus_trace(start, theta, max_crossings=max_crossings)
+    except CornerHit as hit:
+        return "corner", hit.point, hit.crossings_done
+    try:
+        word = torus.torus_derive_geometric(traj)
+    except (CornerHit, AssertionError) as err:
+        word = repr(err)
+    return repr(traj.crossings), traj.periodic, traj.period, word
+
+
+def test_walk_matches_the_horizon_and_sort_reference(monkeypatch):
+    cases = list(_walk_cases(3000, seed=15))
+    got = [_outcome(*case) for case in cases]
+    # torus_derive_geometric re-traces through the module's torus_trace
+    monkeypatch.setattr(torus, "torus_trace", _reference_trace)
+    for case, outcome in zip(cases, got):
+        assert outcome == _outcome(*case), case
+    kinds = [o[0] if o[0] == "corner" else o[1] for o in got]
+    # every kind of outcome is well represented
+    assert min(kinds.count(kind) for kind in ("corner", True, False)) >= 500
+
+
+def test_walk_stops_at_the_first_return_under_a_huge_bound():
+    theta = math.atan2(1.0, 3.0)
+    small = torus_trace((0.25, 0.4), theta, max_crossings=8)
+    tracemalloc.start()
+    try:
+        big = torus_trace((0.25, 0.4), theta, max_crossings=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert small.periodic and big.periodic and big.period == 4
+    assert repr(big.crossings) == repr(small.crossings)
+    assert peak < 1_000_000
+
+
+def test_t_max_and_max_crossings_both_bound_the_walk():
+    theta = 0.5  # open: no return to stop the walk
+    by_count = torus_trace((0.25, 0.4), theta, max_crossings=5, t_max=100.0)
+    by_time = torus_trace((0.25, 0.4), theta, max_crossings=1000, t_max=3.0)
+    assert len(by_count.crossings) == 5
+    assert by_time.crossings and by_time.crossings[-1].t <= 3.0
+    assert repr(by_time.crossings) == repr(torus_trace((0.25, 0.4), theta, max_crossings=len(by_time.crossings)).crossings)
