@@ -35,7 +35,7 @@ from .geometry import (
     ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
     vlerp,
 )
-from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface, index_for_letter
+from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface
 
 import math
 
@@ -114,7 +114,7 @@ def diagram_dot(diagram: TransitionDiagram) -> str:
     return "\n".join(lines)
 
 
-# ---- stage 1: arrows --------------------------------------------------------
+# ---- stages 1 and 2: arrows and augmented ----------------------------------
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -160,21 +160,6 @@ def _arrow_chords(surface: Surface, x: int, y: int) -> tuple[str, list[tuple[Vec
     return q, []
 
 
-def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
-    """Which ordered letter pairs occur consecutively for sector directions."""
-    letters = surface.letters
-    arrows = []
-    for x in range(1, surface.n + 1):
-        for y in range(1, surface.n + 1):
-            if _arrow_chords(surface, x, y)[1]:
-                arrows.append(Arrow(letters[x - 1], letters[y - 1]))
-    arrows.sort(key=lambda a: (a.source, a.target))
-    return TransitionDiagram(stage="arrows", nodes=letters, arrows=tuple(arrows))
-
-
-# ---- stage 2: augmented -----------------------------------------------------
-
-
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
     rows = [e.row for e in surface.aux_for(polygon)]
     hits: list[tuple[float, str, str]] = []
@@ -183,27 +168,40 @@ def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, 
     return tuple(label for _, _, label in hits)
 
 
-def _aux_label(surface: Surface, x: int, y: int) -> tuple[str, ...]:
-    """Ordered auxiliary edges crossed between consecutive hits of x then y."""
-    q, chords = _arrow_chords(surface, x, y)
-    seqs = {_aux_sequence_for_chord(surface, q, a, b) for a, b in chords}
-    if len(seqs) != 1:
-        raise AssertionError(
-            f"the {surface.letters[x - 1]}->{surface.letters[y - 1]} chords do not cross one auxiliary sequence: {seqs}"
-        )
-    return seqs.pop()
-
-
 def build_augmented_diagram(surface: Surface) -> tuple[TransitionDiagram, dict]:
-    base = build_arrows_diagram(surface)
+    """The arrows diagram, each arrow labeled by the auxiliary edges crossed
+    between consecutive hits of its two letters, and that labeling as
+    aux_of[(x, y)].
+
+    Each ordered letter pair is clipped once: x -> y is an arrow when
+    `_arrow_chords` finds sector chords from edge x to edge y, and all of
+    those chords must cross one auxiliary sequence.
+    """
+    letters = surface.letters
     aux_of: dict[tuple[str, str], tuple[str, ...]] = {}
     arrows = []
-    for a in base.arrows:
-        seq = _aux_label(surface, index_for_letter(a.source), index_for_letter(a.target))
-        aux_of[(a.source, a.target)] = seq
-        arrows.append(Arrow(a.source, a.target, ",".join(seq) if seq else None))
-    diagram = TransitionDiagram(stage="augmented", nodes=base.nodes, arrows=tuple(arrows))
-    return diagram, aux_of
+    for x in range(1, surface.n + 1):
+        for y in range(1, surface.n + 1):
+            q, chords = _arrow_chords(surface, x, y)
+            if not chords:
+                continue
+            pair = (letters[x - 1], letters[y - 1])
+            seqs = {_aux_sequence_for_chord(surface, q, a, b) for a, b in chords}
+            if len(seqs) != 1:
+                raise AssertionError(f"the {pair[0]}->{pair[1]} chords do not cross one auxiliary sequence: {seqs}")
+            aux_of[pair] = seq = seqs.pop()
+            arrows.append(Arrow(*pair, ",".join(seq) or None))
+    return TransitionDiagram("augmented", letters, tuple(arrows)), aux_of
+
+
+def _unlabeled(augmented: TransitionDiagram) -> TransitionDiagram:
+    return TransitionDiagram("arrows", augmented.nodes, tuple(Arrow(a.source, a.target) for a in augmented.arrows))
+
+
+def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
+    """Which ordered letter pairs occur consecutively for sector directions:
+    the augmented diagram without its labels."""
+    return _unlabeled(build_augmented_diagram(surface)[0])
 
 
 # ---- stages 3 and 4: dual and primed ---------------------------------------
@@ -375,14 +373,13 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
     predicted).
     """
     augmented, aux_of = build_augmented_diagram(surface)
-    # the augmented build makes the arrows diagram once; its arrows, unlabeled, are that diagram's
-    arrows = tuple(Arrow(a.source, a.target) for a in augmented.arrows)
+    arrows = _unlabeled(augmented)
     nodes = surface.node_letters
 
     # the two direction-fixed letters must occur in a unique reversible context
     for letter in nodes:
-        ins = [a.source for a in arrows if a.target == letter]
-        outs = [a.target for a in arrows if a.source == letter]
+        ins = [a.source for a in arrows.arrows if a.target == letter]
+        outs = [a.target for a in arrows.arrows if a.source == letter]
         if len(ins) != 1 or len(outs) != 1 or ins != outs:
             raise AssertionError(f"direction-fixed letter {letter} lacks a unique sandwich context")
 
@@ -409,7 +406,7 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
         primed_arrows.append(Arrow(d1, d2, "".join(ch + "'" for ch in primeds) or None))
 
     stages = {
-        "arrows": TransitionDiagram("arrows", augmented.nodes, arrows),
+        "arrows": arrows,
         "augmented": augmented,
         "dual": TransitionDiagram("dual", dual_nodes, tuple(dual_arrows)),
         "primed": TransitionDiagram("primed", dual_nodes, tuple(primed_arrows)),

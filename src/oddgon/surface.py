@@ -25,7 +25,6 @@ from .geometry import (
     Row,
     Segment,
     Vec,
-    point_in_polygon,
     round_sig,
     segment_row,
     unit,
@@ -214,14 +213,6 @@ class Surface:
         lo = [self.half_turn(p) for p in up]  # rotation by pi keeps ccw order
         return up, lo
 
-    def cylinder_of_edge(self, k: int) -> int:
-        """Cylinder band crossed by original edge pair k (k != 1)."""
-        if k == 1:
-            raise ValueError("the horizontal edge bounds no band")
-        if 2 <= k <= self.m + 1:
-            return k - 1
-        return self.n + 1 - k
-
     # ---- auxiliary edges -------------------------------------------------
 
     @cached_property
@@ -253,10 +244,7 @@ class Surface:
 
     @cached_property
     def primed_edges(self) -> list[PrimedEdge]:
-        out = []
-        for k in range(1, self.n + 1):
-            out.append(self._primed_edge(k))
-        return out
+        return [self._primed_edge(k) for k in range(1, self.n + 1)]
 
     def _primed_edge(self, k: int) -> PrimedEdge:
         label = self.letters[k - 1] + "'"
@@ -267,31 +255,21 @@ class Surface:
             )
             return PrimedEdge(index=k, label=label, coincident=True, pieces=pieces)
 
-        # Present the cylinder crossed by S_k as a parallelogram glued along
-        # the upper S_k representative; the primed edge is the diagonal whose
-        # vector is the flip-shear image of the edge vector, and it meets S_k
-        # at its midpoint (= the parallelogram center).
-        c = self.cylinder_of_edge(k)
-        up_poly, lo_poly = self.band_polygons(c)
-        t = self.identification_offset(k)
-        lo_translated = [vadd(p, t) for p in lo_poly]
-        center = self.edge_seg(UPPER, k).midpoint()
-        v = flip_shear_matrix(self.n).apply(self.edge_seg(UPPER, k).direction())
-        half = vscale(v, 0.5)
-        ends = (vsub(center, half), vadd(center, half))
-
-        pieces = []
-        for end in ends:
-            seg = Segment(center, end)
-            probe = seg.point_at(0.5)
-            if point_in_polygon(probe, up_poly):
-                pieces.append(Edge(label=label, kind=PRIMED, polygon=UPPER, index=k, seg=seg))
-            elif point_in_polygon(probe, lo_translated):
-                back = seg.translated(vscale(t, -1.0))
-                pieces.append(Edge(label=label, kind=PRIMED, polygon=LOWER, index=k, seg=back))
-            else:
-                raise AssertionError(f"primed half of S_{k} lies in neither band piece")
-        return PrimedEdge(index=k, label=label, coincident=False, pieces=tuple(pieces))
+        # The primed edge is the flip-shear image v of the side vector, centered
+        # on the midpoint of S_k (the center of the band parallelogram glued
+        # along the upper S_k). For a side of direction a, v has outward
+        # component 2 sin(a) sin(a - pi/n) / sin(pi/n) > 0 off the node edges,
+        # so the half towards -v lies in the upper polygon and the half towards
+        # +v crosses S_k into the lower one, carried back by the identification.
+        side = self.edge_seg(UPPER, k)
+        mid = side.midpoint()
+        half = vscale(flip_shear_matrix(self.n).apply(side.direction()), 0.5)
+        lower = Segment(mid, vadd(mid, half)).translated(vscale(self.identification_offset(k), -1.0))
+        pieces = (
+            Edge(label=label, kind=PRIMED, polygon=UPPER, index=k, seg=Segment(mid, vsub(mid, half))),
+            Edge(label=label, kind=PRIMED, polygon=LOWER, index=k, seg=lower),
+        )
+        return PrimedEdge(index=k, label=label, coincident=False, pieces=pieces)
 
     def primed_for(self, polygon: str) -> list[Edge]:
         out = []

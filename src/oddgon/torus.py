@@ -109,26 +109,13 @@ def torus_derive_rule(word: str, cyclic: bool = False) -> str:
     for ch in word:
         if ch not in (HORIZONTAL, VERTICAL):
             raise ValueError(f"torus words use letters A and B only, got {ch!r}")
-    if not word:
-        return ""
-    a_positions = [i for i, ch in enumerate(word) if ch == HORIZONTAL]
-    if not a_positions:
-        return word
-    drop: set[int] = set()
-    if cyclic:
-        pairs = list(zip(a_positions, a_positions[1:] + [a_positions[0] + len(word)]))
-        doubled = word + word
-        for lo, hi in pairs:
-            for j in range(lo + 1, hi):
-                if doubled[j] == VERTICAL:
-                    drop.add(j % len(word))
-                    break
-    else:
-        for lo, hi in zip(a_positions, a_positions[1:]):
-            for j in range(lo + 1, hi):
-                if word[j] == VERTICAL:
-                    drop.add(j)
-                    break
+    L = len(word)
+    a = [i for i, ch in enumerate(word) if ch == HORIZONTAL]
+    # every letter strictly between two consecutive A's is a B, so the B a run
+    # loses is the one right after its opening A; a cyclic word's last A pairs
+    # with its first, one period on
+    ends = a[1:] + [a[0] + L] if cyclic and a else a[1:]
+    drop = {(lo + 1) % L for lo, hi in zip(a, ends) if hi > lo + 1}
     return "".join(ch for i, ch in enumerate(word) if i not in drop)
 
 

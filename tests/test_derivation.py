@@ -1,9 +1,12 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddgon import derivation
 from oddgon.derivation import (
+    PLAN_CROSSINGS,
     PLAN_SAMPLES,
     WINDOWS,
     Arrow,
@@ -23,6 +26,7 @@ from oddgon.derivation import (
     ksl_window,
     sandwich_equivalence_check,
 )
+from oddgon.flow import CornerHit, trace_from_edge
 from oddgon.geometry import EPS, ray_segment_hit
 from oddgon.surface import AUXILIARY, ORIGINAL, PRIMED, build_surface, index_for_letter
 
@@ -152,6 +156,27 @@ def test_arrow_counts(n, count):
     assert len(labels) == 2 * (n - 3)
 
 
+@pytest.mark.parametrize("n", [5, 9, 25])
+def test_augmented_build_clips_each_letter_pair_once(n, monkeypatch):
+    calls = []
+
+    def counted(surface, x, y):
+        calls.append((x, y))
+        return _arrow_chords(surface, x, y)
+
+    monkeypatch.setattr(derivation, "_arrow_chords", counted)
+    build_augmented_diagram(build_surface(n))
+    assert sorted(calls) == [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+
+
+def test_arrows_diagram_is_the_augmented_one_unlabeled(pentagon):
+    augmented, _ = build_augmented_diagram(pentagon)
+    arrows = build_arrows_diagram(pentagon)
+    assert arrows.nodes == augmented.nodes
+    assert arrows.arrows == tuple(Arrow(a.source, a.target) for a in augmented.arrows)
+    assert any(a.label for a in augmented.arrows)
+
+
 @pytest.mark.parametrize("n", range(5, 27, 2))
 def test_aux_sequences_equal_the_per_piece_reference(n):
     # the per-piece scan the row scan replaced: ray_segment_hit, then the strict window
@@ -255,6 +280,22 @@ def test_pipeline_build_reports_unrealized_transitions(pentagon, monkeypatch):
     monkeypatch.setattr(derivation, "PLAN_SAMPLES", 1)
     with pytest.raises(AssertionError, match="never realized by the 1-sample plan.*sample plan is at fault"):
         build_pipeline_diagrams(pentagon)
+
+
+def test_sampled_scan_skips_a_sample_that_hits_a_corner(pentagon, pipelines, monkeypatch):
+    # edge 5, u = 0.5, theta = pi/10 runs into a vertex at its first crossing
+    with pytest.raises(CornerHit):
+        trace_from_edge(pentagon, 5, 0.5, math.pi / 10, max_crossings=PLAN_CROSSINGS)
+    plan = derivation._sector_sample_plan
+
+    def corner_first(surface):
+        yield 5, 0.5, math.pi / 10
+        yield from plan(surface)
+
+    monkeypatch.setattr(derivation, "_sector_sample_plan", corner_first)
+    pipe = build_pipeline_diagrams(pentagon)
+    assert pipe.transitions == pipelines[5].transitions
+    assert (pipelines[5].covered_at, pipe.covered_at) == (5, 6)
 
 
 @pytest.mark.parametrize("n", range(5, 27, 2))

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from oddgon.geometry import polygon_area, vadd, vlerp
+from oddgon import highprec
+from oddgon.geometry import EPS, point_in_polygon, polygon_area, vadd, vlerp
+from oddgon.shear import UPPER_RIGHT, identity_sum, sheared_x, side_vertex
 from oddgon.surface import (
     LOWER,
     UPPER,
@@ -91,6 +93,30 @@ def test_letters_and_indices():
         index_for_letter("S0x")
 
 
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda s: letter_for_index(0), "letter range"),
+        (lambda s: letter_for_index(27), "letter range"),
+        (lambda s: s.right_point(-1), "level out of range"),
+        (lambda s: s.right_point(s.m + 1), "level out of range"),
+        (lambda s: s.left_point(-1), "level out of range"),
+        (lambda s: s.left_point(s.m + 1), "level out of range"),
+        (lambda s: s.band_polygons(0), "cylinder index out of range"),
+        (lambda s: s.band_polygons(s.m + 1), "cylinder index out of range"),
+        (lambda s: identity_sum(s.alpha, 0), "positive integer"),
+        (lambda s: sheared_x("middle", s.n, 0), "unknown point family"),
+        (lambda s: sheared_x(UPPER_RIGHT, s.n, s.m + 1), "level 3 out of range"),
+        (lambda s: side_vertex(s, "middle", 0), "unknown point family"),
+        (lambda s: highprec.vertex("middle", s.n, 1), "unknown point family"),
+        (lambda s: highprec.sheared_x_closed_form("middle", s.n, 1), "unknown point family"),
+    ],
+)
+def test_out_of_range_inputs_are_rejected(pentagon, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(pentagon)
+
+
 @pytest.mark.parametrize("n,want", [(5, (1, 4)), (7, (1, 5)), (9, (1, 6))])
 def test_node_indices(n, want):
     assert build_surface(n).node_indices == want
@@ -138,6 +164,29 @@ def test_primed_edges(n):
             for piece in p.pieces:
                 d = piece.seg.direction()
                 assert abs(d[0] * v[1] - d[1] * v[0]) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_primed_pieces_lie_in_their_band_pieces(n):
+    # the band of S_k is the one whose level interval holds the height of
+    # S_k's midpoint; the lower piece, translated across the identification,
+    # continues the upper one from that midpoint into the translated lower band
+    s = build_surface(n)
+    levels = s.levels()
+    for pe in s.primed_edges:
+        if pe.coincident:
+            continue
+        k = pe.index
+        y = s.edge_seg(UPPER, k).midpoint()[1]
+        (c,) = [c for c in range(1, s.m + 1) if levels[c - 1] < y < levels[c]]
+        up_band, lo_band = s.band_polygons(c)
+        t = s.identification_offset(k)
+        upper, lower = pe.pieces
+        glued = lower.seg.translated(t)
+        assert (upper.polygon, lower.polygon) == (UPPER, LOWER)
+        assert math.dist(glued.p0, upper.seg.p0) < 1e-12
+        assert point_in_polygon(upper.seg.midpoint(), up_band, eps=-EPS)
+        assert point_in_polygon(glued.midpoint(), [vadd(p, t) for p in lo_band], eps=-EPS)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -41,6 +42,26 @@ def test_rule_rejects_other_letters():
 def test_rule_never_drops_an_a(word):
     out = torus_derive_rule(word)
     assert out.count("A") == word.count("A")
+
+
+def run_length_rule(word: str, cyclic: bool) -> str:
+    """The rule on maximal runs: a B-run with an A on each side loses one B;
+    in a cyclic word the run through the end and the start does too, from
+    its part after the last A when it has one."""
+    runs = [[ch, len(list(group))] for ch, group in itertools.groupby(word)]
+    for i, run in enumerate(runs):
+        if run[0] == "B" and 0 < i < len(runs) - 1:
+            run[1] -= 1
+    if cyclic and "A" in word:
+        wrap = [run for run in (runs[-1], runs[0]) if run[0] == "B"]
+        if wrap:
+            wrap[0][1] -= 1
+    return "".join(ch * size for ch, size in runs)
+
+
+@given(torus_words, st.booleans())
+def test_rule_matches_the_run_length_reference(word, cyclic):
+    assert torus_derive_rule(word, cyclic=cyclic) == run_length_rule(word, cyclic)
 
 
 @given(torus_words, st.integers(min_value=0, max_value=29))
