@@ -37,11 +37,15 @@ from .torus import torus_derive_geometric, torus_derive_rule, torus_trace
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    text = text if text.endswith("\n") else text + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write --out {out}: {e.strerror}") from e
 
 
 def _emit_json(obj, out: str | None) -> None:
@@ -154,7 +158,6 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_guide(args) -> int:
-    guide = build_vertex_guide(args.n)
     points = [
         {
             "polygon": p.polygon,
@@ -163,7 +166,7 @@ def _cmd_guide(args) -> int:
             "x": round_sig(p.x),
             "y": round_sig(p.y),
         }
-        for p in guide.points
+        for p in build_vertex_guide(args.n)
     ]
     _emit_json({"n": args.n, "points": points}, args.out)
     return 0
@@ -430,15 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except CornerHit as e:
-        start = {"polygon": e.start_polygon, "point": list(e.start_point)}
-        _emit_json({"error": "corner-hit", "detail": str(e), "theta": e.theta, "start": start}, args.out)
-        return 1
-    except InvalidPath as e:  # before ValueError, which it subclasses
-        _emit_json({"error": "invalid-path", "detail": str(e)}, args.out)
-        return 1
+    try:  # the inner handlers write to --out, which may fail with a ValueError
+        try:
+            return args.func(args)
+        except CornerHit as e:
+            start = {"polygon": e.start_polygon, "point": list(e.start_point)}
+            _emit_json({"error": "corner-hit", "detail": str(e), "theta": e.theta, "start": start}, args.out)
+            return 1
+        except InvalidPath as e:  # before ValueError, which it subclasses
+            _emit_json({"error": "invalid-path", "detail": str(e)}, args.out)
+            return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -374,6 +374,19 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     return events
 
 
+def carried_primed(surface: Surface, steps: int) -> dict[str, list[Edge]]:
+    """The standard primed pieces moved by rotation_isometry(surface, steps), per target
+    polygon: images of upper pieces before lower ones, each in primed_for order."""
+    move = rotation_isometry(surface, steps)
+    primed: dict[str, list[Edge]] = {UPPER: [], LOWER: []}
+    for polygon in (UPPER, LOWER):
+        for piece in surface.primed_for(polygon):
+            target, p0 = move(polygon, piece.seg.p0)
+            _, p1 = move(polygon, piece.seg.p1)
+            primed[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
+    return primed
+
+
 def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
     """Derived cutting sequence: the primed edges crossed by the trajectory.
 
@@ -385,19 +398,11 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
     CornerHit cannot arise here.
     """
     norm = normalize_direction(surface, traj.theta)
-    back = rotation_isometry(surface, -norm.steps)
-    primed: dict[str, list[Edge]] = {UPPER: [], LOWER: []}
-    for polygon in (UPPER, LOWER):
-        for piece in surface.primed_for(polygon):
-            target, p0 = back(polygon, piece.seg.p0)
-            _, p1 = back(polygon, piece.seg.p1)
-            primed[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
-
     # original letter -> its normalized letter, for the letters that normalize to a node letter
     node_of = {letter: name for letter, name in norm.letter_map.items() if name in surface.node_letters}
     events = [
         (t, node_of[name] if kind == ORIGINAL else name)
-        for t, kind, name in crossing_events(surface, traj, primed)
+        for t, kind, name in crossing_events(surface, traj, carried_primed(surface, -norm.steps))
         if kind != ORIGINAL or name in node_of
     ]
     return GeometricDerivation(

@@ -4,7 +4,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .flow import Trajectory
-from .shear import VertexGuide
+from .shear import GuidePoint
 from .surface import LOWER, UPPER, Surface
 
 # Every figure is WIDTH pixels wide with a MARGIN-pixel border; its height follows the drawing.
@@ -81,7 +81,7 @@ class _Canvas:
 def render_surface_svg(
     surface: Surface,
     trajectory: Optional[Trajectory] = None,
-    guide: Optional[VertexGuide] = None,
+    guide: Optional[tuple[GuidePoint, ...]] = None,
     show_aux: bool = False,
     show_primed: bool = False,
 ) -> str:
@@ -94,10 +94,7 @@ def render_surface_svg(
             cv.line(e.seg.p0, e.seg.p1, stroke="#7f8c8d", width=1.0, dashed=True)
     if show_primed:
         for e in surface.primed_edges:
-            if e.coincident:
-                continue
-            for piece in e.pieces:
-                cv.line(piece.seg.p0, piece.seg.p1, stroke="#27ae60", width=1.2, dashed=True)
+            cv.line(e.seg.p0, e.seg.p1, stroke="#27ae60", width=1.2, dashed=True)
     if trajectory is not None:
         for i in range(len(trajectory.segment_ends)):
             _, a, b = trajectory.segment(i, surface)
@@ -105,21 +102,21 @@ def render_surface_svg(
         for c in trajectory.crossings:
             cv.dot(c.point, fill="#c0392b", r=2.0)
     if guide is not None:
-        for gp in guide.points:
+        for gp in guide:
             cv.dot((gp.x, gp.y), fill="#2c3e50", r=2.5)
     return cv.render()
 
 
-def render_guide_svg(guide: VertexGuide) -> str:
+def render_guide_svg(guide: tuple[GuidePoint, ...]) -> str:
     """Guide dots on their level lines, the target picture of the shear."""
     cv = _Canvas()
-    ys = sorted({gp.y for gp in guide.points})
-    xs = [gp.x for gp in guide.points]
+    ys = sorted({gp.y for gp in guide})
+    xs = [gp.x for gp in guide]
     lo, hi = min(xs), max(xs)
     pad = 0.05 * (hi - lo + 1.0)
     for y in ys:
         cv.line((lo - pad, y), (hi + pad, y), stroke="#bbbbbb", width=0.8, dashed=True)
-    for gp in guide.points:
+    for gp in guide:
         color = "#2c3e50" if gp.polygon == UPPER else "#8e44ad"
         cv.dot((gp.x, gp.y), fill=color, r=3.0)
     return cv.render()

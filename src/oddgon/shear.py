@@ -1,17 +1,17 @@
-"""Cylinders, shear matrices, sheared-vertex closed forms and reassembly.
+"""Cylinders, trig identities, the vertex guide and reassembly.
 
 The double odd n-gon decomposes into (n-1)/2 horizontal cylinders, all of
 modulus 2cot(pi/n), so the parabolic shear M_n acts as one full Dehn twist
-per cylinder. Sheared vertex x-coordinates have cosine-polynomial closed
-forms (`sheared_x`; the tests check them against `highprec`). The vertex
-guide reaches the same points by a geometric "snaking" chain of polygon
-gluings; verify_reassembly compares each with `shear_matrix(n).apply(v)`.
+per cylinder. The vertex guide, a tuple of `GuidePoint`s, reaches the
+sheared side vertices by a geometric "snaking" chain of polygon gluings;
+verify_reassembly compares each with `shear_matrix(n).apply(v)`. The
+cosine-polynomial closed form of the sheared x-coordinates lives in
+`highprec`, where the tests check it against the matrix route.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .geometry import EPS, PARALLEL, Vec, vadd, vsub
 from .surface import LOWER, UPPER, Surface, build_surface, shear_matrix
@@ -79,7 +79,9 @@ def _slice_width(poly: list[Vec], y: float) -> float:
 
 
 def cylinder_width(surface: Surface, c: int, at: float = 0.5) -> float:
-    """Geometric circumference of cylinder c, sliced at relative height `at`."""
+    """Geometric circumference of cylinder c, sliced at relative height 0 < `at` < 1."""
+    if not 0.0 < at < 1.0:
+        raise ValueError(f"relative height {at} must lie strictly between 0 and 1")
     y0, y1 = surface.levels()[c - 1], surface.levels()[c]
     y = y0 + at * (y1 - y0)
     up, lo = surface.band_polygons(c)
@@ -107,27 +109,7 @@ def decompose_cylinders(surface: Surface) -> list[Cylinder]:
     return out
 
 
-# ---- closed-form sheared x-coordinates ------------------------------------
-
-
-def sheared_x(family: str, n: int, k: int) -> float:
-    """Closed-form x-coordinate of the M_n image of the level-k side vertex."""
-    if family not in POINT_FAMILIES:
-        raise ValueError(f"unknown point family {family!r}")
-    m = (n - 1) // 2
-    if not 0 <= k <= m:
-        raise ValueError(f"level {k} out of range 0..{m}")
-    alpha = 2.0 * math.pi / n
-    ca = math.cos(alpha)
-    s3 = sum((4.0 * (k - i) + 3.0) * math.cos(i * alpha) for i in range(1, k + 1))
-    s1 = sum((4.0 * (k - i) + 1.0) * math.cos(i * alpha) for i in range(1, k + 1))
-    if family == UPPER_RIGHT:
-        return 2.0 * k + 1.0 + s3
-    if family == UPPER_LEFT:
-        return 2.0 * k + s1
-    if family == LOWER_RIGHT:
-        return 2.0 - 2.0 * k + ca - s1
-    return 1.0 - 2.0 * k + ca - s3  # lower left
+# ---- side vertices -------------------------------------------------------
 
 
 def side_vertex(surface: Surface, family: str, k: int) -> Vec:
@@ -155,14 +137,6 @@ class GuidePoint:
     y: float
 
 
-@dataclass(frozen=True)
-class VertexGuide:
-    points: tuple[GuidePoint, ...]
-
-    def __iter__(self) -> Iterator[GuidePoint]:
-        return iter(self.points)
-
-
 _FAMILY_OF = {
     (UPPER, RIGHT): UPPER_RIGHT,
     (UPPER, LEFT): UPPER_LEFT,
@@ -171,7 +145,7 @@ _FAMILY_OF = {
 }
 
 
-def build_vertex_guide(n: int) -> VertexGuide:
+def build_vertex_guide(n: int) -> tuple[GuidePoint, ...]:
     """Guide x-positions from the geometric gluing chain, not the closed forms.
 
     Starting from the base copy, repeatedly glue a half-turned copy along the
@@ -213,7 +187,7 @@ def build_vertex_guide(n: int) -> VertexGuide:
         offset = vadd(upper_offset, t[n + 2 - k])
         emit(LOWER, k - 1, offset)
 
-    return VertexGuide(points=tuple(points))
+    return tuple(points)
 
 
 # ---- reassembly check ------------------------------------------------------

@@ -12,7 +12,7 @@ original edge pairs the model carries:
     polygon) that stratify each polygon into cylinder bands, and
   * primed edges: the images of the original edges under the orientation-
     reversing shear generator, realized as cylinder-parallelogram diagonals
-    split into per-polygon pieces.
+    split into per-polygon pieces (none for the two node edges).
 """
 from __future__ import annotations
 
@@ -82,16 +82,6 @@ class Edge:
         """The piece's `segment_row`, tagged (kind, label without its prime): a
         primed piece is named by the letter it is the image of."""
         return segment_row(self.seg, (self.kind, self.label.rstrip("'")))
-
-
-@dataclass(frozen=True)
-class PrimedEdge:
-    index: int
-    label: str
-    # True for the two direction-fixed edges (horizontal and pi/n): the
-    # primed edge coincides with the original pair instead of crossing it.
-    coincident: bool
-    pieces: tuple[Edge, ...]
 
 
 def shear_matrix(n: int) -> Mat2:
@@ -243,43 +233,31 @@ class Surface:
     # ---- primed edges ----------------------------------------------------
 
     @cached_property
-    def primed_edges(self) -> list[PrimedEdge]:
-        return [self._primed_edge(k) for k in range(1, self.n + 1)]
+    def primed_edges(self) -> list[Edge]:
+        """The 2(n-2) primed pieces, by index, each upper then lower. A node
+        edge has none: its primed edge is the original pair itself, crossed
+        exactly when that pair is."""
+        return [piece for k in range(1, self.n + 1) if k not in self.node_indices for piece in self._primed_edge(k)]
 
-    def _primed_edge(self, k: int) -> PrimedEdge:
-        label = self.letters[k - 1] + "'"
-        if k in self.node_indices:
-            pieces = tuple(
-                Edge(label=label, kind=PRIMED, polygon=p, index=k, seg=self.edge_seg(p, k))
-                for p in (UPPER, LOWER)
-            )
-            return PrimedEdge(index=k, label=label, coincident=True, pieces=pieces)
-
+    def _primed_edge(self, k: int) -> tuple[Edge, Edge]:
         # The primed edge is the flip-shear image v of the side vector, centered
         # on the midpoint of S_k (the center of the band parallelogram glued
         # along the upper S_k). For a side of direction a, v has outward
         # component 2 sin(a) sin(a - pi/n) / sin(pi/n) > 0 off the node edges,
         # so the half towards -v lies in the upper polygon and the half towards
         # +v crosses S_k into the lower one, carried back by the identification.
+        label = self.letters[k - 1] + "'"
         side = self.edge_seg(UPPER, k)
         mid = side.midpoint()
         half = vscale(flip_shear_matrix(self.n).apply(side.direction()), 0.5)
         lower = Segment(mid, vadd(mid, half)).translated(vscale(self.identification_offset(k), -1.0))
-        pieces = (
+        return (
             Edge(label=label, kind=PRIMED, polygon=UPPER, index=k, seg=Segment(mid, vsub(mid, half))),
             Edge(label=label, kind=PRIMED, polygon=LOWER, index=k, seg=lower),
         )
-        return PrimedEdge(index=k, label=label, coincident=False, pieces=pieces)
 
     def primed_for(self, polygon: str) -> list[Edge]:
-        out = []
-        for pe in self.primed_edges:
-            if pe.coincident:
-                continue  # crossed exactly when the original pair is crossed
-            for piece in pe.pieces:
-                if piece.polygon == polygon:
-                    out.append(piece)
-        return out
+        return [piece for piece in self.primed_edges if piece.polygon == polygon]
 
 
 def build_surface(n: int) -> Surface:
@@ -302,7 +280,12 @@ def surface_json(surface: Surface) -> dict:
     n = surface.n
     edges = [_edge_json(f"S{k}", p, ORIGINAL, surface.edge_seg(p, k)) for p in (UPPER, LOWER) for k in range(1, n + 1)]
     edges += [_edge_json(e.label, e.polygon, AUXILIARY, e.seg) for e in surface.aux_edges]
-    edges += [_edge_json(f"S{pe.index}'", e.polygon, PRIMED, e.seg) for pe in surface.primed_edges for e in pe.pieces]
+    primed = {(e.index, e.polygon): e.seg for e in surface.primed_edges}
+    edges += [
+        _edge_json(f"S{k}'", p, PRIMED, surface.edge_seg(p, k) if k in surface.node_indices else primed[k, p])
+        for k in range(1, n + 1)
+        for p in (UPPER, LOWER)
+    ]
     return {
         "n": n,
         "polygons": {

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,9 @@ from oddgon.cli import main
 from oddgon.geometry import vsub
 from oddgon.shear import build_vertex_guide
 from oddgon.surface import UPPER, build_surface
+
+# an --out path in a directory that does not exist
+MISSING_OUT = str(Path(__file__).resolve().parent / "no-such-dir" / "x.json")
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +172,11 @@ def test_verify_unknown_check_is_usage_error(capsys):
         (["verify", "--n", "4", "--checks", "identities"], "odd integer from 5 to 25"),
         (["verify", "--n", "6", "--checks", "identities,torus"], "odd integer from 5 to 25"),
         (["verify", "--n", "3", "--checks", "torus"], "odd integer from 5 to 25"),
+        (["surface", "--out", MISSING_OUT], "cannot write --out"),
+        (["render", "--what", "guide", "--out", MISSING_OUT], "cannot write --out"),
+        # the corner-hit and invalid-path error JSON go to --out too
+        (["trace", "--edge", "S2", "--t", "0.5", "--theta", "2.1225616175277833", "--out", MISSING_OUT], "cannot write --out"),
+        (["derive", "--seq", "ACAC", "--cyclic", "--method", "diagram", "--out", MISSING_OUT], "cannot write --out"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv, named):
@@ -222,7 +231,7 @@ def test_render_guide_overlay_adds_one_dot_per_guide_point(capsys):
     plain = run_cli(capsys, "render", "--n", "7", "--theta", "0.31")
     overlaid = run_cli(capsys, "render", "--n", "7", "--theta", "0.31", "--guide")
     assert plain[0] == overlaid[0] == 0
-    points = len(build_vertex_guide(7).points)
+    points = len(build_vertex_guide(7))
     assert overlaid[1].count("<circle") == plain[1].count("<circle") + points
 
 

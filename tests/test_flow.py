@@ -8,6 +8,7 @@ from oddgon.derivation import cyclic_normal_form, ksl_cyclic, ksl_window
 from oddgon.flow import (
     CornerHit,
     Crossing,
+    carried_primed,
     crossing_events,
     derive_geometric,
     edge_permutation,
@@ -560,18 +561,6 @@ def _reference_events(surface, traj, edges):
     return events
 
 
-def _carried_primed(s, steps):
-    """The primed pieces moved by rotation_isometry(s, steps), as derive_geometric moves them."""
-    move = rotation_isometry(s, steps)
-    out = {UPPER: [], LOWER: []}
-    for polygon in (UPPER, LOWER):
-        for piece in s.primed_for(polygon):
-            target, p0 = move(polygon, piece.seg.p0)
-            _, p1 = move(polygon, piece.seg.p1)
-            out[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
-    return out
-
-
 @pytest.mark.parametrize("n", range(5, 27, 2))
 def test_crossing_events_equal_the_per_piece_reference(n):
     s = build_surface(n)
@@ -595,7 +584,7 @@ def test_crossing_events_equal_the_per_piece_reference(n):
             continue
         periodic += traj.periodic
         steps = normalize_direction(s, theta).steps
-        for edges in (aux_and_primed, _carried_primed(s, -steps), _carried_primed(s, rng.randrange(1, 2 * n))):
+        for edges in (aux_and_primed, carried_primed(s, -steps), carried_primed(s, rng.randrange(1, 2 * n))):
             assert list(crossing_events(s, traj, edges)) == _reference_events(s, traj, edges), (k, u, theta)
             compared += 1
     assert periodic >= 2 and compared >= 36
@@ -604,7 +593,7 @@ def test_crossing_events_equal_the_per_piece_reference(n):
     theta = rng.uniform(0.0, 2.0 * math.pi)
     traj = trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta, max_crossings=3000)
     assert len(traj.crossings) == 3000
-    edges = _carried_primed(s, -normalize_direction(s, theta).steps)
+    edges = carried_primed(s, -normalize_direction(s, theta).steps)
     assert list(crossing_events(s, traj, edges)) == _reference_events(s, traj, edges)
 
 

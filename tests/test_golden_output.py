@@ -91,6 +91,13 @@ GOLDEN = [
         0,
         "5830c36f15d14f501166c98521b07f028a65ba5c19654eb2ff4103dfda559f72",
     ),
+    # the primed pieces, and the node edges' primed pairs, at the largest n
+    ("surface --n 25", 0, "91be0c2edcaa40ac65044f321710bfbdb06b8b8825d415eeffb87d04991f89b1"),
+    (  # the guide dots over a trajectory
+        "render --n 7 --theta 0.31 --guide",
+        0,
+        "05b9aa2fc5612121d86a5e07402fd1e95c35bda06865c4311444db59d72dc478",
+    ),
 ]
 
 

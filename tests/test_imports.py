@@ -1,10 +1,12 @@
-"""Every name a library module imports is read somewhere in that module."""
+"""Every name a library module imports is read somewhere in that module, and
+every public function or class it defines is read by the library or a script."""
 import ast
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oddgon"
+SCRIPTS = SRC.parent.parent / "scripts"
 # names kept so that perfbench/tracing.py can wrap them inside the module
 EXEMPT = "perfbench/tracing.py wraps this name"
 
@@ -32,3 +34,39 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def read_names(source: str) -> set[str]:
+    """The names a module reads, and those it imports on a line marked EXEMPT."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names if EXEMPT in lines[alias.lineno - 1])
+    return names
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.name` for each public top-level function or class that no reader reads."""
+    read = set().union(*map(read_names, readers))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") and node.name not in read
+    )
+
+
+def test_the_check_finds_a_name_only_tests_read():
+    lib = "def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\nclass Wrapped:\n    pass\n"
+    readers = [lib, "from .a import used\nused()\nunused = 3\n", "from .a import Wrapped  # " + EXEMPT + "\n"]
+    assert unread_public_names({"a": lib}, readers) == ["a.unused"]
+
+
+def test_every_public_name_is_read_by_the_library_or_a_script():
+    # __init__ only re-exports; highprec is the oracle, whose closed forms the tests check
+    library = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    readers = list(library.values()) + [p.read_text() for p in SCRIPTS.glob("*.py")]
+    del library["highprec"]
+    assert unread_public_names(library, readers) == []

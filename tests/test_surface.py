@@ -5,7 +5,7 @@ import pytest
 
 from oddgon import highprec
 from oddgon.geometry import EPS, point_in_polygon, polygon_area, vadd, vlerp
-from oddgon.shear import UPPER_RIGHT, identity_sum, sheared_x, side_vertex
+from oddgon.shear import cylinder_width, identity_sum, side_vertex
 from oddgon.surface import (
     LOWER,
     UPPER,
@@ -105,8 +105,10 @@ def test_letters_and_indices():
         (lambda s: s.band_polygons(0), "cylinder index out of range"),
         (lambda s: s.band_polygons(s.m + 1), "cylinder index out of range"),
         (lambda s: identity_sum(s.alpha, 0), "positive integer"),
-        (lambda s: sheared_x("middle", s.n, 0), "unknown point family"),
-        (lambda s: sheared_x(UPPER_RIGHT, s.n, s.m + 1), "level 3 out of range"),
+        (lambda s: cylinder_width(s, 1, at=0.0), "strictly between 0 and 1"),
+        (lambda s: cylinder_width(s, 1, at=1.0), "strictly between 0 and 1"),
+        (lambda s: cylinder_width(s, 1, at=-0.5), "strictly between 0 and 1"),
+        (lambda s: cylinder_width(s, 1, at=float("nan")), "strictly between 0 and 1"),
         (lambda s: side_vertex(s, "middle", 0), "unknown point family"),
         (lambda s: highprec.vertex("middle", s.n, 1), "unknown point family"),
         (lambda s: highprec.sheared_x_closed_form("middle", s.n, 1), "unknown point family"),
@@ -152,18 +154,23 @@ def test_aux_edges_structure(n):
 def test_primed_edges(n):
     s = build_surface(n)
     primed = s.primed_edges
-    assert len(primed) == n
-    coincident = [p.index for p in primed if p.coincident]
-    assert tuple(sorted(coincident)) == s.node_indices
+    # an upper and a lower piece for every index but the two node edges
+    assert [(p.index, p.polygon) for p in primed] == [
+        (k, polygon) for k in range(1, n + 1) if k not in s.node_indices for polygon in (UPPER, LOWER)
+    ]
+    assert s.primed_for(UPPER) + s.primed_for(LOWER) == sorted(primed, key=lambda p: p.polygon != UPPER)
     for p in primed:
-        assert all(piece.kind == "primed" for piece in p.pieces)
-        if not p.coincident:
-            assert p.label == letter_for_index(p.index) + "'"
-            # primed direction is the flip-shear image of the original direction
-            v = flip_shear_matrix(n).apply(s.edge_seg(UPPER, p.index).direction())
-            for piece in p.pieces:
-                d = piece.seg.direction()
-                assert abs(d[0] * v[1] - d[1] * v[0]) < 1e-9
+        assert p.kind == "primed"
+        assert p.label == letter_for_index(p.index) + "'"
+        # primed direction is the flip-shear image of the original direction
+        v = flip_shear_matrix(n).apply(s.edge_seg(UPPER, p.index).direction())
+        d = p.seg.direction()
+        assert abs(d[0] * v[1] - d[1] * v[0]) < 1e-9
+    # surface_json still lists a node edge's primed pair: the original pair itself
+    edges = surface_json(s)["edges"]
+    for k in s.node_indices:
+        pairs = [[(e["polygon"], e["p0"], e["p1"]) for e in edges if e["label"] == label] for label in (f"S{k}", f"S{k}'")]
+        assert pairs[0] == pairs[1] and len(pairs[0]) == 2
 
 
 @pytest.mark.parametrize("n", range(5, 27, 2))
@@ -173,17 +180,14 @@ def test_primed_pieces_lie_in_their_band_pieces(n):
     # continues the upper one from that midpoint into the translated lower band
     s = build_surface(n)
     levels = s.levels()
-    for pe in s.primed_edges:
-        if pe.coincident:
-            continue
-        k = pe.index
+    for upper, lower in zip(s.primed_edges[::2], s.primed_edges[1::2]):
+        k = upper.index
         y = s.edge_seg(UPPER, k).midpoint()[1]
         (c,) = [c for c in range(1, s.m + 1) if levels[c - 1] < y < levels[c]]
         up_band, lo_band = s.band_polygons(c)
         t = s.identification_offset(k)
-        upper, lower = pe.pieces
         glued = lower.seg.translated(t)
-        assert (upper.polygon, lower.polygon) == (UPPER, LOWER)
+        assert (upper.polygon, lower.polygon, lower.index) == (UPPER, LOWER, k)
         assert math.dist(glued.p0, upper.seg.p0) < 1e-12
         assert point_in_polygon(upper.seg.midpoint(), up_band, eps=-EPS)
         assert point_in_polygon(glued.midpoint(), [vadd(p, t) for p in lo_band], eps=-EPS)
