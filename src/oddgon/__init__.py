@@ -1,115 +1,1 @@
 """Translation surfaces from double odd n-gons: flows, shears, derivation."""
-
-from .derivation import (
-    Arrow,
-    DiagramPipeline,
-    EquivalenceReport,
-    InvalidPath,
-    TransitionDiagram,
-    build_arrows_diagram,
-    build_augmented_diagram,
-    build_pipeline_diagrams,
-    cyclic_normal_form,
-    derive_via_diagrams,
-    diagram_dot,
-    diagram_json,
-    ksl_cyclic,
-    ksl_window,
-    sandwich_equivalence_check,
-)
-from .flow import (
-    CornerHit,
-    Crossing,
-    GeometricDerivation,
-    NormalizedDirection,
-    Trajectory,
-    crossing_events,
-    derive_geometric,
-    normalize_direction,
-    rotation_isometry,
-    trace,
-    trace_from_edge,
-    trajectory_json,
-)
-from .shear import (
-    Cylinder,
-    GuidePoint,
-    ReassemblyReport,
-    build_vertex_guide,
-    cylinder_width,
-    decompose_cylinders,
-    identity_sum,
-    telescoping_identity,
-    verify_reassembly,
-)
-from .surface import (
-    LOWER,
-    UPPER,
-    Surface,
-    build_surface,
-    flip_shear_matrix,
-    index_for_letter,
-    letter_for_index,
-    shear_matrix,
-    surface_json,
-)
-from .torus import (
-    TorusTrajectory,
-    torus_derive_geometric,
-    torus_derive_rule,
-    torus_trace,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Arrow",
-    "CornerHit",
-    "Crossing",
-    "Cylinder",
-    "DiagramPipeline",
-    "EquivalenceReport",
-    "GeometricDerivation",
-    "GuidePoint",
-    "InvalidPath",
-    "LOWER",
-    "NormalizedDirection",
-    "ReassemblyReport",
-    "Surface",
-    "TorusTrajectory",
-    "Trajectory",
-    "TransitionDiagram",
-    "UPPER",
-    "build_arrows_diagram",
-    "build_augmented_diagram",
-    "build_pipeline_diagrams",
-    "build_surface",
-    "build_vertex_guide",
-    "cyclic_normal_form",
-    "cylinder_width",
-    "decompose_cylinders",
-    "crossing_events",
-    "derive_geometric",
-    "derive_via_diagrams",
-    "diagram_dot",
-    "diagram_json",
-    "flip_shear_matrix",
-    "identity_sum",
-    "index_for_letter",
-    "ksl_cyclic",
-    "ksl_window",
-    "letter_for_index",
-    "normalize_direction",
-    "rotation_isometry",
-    "sandwich_equivalence_check",
-    "shear_matrix",
-    "surface_json",
-    "telescoping_identity",
-    "torus_derive_geometric",
-    "torus_derive_rule",
-    "torus_trace",
-    "trace",
-    "trace_from_edge",
-    "trajectory_json",
-    "verify_reassembly",
-]

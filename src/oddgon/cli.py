@@ -13,6 +13,8 @@ import sys
 from . import highprec
 from .derivation import (
     InvalidPath,
+    build_arrows_diagram,
+    build_augmented_diagram,
     build_pipeline_diagrams,
     cyclic_normal_form,
     derive_via_diagrams,
@@ -144,12 +146,14 @@ def _cmd_derive_geometric(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    s = build_surface(args.n)
+    # only the dual and primed stages need the pipeline's sampled traces
     if args.stage == "arrows":
-        from .derivation import build_arrows_diagram
-
-        diagram = build_arrows_diagram(build_surface(args.n))
+        diagram = build_arrows_diagram(s)
+    elif args.stage == "augmented":
+        diagram = build_augmented_diagram(s)[0]
     else:
-        diagram = build_pipeline_diagrams(build_surface(args.n)).stages[args.stage]
+        diagram = build_pipeline_diagrams(s).stages[args.stage]
     if args.format == "dot":
         _emit(diagram_dot(diagram), args.out)
     else:
@@ -221,7 +225,11 @@ def _check_torus(args) -> dict:
     rng = random.Random(args.seed)
     checked = failures = 0
     while checked < 200:
-        theta = rng.uniform(0.02, math.pi / 4 - 0.02)
+        if checked % 2:  # slope p/q with 1 <= p < q <= 4: period p + q < 8, the least bound drawn
+            q = rng.randrange(2, 5)
+            theta = math.atan2(rng.randrange(1, q), q)
+        else:
+            theta = rng.uniform(0.02, math.pi / 4 - 0.02)
         start = (rng.random(), rng.random())
         try:
             traj = torus_trace(start, theta, max_crossings=rng.randrange(8, 40))

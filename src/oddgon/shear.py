@@ -16,12 +16,6 @@ from dataclasses import dataclass
 from .geometry import EPS, PARALLEL, Vec, vadd, vsub
 from .surface import LOWER, UPPER, Surface, build_surface, shear_matrix
 
-UPPER_RIGHT = "upper_right"
-UPPER_LEFT = "upper_left"
-LOWER_RIGHT = "lower_right"
-LOWER_LEFT = "lower_left"
-POINT_FAMILIES = (UPPER_RIGHT, UPPER_LEFT, LOWER_RIGHT, LOWER_LEFT)
-
 LEFT = "left"
 RIGHT = "right"
 
@@ -112,17 +106,18 @@ def decompose_cylinders(surface: Surface) -> list[Cylinder]:
 # ---- side vertices -------------------------------------------------------
 
 
-def side_vertex(surface: Surface, family: str, k: int) -> Vec:
-    """The unsheared level-k side vertex of the given family."""
-    if family == UPPER_RIGHT:
-        return surface.right_point(k)
-    if family == UPPER_LEFT:
-        return surface.left_point(k)
-    if family == LOWER_RIGHT:
-        return surface.half_turn(surface.left_point(k))
-    if family == LOWER_LEFT:
-        return surface.half_turn(surface.right_point(k))
-    raise ValueError(f"unknown point family {family!r}")
+def side_vertex(surface: Surface, polygon: str, side: str, k: int) -> Vec:
+    """The unsheared level-k vertex on the given side of the given polygon.
+
+    The lower polygon is the half turn of the upper, which swaps the sides.
+    """
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"unknown side {side!r}")
+    if polygon == UPPER:
+        return surface.right_point(k) if side == RIGHT else surface.left_point(k)
+    if polygon == LOWER:
+        return surface.half_turn(surface.left_point(k) if side == RIGHT else surface.right_point(k))
+    raise ValueError(f"unknown polygon {polygon!r}")
 
 
 # ---- vertex generator guide ------------------------------------------------
@@ -135,14 +130,6 @@ class GuidePoint:
     level: int
     x: float
     y: float
-
-
-_FAMILY_OF = {
-    (UPPER, RIGHT): UPPER_RIGHT,
-    (UPPER, LEFT): UPPER_LEFT,
-    (LOWER, RIGHT): LOWER_RIGHT,
-    (LOWER, LEFT): LOWER_LEFT,
-}
 
 
 def build_vertex_guide(n: int) -> tuple[GuidePoint, ...]:
@@ -165,7 +152,7 @@ def build_vertex_guide(n: int) -> tuple[GuidePoint, ...]:
             raise AssertionError(f"chain offset not horizontal: {offset}")
         # at level m both sides are the apex: a zero-length bar
         for side in (LEFT, RIGHT):
-            p = side_vertex(surface, _FAMILY_OF[(polygon, side)], level)
+            p = side_vertex(surface, polygon, side, level)
             points.append(GuidePoint(polygon=polygon, side=side, level=level, x=p[0] + offset[0], y=p[1]))
 
     # upper chain
@@ -210,7 +197,7 @@ def verify_reassembly(n: int, tol: float = 1e-8) -> ReassemblyReport:
     max_residual = 0.0
     y_ok = True
     for gp in guide:
-        v = side_vertex(surface, _FAMILY_OF[(gp.polygon, gp.side)], gp.level)
+        v = side_vertex(surface, gp.polygon, gp.side, gp.level)
         image = M.apply(v)
         r = abs(gp.x - image[0])
         if r > max_residual:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from oddgon import cli, derivation
 from oddgon.cli import main
 from oddgon.geometry import vsub
 from oddgon.shear import build_vertex_guide
@@ -110,6 +111,19 @@ def test_diagram_stages(capsys):
     assert out.startswith("digraph")
 
 
+def test_arrows_and_augmented_stages_trace_no_sample(capsys, monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("traced a sample")
+
+    monkeypatch.setattr(derivation, "trace_from_edge", no_trace)
+    for stage in ("arrows", "augmented"):
+        code, data = run_json(capsys, "diagram", "--n", "11", "--stage", stage)
+        assert code == 0
+        assert data["stage"] == stage
+    with pytest.raises(AssertionError, match="traced a sample"):
+        main(["diagram", "--n", "11", "--stage", "dual"])
+
+
 def test_guide_point_count(capsys):
     code, data = run_json(capsys, "guide", "--n", "9")
     assert code == 0
@@ -132,6 +146,21 @@ def test_verify_failure_exits_one(capsys):
     code, data = run_json(capsys, "verify", "--n", "5", "--checks", "reassembly", "--tol", "1e-20")
     assert code == 1
     assert data["checks"]["reassembly"]["pass"] is False
+
+
+def test_verify_torus_compares_open_and_periodic_orbits(capsys, monkeypatch):
+    cyclic_flags = []
+    rule = cli.torus_derive_rule
+
+    def recording_rule(word, cyclic=False):
+        cyclic_flags.append(cyclic)
+        return rule(word, cyclic=cyclic)
+
+    monkeypatch.setattr(cli, "torus_derive_rule", recording_rule)
+    code, data = run_json(capsys, "verify", "--checks", "torus")
+    assert code == 0
+    assert data["checks"]["torus"] == {"pass": True, "orbits_checked": 200, "failures": 0}
+    assert True in cyclic_flags and False in cyclic_flags
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

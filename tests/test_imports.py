@@ -1,6 +1,10 @@
-"""Every name a library module imports is read somewhere in that module, and
-every public function or class it defines is read by the library or a script."""
+"""Every name a library module imports is read somewhere in that module,
+every public function, class or constant it defines is read by the library or
+a script, and importing the package loads none of its modules."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,7 +35,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["os", "tau"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
 
@@ -47,26 +51,45 @@ def read_names(source: str) -> set[str]:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or assigned constants."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+
+
 def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """`module.name` for each public top-level function or class that no reader reads."""
+    """`module.name` for each public top-level function, class or constant that no reader reads."""
     read = set().union(*map(read_names, readers))
     return sorted(
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, source in modules.items()
         for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") and node.name not in read
+        for name in defined_names(node)
+        if not name.startswith("_") and name not in read
     )
 
 
 def test_the_check_finds_a_name_only_tests_read():
-    lib = "def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\nclass Wrapped:\n    pass\n"
+    lib = (
+        "def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\nclass Wrapped:\n    pass\n"
+        "LIMIT = 3\nSPARE, _HIDDEN = LIMIT, 2\n"
+    )
     readers = [lib, "from .a import used\nused()\nunused = 3\n", "from .a import Wrapped  # " + EXEMPT + "\n"]
-    assert unread_public_names({"a": lib}, readers) == ["a.unused"]
+    assert unread_public_names({"a": lib}, readers) == ["a.SPARE", "a.unused"]
 
 
 def test_every_public_name_is_read_by_the_library_or_a_script():
-    # __init__ only re-exports; highprec is the oracle, whose closed forms the tests check
-    library = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    # highprec is the oracle, whose closed forms the tests check
+    library = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     readers = list(library.values()) + [p.read_text() for p in SCRIPTS.glob("*.py")]
     del library["highprec"]
     assert unread_public_names(library, readers) == []
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import oddgon, sys; print(sorted(m for m in sys.modules if m.startswith('oddgon.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

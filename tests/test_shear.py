@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from oddgon import highprec
 from oddgon.shear import (
-    POINT_FAMILIES,
+    LEFT,
+    RIGHT,
     build_vertex_guide,
     cylinder_width,
     decompose_cylinders,
@@ -17,9 +18,10 @@ from oddgon.shear import (
     telescoping_identity,
     verify_reassembly,
 )
-from oddgon.surface import build_surface
+from oddgon.surface import LOWER, UPPER, build_surface
 
 ODD_NS = list(range(5, 23, 2))
+SIDES = [(polygon, side) for polygon in (UPPER, LOWER) for side in (RIGHT, LEFT)]
 
 thetas = st.floats(min_value=0.011, max_value=math.pi - 0.011)
 ks = st.integers(min_value=1, max_value=12)
@@ -95,7 +97,8 @@ def test_cylinder_intervals_tile_the_surface_height(n):
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
 def test_sheared_x_closed_form_routes_agree(n):
     m = (n - 1) // 2
-    for family in POINT_FAMILIES:
+    for polygon, side in SIDES:
+        family = f"{polygon}_{side}"  # highprec's name for a side's vertices
         for k in range(m + 1):
             closed = float(highprec.sheared_x_closed_form(family, n, k))
             via_matrix = float(highprec.sheared_x_via_matrix(family, n, k))
@@ -105,10 +108,10 @@ def test_sheared_x_closed_form_routes_agree(n):
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
 def test_side_vertices_match_summation_formulas(n):
     s = build_surface(n)
-    for family in POINT_FAMILIES:
+    for polygon, side in SIDES:
         for k in range((n - 1) // 2 + 1):
-            got = side_vertex(s, family, k)
-            ox, oy = highprec.vertex(family, n, k)
+            got = side_vertex(s, polygon, side, k)
+            ox, oy = highprec.vertex(f"{polygon}_{side}", n, k)
             assert abs(got[0] - float(ox)) < 1e-11
             assert abs(got[1] - float(oy)) < 1e-11
 

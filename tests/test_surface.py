@@ -109,9 +109,11 @@ def test_letters_and_indices():
         (lambda s: cylinder_width(s, 1, at=1.0), "strictly between 0 and 1"),
         (lambda s: cylinder_width(s, 1, at=-0.5), "strictly between 0 and 1"),
         (lambda s: cylinder_width(s, 1, at=float("nan")), "strictly between 0 and 1"),
-        (lambda s: side_vertex(s, "middle", 0), "unknown point family"),
+        (lambda s: side_vertex(s, "middle", "left", 0), "unknown polygon"),
+        (lambda s: side_vertex(s, "upper", "middle", 0), "unknown side"),
         (lambda s: highprec.vertex("middle", s.n, 1), "unknown point family"),
         (lambda s: highprec.sheared_x_closed_form("middle", s.n, 1), "unknown point family"),
+        (lambda s: highprec.sheared_x_via_matrix("middle", s.n, 1), "unknown point family"),
     ],
 )
 def test_out_of_range_inputs_are_rejected(pentagon, call, match):
