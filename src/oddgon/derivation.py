@@ -162,10 +162,10 @@ def _arrow_chords(surface: Surface, x: int, y: int) -> tuple[str, list[tuple[Vec
 
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
     rows = [e.row for e in surface.aux_for(polygon)]
-    hits: list[tuple[float, str, str]] = []
-    interior_hits(a[0], a[1], b[0] - a[0], b[1] - a[1], rows, 0.0, hits)
-    hits.sort()
-    return tuple(label for _, _, label in hits)
+    events: list[tuple[float, str, str]] = []
+    # one step from a to b; its lead event at time 0 is not a crossing of the chord
+    interior_hits([((0.0, ORIGINAL, ""), a[0], a[1], b[0] - a[0], b[1] - a[1], rows)], events)
+    return tuple(label for _, _, label in sorted(events[1:]))
 
 
 def build_augmented_diagram(surface: Surface) -> tuple[TransitionDiagram, dict]:
@@ -342,13 +342,14 @@ def _scan_sampled_transitions(
             if j is None:
                 continue
             key = (events[i][2], events[j][2], originals)
-            if key in observed and observed[key] != primeds:
+            seen = observed.get(key)
+            if seen is None:
+                observed[key] = primeds
+                first_seen[key] = sample
+            elif seen != primeds:
                 raise AssertionError(
-                    f"primed content of dual transition {key} is not well defined: "
-                    f"{observed[key]!r} vs {primeds!r}"
+                    f"primed content of dual transition {key} is not well defined: {seen!r} vs {primeds!r}"
                 )
-            observed[key] = primeds
-            first_seen.setdefault(key, sample)
     return observed, first_seen
 
 

@@ -17,18 +17,22 @@ one period). `crossing_events` is the one scan of a traced trajectory
 against edge pieces; the geometric derivation feeds it the primed edges
 carried onto the trajectory's charts, so a trajectory is traced once in any
 direction. Every piece scan reads the pieces' cached `Edge.row` rows through
-`geometry.interior_hits`, which appends a segment's (time, kind, name)
-events to the stream itself.
+`geometry.interior_hits`, which walks a trajectory's segments in one loop
+and appends their (time, kind, name) events to the stream itself.
 The tracer's loop scans the same rows of the polygon edges
 (`Surface.exit_rows`) inline, with their denominators worked out once per
-direction. Both scans read only the rows of direction-fixed reach tables
-(`geometry.reach`), and each walks its trajectory in one flat loop that
-builds no temporary list per crossing.
+direction. Both scans read only rows that a line of their direction can
+meet: each row's span across the direction is worked out once
+(`geometry.span_table`; the trajectory keeps its edges' spans), and the
+tracer's exit tables (per entry edge) and the event scan's piece tables (per
+entry and exit edge) are filtered from it. Each walks its trajectory in one
+flat loop that builds no temporary list per crossing, and the tracer ends a
+step's scan at the first exit well inside its edge.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -41,9 +45,9 @@ from .geometry import (
     Vec,
     interior_hits,
     ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
-    reach,
     rotation,
     round_sig,
+    span_table,
     unit,
     vadd,
     vsub,
@@ -112,6 +116,10 @@ class Trajectory(CuttingSequence):
     start_edge: int
     periodic: bool = False
     start_param: Optional[float] = None
+    # per polygon, the `span_table` of `Surface.exit_rows` across the direction:
+    # worked out once by `trace`, which filters its exit tables from it, and
+    # read again by `crossing_events`
+    exit_spans: dict[str, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def segment_ends(self) -> list[Crossing]:
@@ -131,6 +139,32 @@ class Trajectory(CuttingSequence):
         else:
             exit_point = vsub(b.point, t)
         return a.polygon, a.point, exit_point
+
+
+def _exit_tables(exit_spans: dict[str, list], d: Vec) -> dict[str, list[tuple]]:
+    """Per polygon, a list whose item k - 1 is the exit table of a step in
+    direction d that entered through S_k: rows (k, ax, ay, ex, ey, denom) of
+    the other edges whose spans across d overlap S_k's, in edge order.
+
+    `exit_spans` holds each polygon's `span_table` of its edge rows across d.
+    The direction is fixed, so each edge's denominator dx*ey - dy*ex is
+    worked out once per trajectory too, and edges parallel to d (under the
+    exit_rows guard) are dropped.
+    """
+    dx, dy = d
+    exits = {}
+    for polygon, spans in exit_spans.items():
+        scan = [
+            (lo, hi, (k, ax, ay, ex, ey, denom))
+            for lo, hi, (ax, ay, ex, ey, guard, k) in spans
+            for denom in (dx * ey - dy * ex,)
+            if abs(denom) >= guard
+        ]
+        exits[polygon] = [
+            tuple(row for lo, hi, row in scan if lo <= side_hi and side_lo <= hi and row[0] != side[5])
+            for side_lo, side_hi, side in spans
+        ]
+    return exits
 
 
 def trace(
@@ -155,24 +189,9 @@ def trace(
     if max_crossings < 1:
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     d = unit(theta)
-    offsets = surface.offsets
-    # the direction is fixed, so each edge's denominator dx*ey - dy*ex is
-    # worked out once per trajectory, and edges parallel to d (under the
-    # exit_rows guard) are dropped. exits[polygon][k - 1] is the reach table
-    # of a step entering through S_k, rows (k, ax, ay, ex, ey, denom)
     dx, dy = d
-    exits = {
-        polygon: [
-            tuple(
-                (k, ax, ay, ex, ey, dx * ey - dy * ex)
-                for ax, ay, ex, ey, guard, k in table
-                if k != side[5] and abs(dx * ey - dy * ex) >= guard
-            )
-            for side, table in zip(rows, reach(d, rows, [(side,) for side in rows]))
-        ]
-        for polygon, rows in surface.exit_rows.items()
-    }
-    letters = surface.letters
+    exit_spans = {polygon: span_table(d, rows) for polygon, rows in surface.exit_rows.items()}
+    exits, offsets, letters = _exit_tables(exit_spans, d), surface.offsets, surface.letters
     tx, ty = surface.identification_offset(start_edge)
     polygon = surface.entering_polygon(start_edge, theta)
     fx, fy = start[1]
@@ -182,17 +201,32 @@ def trace(
         fx, fy = fx - tx, fy - ty
     x, y = fx, fy
     crossings = [Crossing(start_edge, letters[start_edge - 1], polygon, (x, y))]
-    traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
+    traj = Trajectory(
+        start[0], start[1], theta, crossings, start_edge, start_param=start_param, exit_spans=exit_spans
+    )
 
-    # each step scans the reach table of its polygon and entry edge for the
+    # each step scans the exit table of its polygon and entry edge for the
     # smallest hit with t > STEP_MIN, with ray_segment_hit's arithmetic
     # inline, so t, u and the exit point are the same floats; the first edge
     # wins a tie. The table leaves out the entry edge: a convex polygon is not
     # left through it, but near its direction float error puts a self-hit
     # above STEP_MIN. No exit at all, or an exit within CORNER_DELTA of an
     # edge end, is a corner hit.
+    # The scan stops at the first accepted row whose u lies in
+    # [CORNER_SHORTCUT, 1 - CORNER_SHORTCUT] once the entry point, too, is
+    # that far from both ends of its edge (`inner`). A line through interior
+    # points of two edges of a convex polygon meets its boundary there and
+    # nowhere else, so any other accepted row is hit within EPS past an end
+    # of its edge: outside the polygon, before the entry or after the exit,
+    # and about CORNER_SHORTCUT from both along the line, a margin rounding
+    # cannot cross. That row is the only boundary hit at t > STEP_MIN, so it
+    # is the smallest hit and the rows after it cannot change the step.
     first_polygon, entry, segs = polygon, start_edge, surface.edge_segs
     u_min, u_max, near_end = -EPS, 1.0 + EPS, 1.0 - CORNER_SHORTCUT
+    # the start lies on S_start_edge of its chart, and sides have unit length,
+    # so this dot product is its edge parameter
+    (x0, y0), (x1, y1) = segs[polygon][start_edge - 1].p0, segs[polygon][start_edge - 1].p1
+    inner = CORNER_SHORTCUT <= (x - x0) * (x1 - x0) + (y - y0) * (y1 - y0) <= near_end
     append, new = crossings.append, tuple.__new__  # Crossing's fields without its generated __new__
     for _ in range(max_crossings - 1):  # one crossing per step after crossing 0
         best_t = None
@@ -206,12 +240,15 @@ def trace(
                 continue
             if best_t is None or t < best_t:
                 best_k, best_t, best_u, bx, by, bex, bey = k, t, u, ax, ay, ex, ey
+            if inner and CORNER_SHORTCUT <= u <= near_end:
+                break
         if best_t is None:  # degenerate direction from boundary
             raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
         x, y = bx + bex * best_u, by + bey * best_u
         # an exit at least CORNER_SHORTCUT in from both ends of a unit side is
         # no corner hit, so only exits near an end pay for the exact distances
-        if best_u < CORNER_SHORTCUT or best_u > near_end:
+        inner = CORNER_SHORTCUT <= best_u <= near_end
+        if not inner:
             (x0, y0), (x1, y1) = segs[polygon][best_k - 1].p0, segs[polygon][best_k - 1].p1
             if min(math.hypot(x - x0, y - y0), math.hypot(x - x1, y - y1)) < CORNER_DELTA:
                 raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
@@ -338,39 +375,48 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     at i + t tagged as `e.row` is: kind `e.kind` and name `e.label` stripped
     of its prime, so a primed piece is named by the letter it is the image
     of. Hits at equal times keep the order of `edges`. Segment i ends at
-    `traj.segment_ends[i]`, so periodic orbits include the closing segment. Per
-    segment, `interior_hits` reads the reach table of its polygon, entry edge
-    and exit edge, built the first time that triple comes up, and appends the
-    segment's hits to the list itself, after its original crossing and sorted
-    stably by the float time i + t. Below 2**24 crossings that time lies
+    `traj.segment_ends[i]`, so periodic orbits include the closing segment.
+    Each piece row's span across the trajectory's direction is worked out
+    once (`span_table`); the edges' spans come with the trajectory
+    (`Trajectory.exit_spans`). A segment reads the piece table of its
+    polygon, entry edge and exit edge: the pieces whose spans overlap both
+    edges' spans, filtered the first time that triple comes up.
+    `interior_hits` walks the segments in one loop, appending each one's
+    original crossing and then its hits, sorted stably by the float time
+    i + t, and scans nothing for a segment whose table is empty. Below 2**24 crossings that time lies
     strictly between i and i + 1 (t is in (EPS, 1 - EPS)), so this is the
     stable sort of the whole stream by time, ties included, without sorting
     the whole stream.
     """
-    rows = {polygon: [e.row for e in pieces] for polygon, pieces in edges.items()}
-    d, tables = unit(traj.theta), {}
-    offsets, crossings = surface.offsets, traj.crossings
+    d = unit(traj.theta)
+    pieces = {polygon: span_table(d, [e.row for e in edges[polygon]]) for polygon in edges}
+    sides, crossings = traj.exit_spans, traj.crossings
+    # the identification offset of S_k, signed to carry a lower-chart point
+    # into the upper chart or back: carry[polygon][k - 1]
+    carry = {UPPER: surface.offsets, LOWER: tuple((-ox, -oy) for ox, oy in surface.offsets)}
+
+    def steps():
+        tables: dict[tuple[str, int, int], tuple] = {}
+        base = 0.0
+        for (k, letter, polygon, (px, py)), (exit_k, _, _, (bx, by)) in zip(crossings, traj.segment_ends):
+            table = tables.get((polygon, k, exit_k))
+            if table is None:
+                (lo0, hi0, _), (lo1, hi1, _) = sides[polygon][k - 1], sides[polygon][exit_k - 1]
+                lo_s, hi_s = max(lo0, lo1), min(hi0, hi1)
+                table = tables[polygon, k, exit_k] = tuple(
+                    row for lo, hi, row in pieces[polygon] if lo <= hi_s and lo_s <= hi
+                )
+            # segment i in this chart, from the entry point to the next crossing's
+            # point carried back across the identification it entered by
+            # (Trajectory.segment)
+            ox, oy = carry[polygon][exit_k - 1]
+            yield (base, ORIGINAL, letter), px, py, bx + ox - px, by + oy - py, table
+            base += 1.0
+
     events: list[tuple[float, str, str]] = []
-    append = events.append
-    base = 0.0
-    for (k, letter, polygon, (px, py)), (exit_k, _, _, (bx, by)) in zip(crossings, traj.segment_ends):
-        append((base, ORIGINAL, letter))
-        # segment i in this chart, from the entry point to the next crossing's
-        # point carried back across the identification it entered by
-        # (Trajectory.segment)
-        ox, oy = offsets[exit_k - 1]
-        if polygon == UPPER:
-            dx, dy = bx + ox - px, by + oy - py
-        else:
-            dx, dy = bx - ox - px, by - oy - py
-        table = tables.get((polygon, k, exit_k))
-        if table is None:
-            sides = surface.exit_rows[polygon]
-            table = tables[polygon, k, exit_k] = reach(d, rows[polygon], [(sides[k - 1], sides[exit_k - 1])])[0]
-        interior_hits(px, py, dx, dy, table, base, events)
-        base += 1.0
+    interior_hits(steps(), events)
     if not traj.periodic:
-        append((base, ORIGINAL, crossings[-1].letter))
+        events.append((float(len(crossings) - 1), ORIGINAL, crossings[-1].letter))
     return events
 
 

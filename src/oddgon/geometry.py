@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vec = tuple[float, float]
 
@@ -31,11 +31,15 @@ PARALLEL = 1e-15
 # end against CORNER_DELTA) only for an exit whose edge parameter lies within
 # this of 0 or 1. Sides have unit length, so an exit farther in is this far
 # from both ends up to rounding far below CORNER_DELTA: the shortcut never
-# changes a decision.
+# changes a decision. The same margin licenses the tracer's early exit: when
+# both the entry point and an accepted exit lie this far inside their edges,
+# that exit is the step's only boundary hit, and the scan of its other rows
+# stops (see `flow.trace`).
 CORNER_SHORTCUT = 1e6 * CORNER_DELTA
-# `reach` widens each row's span across the direction by this much: the exit
-# window [-EPS, 1 + EPS] reaches EPS past a unit side, a periodic return
-# closes within EPS, and rounding is far below either.
+# `span_table` widens each row's span across a direction by this much, so
+# that filtering by spans only prunes: the exit window [-EPS, 1 + EPS]
+# reaches EPS past a unit side, a periodic return closes within EPS, and
+# rounding is far below either. A row's span is worked out once per direction.
 REACH = 2 * EPS
 
 
@@ -150,47 +154,54 @@ def segment_row(seg: Segment, tag) -> Row:
     return (ax, ay, ex, ey, PARALLEL * max(1.0, math.hypot(ex, ey)), tag)
 
 
-def interior_hits(px: float, py: float, dx: float, dy: float, rows: Sequence[Row], base: float, events: list) -> None:
-    """Append (base + t, kind, name) to `events` for every row crossed strictly inside both the step and the row.
+def interior_hits(
+    steps: Iterable[tuple[tuple[float, str, str], float, float, float, float, Sequence[Row]]], events: list
+) -> None:
+    """Append each step's lead event to `events`, then its crossings of the step's rows.
 
-    Each row's tag is a (kind, name) pair. The step is p + t*d for t in
-    (EPS, 1 - EPS); the row's own parameter u must lie in (EPS, 1 - EPS) too.
-    The arithmetic is ray_segment_hit's, so every t is the same float. The
-    appended events are sorted stably by their time base + t, so hits at
-    equal times keep the order of `rows`.
+    A step is (lead, px, py, dx, dy, rows): `lead` is a (time, kind, name)
+    event; the step itself is p + t*d for t in (EPS, 1 - EPS), and a row it
+    crosses with the row's own parameter u in (EPS, 1 - EPS) too appends
+    (time + t, kind, name), the (kind, name) pair being the row's tag. The
+    arithmetic is ray_segment_hit's, so every t is the same float. A step's
+    crossings are sorted stably by their time, so hits at equal times keep
+    the order of `rows`.
     """
     hi = 1.0 - EPS
-    start = len(events)
-    for ax, ay, ex, ey, guard, (kind, name) in rows:
-        denom = dx * ey - dy * ex
-        if abs(denom) < guard:
+    append = events.append
+    for lead, px, py, dx, dy, rows in steps:
+        append(lead)
+        if not rows:
             continue
-        wx, wy = ax - px, ay - py
-        t = (wx * ey - wy * ex) / denom
-        if EPS < t < hi and EPS < (wx * dy - wy * dx) / denom < hi:
-            events.append((base + t, kind, name))
-    if len(events) - start > 1:
-        events[start:] = sorted(events[start:], key=itemgetter(0))
+        base, start = lead[0], len(events)
+        for ax, ay, ex, ey, guard, (kind, name) in rows:
+            denom = dx * ey - dy * ex
+            if abs(denom) < guard:
+                continue
+            wx, wy = ax - px, ay - py
+            t = (wx * ey - wy * ex) / denom
+            if EPS < t < hi and EPS < (wx * dy - wy * dx) / denom < hi:
+                append((base + t, kind, name))
+        if len(events) - start > 1:
+            events[start:] = sorted(events[start:], key=itemgetter(0))
 
 
-def reach(d: Vec, rows: Sequence[Row], windows: Sequence[Sequence[Row]]) -> list[list[Row]]:
-    """Per window, the rows, in order, that a line of direction d meeting every row of the window can meet.
+def span_table(d: Vec, rows: Sequence[Row]) -> list[tuple[float, float, Row]]:
+    """Each row as (lo, hi, row): its span of s(x) = dx*y - dy*x, widened by REACH.
 
-    Such a line keeps one value of s(x) = dx*y - dy*x, so it meets a row only
-    where that value lies in the row's span of s. Spans are widened by REACH,
-    so every row the full scan accepts is kept: this only prunes.
+    A line of direction d keeps one value of s, so it meets a row only where
+    that value lies in the row's span, and it meets every row of a set only
+    if its value lies in all their spans. Filtering a table by the
+    intersection of some rows' spans therefore keeps every row such a line
+    can meet, and, the spans being widened, every row the full scan accepts.
     """
     dx, dy = d
-
-    def span(row: Row) -> tuple[float, float]:
+    table = []
+    for row in rows:
         s0 = dx * row[1] - dy * row[0]
         s1 = s0 + dx * row[3] - dy * row[2]
-        return min(s0, s1) - REACH, max(s0, s1) + REACH
-
-    spans = [(row, span(row)) for row in rows]
-    ends = [[span(row) for row in window] for window in windows]
-    bounds = [(max(lo for lo, _ in e), min(hi for _, hi in e)) for e in ends]
-    return [[row for row, (a, b) in spans if a <= hi and lo <= b] for lo, hi in bounds]
+        table.append((min(s0, s1) - REACH, max(s0, s1) + REACH, row))
+    return table
 
 
 def clip_polygon_halfplane(poly: Sequence[Vec], n: Vec, c: float) -> list[Vec]:

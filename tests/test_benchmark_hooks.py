@@ -1,12 +1,17 @@
-"""The traced benchmark run wraps program names by string; keep them present."""
+"""The traced benchmark run wraps program names by string; keep them present.
+The committed BENCH_*.json results must name what the benchmark measures."""
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 import oddgon.cli
 import oddgon.derivation
 import oddgon.flow
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -33,3 +38,13 @@ def test_tracer_installs_and_restores_every_hook():
     assert oddgon.flow.normalize_direction is before["flow"]["normalize_direction"]
     assert oddgon.derivation.trace_from_edge is before["derivation"]["trace_from_edge"]
     assert oddgon.cli._CHECKS == before["checks"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_result_names_a_benchmark_metric(path):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    result = json.loads(path.read_text())
+    assert {"what", "parent", "commands", "claim", "end_to_end", "per_layer"} <= result.keys()
+    workload, metric = result["claim"]["metric"].split(" ")
+    assert workload in {w["name"] for w in benchmark["workloads"]}
+    assert metric in {m["name"] for m in benchmark["end_to_end"]}

@@ -276,6 +276,39 @@ def test_sampled_scan_checks_the_augmented_labels(pentagon, monkeypatch):
         _scan_sampled_transitions(pentagon, blanked)
 
 
+def test_sampled_scan_checks_the_primed_content(pentagon, monkeypatch):
+    # the last sample reads one primed hit under another name; every dual
+    # transition it meets was realized earlier in the plan (covered_at is 5)
+    scan, calls = derivation.crossing_events, []
+
+    def renamed(surface, traj, edges):
+        events = scan(surface, traj, edges)
+        calls.append(traj)
+        if len(calls) == PLAN_SAMPLES:
+            i = next(i for i, (_, kind, _) in enumerate(events) if kind == PRIMED)
+            time, kind, name = events[i]
+            events[i] = (time, kind, name.lower())
+        return events
+
+    monkeypatch.setattr(derivation, "crossing_events", renamed)
+    _, aux_of = build_augmented_diagram(pentagon)
+    with pytest.raises(AssertionError, match="is not well defined"):
+        _scan_sampled_transitions(pentagon, aux_of)
+    assert len(calls) == PLAN_SAMPLES
+
+
+def test_pipeline_build_reports_unpredicted_transitions(pentagon, monkeypatch):
+    enumerate_dual = derivation._enumerate_dual_transitions
+
+    def one_dropped(surface, aux_of):
+        predicted = enumerate_dual(surface, aux_of)
+        return predicted - {min(predicted)}
+
+    monkeypatch.setattr(derivation, "_enumerate_dual_transitions", one_dropped)
+    with pytest.raises(AssertionError, match="not predicted by the chain graph"):
+        build_pipeline_diagrams(pentagon)
+
+
 def test_pipeline_build_reports_unrealized_transitions(pentagon, monkeypatch):
     monkeypatch.setattr(derivation, "PLAN_SAMPLES", 1)
     with pytest.raises(AssertionError, match="never realized by the 1-sample plan.*sample plan is at fault"):

@@ -27,8 +27,8 @@ from oddgon.geometry import (
     interior_hits,
     point_in_polygon,
     ray_segment_hit,
-    reach,
     segment_row,
+    span_table,
     unit,
     vadd,
     vsub,
@@ -210,6 +210,12 @@ def test_trace_equals_brute_force_reference(n):
         k, u = rng.randrange(1, n + 1), rng.uniform(0.02, 0.98)
         inputs.append((k, u, _test_direction(s, rng, i, k, u)))
     inputs += _near_vertex_inputs(s, rng)
+    # starts next to a vertex, aimed along an edge direction: the tracer may
+    # end a step's scan early only once its entry point is well inside an edge
+    for j in (16, 13, 10, 7):
+        for u in (10.0**-j, 1.0 - 10.0**-j):
+            theta = rng.randrange(2 * n) * math.pi / n + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.uniform(12.0, 17.0)
+            inputs.append((rng.randrange(1, n + 1), u, theta))
     cases = [(k, u, theta, 150) for k, u, theta in inputs]
     for _ in range(3):  # as long as a long-derive trace
         cases.append((rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi), 3000))
@@ -601,36 +607,45 @@ def test_crossing_events_equal_the_per_piece_reference(n):
 def test_reach_tables_keep_every_exit_and_prune(n, monkeypatch):
     s = build_surface(n)
     rng = random.Random(1300 + n)
-    # each exit table holds every edge the full scan accepts from a point of
-    # its entry edge, the ends and the EPS overhang of the exit window included
+    # each exit table the tracer filters from its span table holds every edge
+    # the full scan accepts from a point of its entry edge, the ends and the
+    # EPS overhang of the exit window included
     sizes = []
     for _ in range(24):
         d = unit(rng.uniform(0.0, 2.0 * math.pi))
-        for polygon, rows in s.exit_rows.items():
-            for side, table in zip(rows, reach(d, rows, [(side,) for side in rows])):
-                entry, kept = side[5], {row[5] for row in table}
-                sizes.append(len(kept - {entry}))
+        spans = {polygon: span_table(d, rows) for polygon, rows in s.exit_rows.items()}
+        for polygon, tables in flow._exit_tables(spans, d).items():
+            for entry, table in enumerate(tables, start=1):
+                kept = {row[0] for row in table}
+                assert entry not in kept
+                sizes.append(len(kept))
                 for u in (-EPS, 0.0, 1e-13, rng.random(), 1.0 - 1e-13, 1.0, 1.0 + EPS):
                     p = s.edge_seg(polygon, entry).point_at(u)
                     hits = {k: ray_segment_hit(p, d, s.edge_seg(polygon, k)) for k in range(1, n + 1) if k != entry}
                     assert {k for k, hit in hits.items() if hit is not None and hit.t > STEP_MIN} <= kept
     assert sum(sizes) / len(sizes) <= 6.0
 
-    # and the tracer and the event scan read the pruned tables flow.reach
-    # builds for them, and nothing else: recorded, the tables are small, and
+    # and the tracer and the event scan read only rows filtered from
+    # flow.span_table: recorded, the tables are small, and with every span
     # emptied, the tracer finds no exit and the scan no piece
     built, scanned = [], []
+    exit_tables, hits_of = flow._exit_tables, flow.interior_hits
 
-    def recorded(d, rows, windows):
-        tables = reach(d, rows, windows)
-        for window, table in zip(windows, tables):
-            if len(window) == 1:  # a tracer table of one entry edge
-                built.append(len({row[5] for row in table} - {window[0][5]}))
+    def recorded(spans, d):
+        tables = exit_tables(spans, d)
+        built.extend(len(table) for polygon_tables in tables.values() for table in polygon_tables)
         return tables
 
-    hits_of = flow.interior_hits
-    monkeypatch.setattr(flow, "reach", recorded)
-    monkeypatch.setattr(flow, "interior_hits", lambda *a: scanned.append(len(a[4])) or hits_of(*a))
+    def counted(steps, events):
+        def each():
+            for step in steps:
+                scanned.append(len(step[5]))
+                yield step
+
+        hits_of(each(), events)
+
+    monkeypatch.setattr(flow, "_exit_tables", recorded)
+    monkeypatch.setattr(flow, "interior_hits", counted)
     edges = {p: s.aux_for(p) + s.primed_for(p) for p in (UPPER, LOWER)}
     traced = []
     for _ in range(24):
@@ -644,7 +659,7 @@ def test_reach_tables_keep_every_exit_and_prune(n, monkeypatch):
     assert len(traced) >= 12 and sum(built) / len(built) <= 6.0
     if n >= 15:
         assert sum(scanned) / len(scanned) <= 0.6 * len(edges[UPPER])
-    monkeypatch.setattr(flow, "reach", lambda d, rows, windows: [[] for _ in windows])
+    monkeypatch.setattr(flow, "span_table", lambda d, rows: [(math.inf, -math.inf, row) for row in rows])
     for k, u, theta, traj in traced:
         with pytest.raises(CornerHit) as exc:
             trace_from_edge(s, k, u, theta, 100)
@@ -670,8 +685,9 @@ def test_interior_hits_at_the_window_edges():
     assert windows == [(EPS, 0.5), (hi, 0.5), (0.5, EPS), (0.5, hi)]
     want = [(3.0 + t, e.kind, e.label) for t, e in _reference_hits(a, d, edges)]
     assert want == [(3.5, PRIMED, "5")]
-    events = [(3.0, ORIGINAL, "A")]
-    interior_hits(a[0], a[1], d[0], d[1], [segment_row(e.seg, (e.kind, e.label)) for e in edges], 3.0, events)
+    events = []
+    rows = [segment_row(e.seg, (e.kind, e.label)) for e in edges]
+    interior_hits([((3.0, ORIGINAL, "A"), a[0], a[1], d[0], d[1], rows)], events)
     assert events == [(3.0, ORIGINAL, "A")] + want
 
 
