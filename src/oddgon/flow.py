@@ -19,20 +19,21 @@ carried onto the trajectory's charts, so a trajectory is traced once in any
 direction. Every piece scan reads the pieces' cached `Edge.row` rows through
 `geometry.interior_hits`, which walks a trajectory's segments in one loop
 and appends their (time, kind, name) events to the stream itself.
-The tracer's loop scans the same rows of the polygon edges
-(`Surface.exit_rows`) inline, with their denominators worked out once per
-direction. Both scans read only rows that a line of their direction can
-meet: each row's span across the direction is worked out once
-(`geometry.span_table`; the trajectory keeps its edges' spans), and the
-tracer's exit tables (per entry edge) and the event scan's piece tables (per
-entry and exit edge) are filtered from it. Each walks its trajectory in one
-flat loop that builds no temporary list per crossing, and the tracer ends a
-step's scan at the first exit well inside its edge.
+The event scan reads only the pieces a segment's line can meet: each row's
+span across the direction is worked out once (`geometry.span_table`), and
+its piece tables (per polygon, entry and exit edge) are filtered from the
+spans. The tracer reads no table: a ray leaves a convex polygon through the
+one edge facing its direction whose span of s = dx*y - dy*x holds its own,
+so each step bisects its polygon's chain of facing edges (`Surface.exit_rows`
+with their denominators worked out once per direction) and hits one row, or
+two where its line passes near a vertex. Both walk a trajectory in one flat
+loop that builds no temporary list per crossing.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -116,10 +117,6 @@ class Trajectory(CuttingSequence):
     start_edge: int
     periodic: bool = False
     start_param: Optional[float] = None
-    # per polygon, the `span_table` of `Surface.exit_rows` across the direction:
-    # worked out once by `trace`, which filters its exit tables from it, and
-    # read again by `crossing_events`
-    exit_spans: dict[str, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def segment_ends(self) -> list[Crossing]:
@@ -141,30 +138,41 @@ class Trajectory(CuttingSequence):
         return a.polygon, a.point, exit_point
 
 
-def _exit_tables(exit_spans: dict[str, list], d: Vec) -> dict[str, list[tuple]]:
-    """Per polygon, a list whose item k - 1 is the exit table of a step in
-    direction d that entered through S_k: rows (k, ax, ay, ex, ey, denom) of
-    the other edges whose spans across d overlap S_k's, in edge order.
+def _chains(surface: Surface, d: Vec) -> dict[str, tuple[list[float], list[tuple]]]:
+    """Per polygon, the rows (k, ax, ay, ex, ey, denom) of the edges facing d,
+    denom = dx*ey - dy*ex at least the parallel guard, sorted by s = dx*y - dy*x
+    at (ax, ay), and the bounds in s between them: row i takes s from
+    bounds[i] to bounds[i + 1], the first and last rows on to -inf and inf.
 
-    `exit_spans` holds each polygon's `span_table` of its edge rows across d.
-    The direction is fixed, so each edge's denominator dx*ey - dy*ex is
-    worked out once per trajectory too, and edges parallel to d (under the
-    exit_rows guard) are dropped.
+    Along a facing edge s rises by denom, and the facing edges of a convex
+    polygon run from its lowest vertex in s to its highest, so their spans
+    tile the polygon's: a ray leaves by the row whose span holds its s.
     """
     dx, dy = d
-    exits = {}
-    for polygon, spans in exit_spans.items():
-        scan = [
-            (lo, hi, (k, ax, ay, ex, ey, denom))
-            for lo, hi, (ax, ay, ex, ey, guard, k) in spans
+    chains = {}
+    for polygon, rows in surface.exit_rows.items():
+        chain = sorted(
+            (dx * ay - dy * ax, (k, ax, ay, ex, ey, denom))
+            for ax, ay, ex, ey, guard, k in rows
             for denom in (dx * ey - dy * ex,)
-            if abs(denom) >= guard
-        ]
-        exits[polygon] = [
-            tuple(row for lo, hi, row in scan if lo <= side_hi and side_lo <= hi and row[0] != side[5])
-            for side_lo, side_hi, side in spans
-        ]
-    return exits
+            if denom >= guard
+        )
+        chains[polygon] = [-math.inf] + [s for s, _ in chain[1:]] + [math.inf], [row for _, row in chain]
+    return chains
+
+
+def _vertex_exit(rows: list[tuple], i: int, left: bool, right: bool, x: float, y: float, dx: float, dy: float):
+    """The exit (row, u) among chain row i and its neighbours on the `left` and
+    `right`, or None: `trace`'s hit test, the smaller t winning, then the smaller k."""
+    best_key, best = None, None
+    for row in rows[i - left : i + right + 1]:
+        k, ax, ay, ex, ey, denom = row
+        wx, wy = ax - x, ay - y
+        u = (wx * dy - wy * dx) / denom
+        t = (wx * ey - wy * ex) / denom
+        if -EPS <= u <= 1.0 + EPS and t > STEP_MIN and (best is None or (t, k) < best_key):
+            best_key, best = (t, k), (row, u)
+    return best
 
 
 def trace(
@@ -190,8 +198,7 @@ def trace(
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     d = unit(theta)
     dx, dy = d
-    exit_spans = {polygon: span_table(d, rows) for polygon, rows in surface.exit_rows.items()}
-    exits, offsets, letters = _exit_tables(exit_spans, d), surface.offsets, surface.letters
+    chains, offsets, letters = _chains(surface, d), surface.offsets, surface.letters
     tx, ty = surface.identification_offset(start_edge)
     polygon = surface.entering_polygon(start_edge, theta)
     fx, fy = start[1]
@@ -201,67 +208,50 @@ def trace(
         fx, fy = fx - tx, fy - ty
     x, y = fx, fy
     crossings = [Crossing(start_edge, letters[start_edge - 1], polygon, (x, y))]
-    traj = Trajectory(
-        start[0], start[1], theta, crossings, start_edge, start_param=start_param, exit_spans=exit_spans
-    )
+    traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
 
-    # each step scans the exit table of its polygon and entry edge for the
-    # smallest hit with t > STEP_MIN, with ray_segment_hit's arithmetic
-    # inline, so t, u and the exit point are the same floats; the first edge
-    # wins a tie. The table leaves out the entry edge: a convex polygon is not
-    # left through it, but near its direction float error puts a self-hit
-    # above STEP_MIN. No exit at all, or an exit within CORNER_DELTA of an
-    # edge end, is a corner hit.
-    # The scan stops at the first accepted row whose u lies in
-    # [CORNER_SHORTCUT, 1 - CORNER_SHORTCUT] once the entry point, too, is
-    # that far from both ends of its edge (`inner`). A line through interior
-    # points of two edges of a convex polygon meets its boundary there and
-    # nowhere else, so any other accepted row is hit within EPS past an end
-    # of its edge: outside the polygon, before the entry or after the exit,
-    # and about CORNER_SHORTCUT from both along the line, a margin rounding
-    # cannot cross. That row is the only boundary hit at t > STEP_MIN, so it
-    # is the smallest hit and the rows after it cannot change the step.
-    first_polygon, entry, segs = polygon, start_edge, surface.edge_segs
+    # each step bisects its polygon's chain for the row whose span holds the
+    # entry point's s and hits it with ray_segment_hit's arithmetic inline, so
+    # t, u and the exit point are the same floats; no hit (u outside
+    # [-EPS, 1 + EPS] or t <= STEP_MIN), or an exit within CORNER_DELTA of an
+    # edge end, is a corner hit. A line within CORNER_SHORTCUT of the vertex
+    # the row shares with a neighbour hits that row too, since rounding may
+    # put its hit first.
+    first_polygon, segs = polygon, surface.edge_segs
     u_min, u_max, near_end = -EPS, 1.0 + EPS, 1.0 - CORNER_SHORTCUT
-    # the start lies on S_start_edge of its chart, and sides have unit length,
-    # so this dot product is its edge parameter
-    (x0, y0), (x1, y1) = segs[polygon][start_edge - 1].p0, segs[polygon][start_edge - 1].p1
-    inner = CORNER_SHORTCUT <= (x - x0) * (x1 - x0) + (y - y0) * (y1 - y0) <= near_end
     append, new = crossings.append, tuple.__new__  # Crossing's fields without its generated __new__
     for _ in range(max_crossings - 1):  # one crossing per step after crossing 0
-        best_t = None
-        for k, ax, ay, ex, ey, denom in exits[polygon][entry - 1]:
+        bounds, rows = chains[polygon]
+        s = dx * y - dy * x
+        i = bisect_right(bounds, s) - 1
+        k, ax, ay, ex, ey, denom = rows[i]
+        left, right = s - bounds[i] < CORNER_SHORTCUT, bounds[i + 1] - s < CORNER_SHORTCUT
+        if left or right:
+            hit = _vertex_exit(rows, i, left, right, x, y, dx, dy)
+            if hit is None:
+                raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
+            (k, ax, ay, ex, ey, _), u = hit
+        else:
             wx, wy = ax - x, ay - y
             u = (wx * dy - wy * dx) / denom
-            if u < u_min or u > u_max:
-                continue
-            t = (wx * ey - wy * ex) / denom
-            if t <= STEP_MIN:
-                continue
-            if best_t is None or t < best_t:
-                best_k, best_t, best_u, bx, by, bex, bey = k, t, u, ax, ay, ex, ey
-            if inner and CORNER_SHORTCUT <= u <= near_end:
-                break
-        if best_t is None:  # degenerate direction from boundary
-            raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
-        x, y = bx + bex * best_u, by + bey * best_u
+            if u < u_min or u > u_max or (wx * ey - wy * ex) / denom <= STEP_MIN:
+                raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
+        x, y = ax + ex * u, ay + ey * u
         # an exit at least CORNER_SHORTCUT in from both ends of a unit side is
         # no corner hit, so only exits near an end pay for the exact distances
-        inner = CORNER_SHORTCUT <= best_u <= near_end
-        if not inner:
-            (x0, y0), (x1, y1) = segs[polygon][best_k - 1].p0, segs[polygon][best_k - 1].p1
+        if not CORNER_SHORTCUT <= u <= near_end:
+            (x0, y0), (x1, y1) = segs[polygon][k - 1].p0, segs[polygon][k - 1].p1
             if min(math.hypot(x - x0, y - y0), math.hypot(x - x1, y - y1)) < CORNER_DELTA:
                 raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
-        ox, oy = offsets[best_k - 1]
+        ox, oy = offsets[k - 1]
         if polygon == UPPER:
             polygon, x, y = LOWER, x - ox, y - oy
         else:
             polygon, x, y = UPPER, x + ox, y + oy
-        entry = best_k
-        if best_k == start_edge and polygon == first_polygon and math.hypot(x - fx, y - fy) < EPS:
+        if k == start_edge and polygon == first_polygon and math.hypot(x - fx, y - fy) < EPS:
             traj.periodic = True
             break
-        append(new(Crossing, (best_k, letters[best_k - 1], polygon, (x, y))))
+        append(new(Crossing, (k, letters[k - 1], polygon, (x, y))))
     return traj
 
 
@@ -376,9 +366,8 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     of its prime, so a primed piece is named by the letter it is the image
     of. Hits at equal times keep the order of `edges`. Segment i ends at
     `traj.segment_ends[i]`, so periodic orbits include the closing segment.
-    Each piece row's span across the trajectory's direction is worked out
-    once (`span_table`); the edges' spans come with the trajectory
-    (`Trajectory.exit_spans`). A segment reads the piece table of its
+    Each piece row's and edge row's span across the trajectory's direction
+    is worked out once (`span_table`). A segment reads the piece table of its
     polygon, entry edge and exit edge: the pieces whose spans overlap both
     edges' spans, filtered the first time that triple comes up.
     `interior_hits` walks the segments in one loop, appending each one's
@@ -390,7 +379,8 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     """
     d = unit(traj.theta)
     pieces = {polygon: span_table(d, [e.row for e in edges[polygon]]) for polygon in edges}
-    sides, crossings = traj.exit_spans, traj.crossings
+    sides = {polygon: span_table(d, rows) for polygon, rows in surface.exit_rows.items()}
+    crossings = traj.crossings
     # the identification offset of S_k, signed to carry a lower-chart point
     # into the upper chart or back: carry[polygon][k - 1]
     carry = {UPPER: surface.offsets, LOWER: tuple((-ox, -oy) for ox, oy in surface.offsets)}

@@ -17,7 +17,7 @@ Vec = tuple[float, float]
 # ---- tolerance policy --------------------------------------------------------
 # Every piece scan (trajectory crossing events, chord labels) reads
 # `segment_row` rows through `interior_hits`, which applies the EPS windows
-# and the PARALLEL guard; the tracer's loop scans the edges' rows itself.
+# and the PARALLEL guard; the tracer's loop hits the edges' rows itself.
 # Segment parameters, containment, clipped areas, chord windows, guide
 # snapping and the periodic return: closer than this counts as on.
 EPS = 1e-9
@@ -31,10 +31,9 @@ PARALLEL = 1e-15
 # end against CORNER_DELTA) only for an exit whose edge parameter lies within
 # this of 0 or 1. Sides have unit length, so an exit farther in is this far
 # from both ends up to rounding far below CORNER_DELTA: the shortcut never
-# changes a decision. The same margin licenses the tracer's early exit: when
-# both the entry point and an accepted exit lie this far inside their edges,
-# that exit is the step's only boundary hit, and the scan of its other rows
-# stops (see `flow.trace`).
+# changes a decision. That is all it licenses. The tracer also hits a second
+# chain row when its line passes this close to the vertex the two share,
+# where rounding decides which is hit first (see `flow.trace`).
 CORNER_SHORTCUT = 1e6 * CORNER_DELTA
 # `span_table` widens each row's span across a direction by this much, so
 # that filtering by spans only prunes: the exit window [-EPS, 1 + EPS]
@@ -176,7 +175,7 @@ def interior_hits(
         base, start = lead[0], len(events)
         for ax, ay, ex, ey, guard, (kind, name) in rows:
             denom = dx * ey - dy * ex
-            if abs(denom) < guard:
+            if -guard < denom < guard:
                 continue
             wx, wy = ax - px, ay - py
             t = (wx * ey - wy * ex) / denom

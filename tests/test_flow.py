@@ -8,6 +8,7 @@ from oddgon.derivation import cyclic_normal_form, ksl_cyclic, ksl_window
 from oddgon.flow import (
     CornerHit,
     Crossing,
+    Trajectory,
     carried_primed,
     crossing_events,
     derive_geometric,
@@ -28,7 +29,6 @@ from oddgon.geometry import (
     point_in_polygon,
     ray_segment_hit,
     segment_row,
-    span_table,
     unit,
     vadd,
     vsub,
@@ -219,6 +219,17 @@ def test_trace_equals_brute_force_reference(n):
     cases = [(k, u, theta, 150) for k, u, theta in inputs]
     for _ in range(3):  # as long as a long-derive trace
         cases.append((rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi), 3000))
+    # starts aimed at a vertex of either chart, exactly or 1e-16 or 1e-13 rad
+    # off: the first exit lies within rounding of the vertex, where the two
+    # rows that share it can both be hit
+    for polygon in (UPPER, LOWER):
+        for delta in (0.0, 1e-16, -1e-16, 1e-13, -1e-13):
+            k, u = rng.randrange(1, n + 1), rng.uniform(0.02, 0.98)
+            p = s.edge_seg(UPPER, k).point_at(u)
+            if polygon == LOWER:
+                p = vsub(p, s.identification_offset(k))
+            aim = vsub(s.vertices(polygon)[rng.randrange(n)], p)
+            cases.append((k, u, math.atan2(aim[1], aim[0]) + delta, 150))
     for k, u, theta, length in cases:
         want, end = _reference_trace(s, k, u, theta, length)
         ends.append(end and end[0])
@@ -546,6 +557,21 @@ def test_crossing_events_stream(pentagon):
     assert all(name in "ABCDE" for _, kind, name in events if kind == PRIMED)
 
 
+@pytest.mark.parametrize("theta", [0.2, 2.0, math.pi / 10])
+def test_a_trajectory_rebuilt_from_its_fields_scans_and_derives_alike(theta):
+    # a trajectory is its crossings: one built from the fields of a traced one
+    # gives the same event stream and the same derivation
+    s = build_surface(7)
+    traj = trace_from_edge(s, 3, 0.37, theta, max_crossings=200)
+    rebuilt = Trajectory(
+        traj.start_polygon, traj.start_point, traj.theta, traj.crossings, traj.start_edge, traj.periodic, traj.start_param
+    )
+    assert rebuilt == traj
+    edges = carried_primed(s, -normalize_direction(s, theta).steps)
+    assert crossing_events(s, rebuilt, edges) == crossing_events(s, traj, edges)
+    assert derive_geometric(s, rebuilt) == derive_geometric(s, traj)
+
+
 def _reference_hits(a, d, pieces):
     """The per-piece scan the row scans replace: ray_segment_hit, then the strict window."""
     hits = []
@@ -604,37 +630,74 @@ def test_crossing_events_equal_the_per_piece_reference(n):
 
 
 @pytest.mark.parametrize("n", range(5, 27, 2))
-def test_reach_tables_keep_every_exit_and_prune(n, monkeypatch):
+def test_exit_chains_pick_every_exit_and_piece_tables_prune(n, monkeypatch):
     s = build_surface(n)
     rng = random.Random(1300 + n)
-    # each exit table the tracer filters from its span table holds every edge
-    # the full scan accepts from a point of its entry edge, the ends and the
-    # EPS overhang of the exit window included
-    sizes = []
+    # each polygon's chain holds the edges facing d in the order of s, and
+    # their spans meet end to start from the lowest vertex in s to the highest
     for _ in range(24):
-        d = unit(rng.uniform(0.0, 2.0 * math.pi))
-        spans = {polygon: span_table(d, rows) for polygon, rows in s.exit_rows.items()}
-        for polygon, tables in flow._exit_tables(spans, d).items():
-            for entry, table in enumerate(tables, start=1):
-                kept = {row[0] for row in table}
-                assert entry not in kept
-                sizes.append(len(kept))
-                for u in (-EPS, 0.0, 1e-13, rng.random(), 1.0 - 1e-13, 1.0, 1.0 + EPS):
-                    p = s.edge_seg(polygon, entry).point_at(u)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        d = unit(theta)
+        chains = flow._chains(s, d)
+        for polygon, (bounds, rows) in chains.items():
+            starts = [d[0] * ay - d[1] * ax for _, ax, ay, _, _, _ in rows]
+            assert starts == sorted(starts) and len(set(starts)) == len(starts)
+            assert bounds == [-math.inf] + starts[1:] + [math.inf]
+            for (_, ax, ay, ex, ey, _), nxt in zip(rows, rows[1:]):
+                assert (ax + ex, ay + ey) == pytest.approx(nxt[1:3], abs=1e-12)
+            vertex_s = [d[0] * vy - d[1] * vx for vx, vy in s.vertices(polygon)]
+            assert starts[0] == min(vertex_s)
+            assert starts[-1] + rows[-1][5] == pytest.approx(max(vertex_s), abs=1e-12)
+            facing = {k for ax, ay, ex, ey, guard, k in s.exit_rows[polygon] if d[0] * ey - d[1] * ex >= guard}
+            assert {row[0] for row in rows} == facing
+            # from each edge a ray of this direction enters by, at the ends,
+            # the EPS overhang past them and points between, the tracer leaves
+            # by the edge the full scan accepts first: every edge the scan
+            # accepts from a point on the edge is in the chain, and from the
+            # overhang, past a vertex, every facing edge it accepts is
+            for entry in range(1, n + 1):
+                samples = (-EPS, 0.0, 1e-13, rng.random(), 1.0 - 1e-13, 1.0, 1.0 + EPS)
+                if s.entering_polygon(entry, theta) != polygon:
+                    continue  # the direction leaves this polygon by that edge
+                for u in samples:
+                    start = s.edge_seg(UPPER, entry).point_at(u)
+                    p = start if polygon == UPPER else vsub(start, s.identification_offset(entry))
                     hits = {k: ray_segment_hit(p, d, s.edge_seg(polygon, k)) for k in range(1, n + 1) if k != entry}
-                    assert {k for k, hit in hits.items() if hit is not None and hit.t > STEP_MIN} <= kept
-    assert sum(sizes) / len(sizes) <= 6.0
+                    accepted = {k: hit for k, hit in hits.items() if hit is not None and hit.t > STEP_MIN}
+                    if 0.0 <= u <= 1.0:
+                        assert set(accepted) <= facing, (entry, u, theta)
+                    want = ("corner", polygon, p)
+                    if accepted.keys() & facing:
+                        _, k = min((hit.t, k) for k, hit in accepted.items() if k in facing)
+                        edge, point = s.edge_seg(polygon, k), accepted[k].point
+                        want = ("corner", polygon, point)
+                        if min(math.dist(point, edge.p0), math.dist(point, edge.p1)) >= CORNER_DELTA:
+                            offset = s.identification_offset(k)
+                            want = (k, vsub(point, offset) if polygon == UPPER else vadd(point, offset))
+                    try:
+                        c = trace(s, (UPPER, start), theta, 2, start_edge=entry).crossings[1]
+                        got = (c.index, c.point)
+                    except CornerHit as corner:
+                        got = ("corner", corner.polygon, corner.point)
+                    assert got == want, (entry, u, theta)
 
-    # and the tracer and the event scan read only rows filtered from
-    # flow.span_table: recorded, the tables are small, and with every span
-    # emptied, the tracer finds no exit and the scan no piece
-    built, scanned = [], []
-    exit_tables, hits_of = flow._exit_tables, flow.interior_hits
+    # a step hits one chain row, and a neighbouring row too only when its line
+    # passes within CORNER_SHORTCUT of the vertex the two share; the event
+    # scan reads only piece tables filtered from flow.span_table: recorded,
+    # they are small, and with every span emptied the scan finds no piece
+    # while the tracer, which reads no span, traces the same crossings
+    near, scanned = [], []
+    vertex_exit, hits_of = flow._vertex_exit, flow.interior_hits
 
-    def recorded(spans, d):
-        tables = exit_tables(spans, d)
-        built.extend(len(table) for polygon_tables in tables.values() for table in polygon_tables)
-        return tables
+    def recorded(rows, i, left, right, x, y, dx, dy):
+        for j, side in ((i, left), (i + 1, right)):
+            if side:
+                _, px, py, ex, ey, _ = rows[j - 1]
+                ax, ay = rows[j][1:3]
+                assert (px + ex, py + ey) == pytest.approx((ax, ay), abs=1e-12)
+                assert abs(dx * (ay - y) - dy * (ax - x)) < CORNER_SHORTCUT
+        near.append(left + right)
+        return vertex_exit(rows, i, left, right, x, y, dx, dy)
 
     def counted(steps, events):
         def each():
@@ -644,10 +707,10 @@ def test_reach_tables_keep_every_exit_and_prune(n, monkeypatch):
 
         hits_of(each(), events)
 
-    monkeypatch.setattr(flow, "_exit_tables", recorded)
+    monkeypatch.setattr(flow, "_vertex_exit", recorded)
     monkeypatch.setattr(flow, "interior_hits", counted)
     edges = {p: s.aux_for(p) + s.primed_for(p) for p in (UPPER, LOWER)}
-    traced = []
+    traced, steps = [], 0
     for _ in range(24):
         k, u, theta = rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)
         try:
@@ -655,15 +718,24 @@ def test_reach_tables_keep_every_exit_and_prune(n, monkeypatch):
         except CornerHit:
             continue
         traced.append((k, u, theta, traj))
+        steps += len(traj.crossings) - 1 + traj.periodic
         list(crossing_events(s, traj, edges))
-    assert len(traced) >= 12 and sum(built) / len(built) <= 6.0
+    assert len(traced) >= 12 and (steps + sum(near)) / steps <= 1.01
     if n >= 15:
         assert sum(scanned) / len(scanned) <= 0.6 * len(edges[UPPER])
+    # rays aimed at a vertex pass it within CORNER_SHORTCUT
+    for v in s.upper:
+        k, u = rng.randrange(1, n + 1), rng.uniform(0.05, 0.95)
+        aim = vsub(v, s.edge_seg(UPPER, k).point_at(u))
+        for delta in (0.0, 1e-16, -1e-13):
+            try:
+                trace_from_edge(s, k, u, math.atan2(aim[1], aim[0]) + delta, 10)
+            except CornerHit:
+                pass
+    assert near
     monkeypatch.setattr(flow, "span_table", lambda d, rows: [(math.inf, -math.inf, row) for row in rows])
     for k, u, theta, traj in traced:
-        with pytest.raises(CornerHit) as exc:
-            trace_from_edge(s, k, u, theta, 100)
-        assert exc.value.crossings_done == 1
+        assert trace_from_edge(s, k, u, theta, 100).crossings == traj.crossings
         assert all(kind == ORIGINAL for _, kind, _ in crossing_events(s, traj, edges))
 
 

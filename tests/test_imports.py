@@ -1,6 +1,7 @@
 """Every name a library module imports is read somewhere in that module,
 every public function, class or constant it defines is read by the library or
-a script, and importing the package loads none of its modules."""
+a script, every private one is read in its own module, and importing the
+package loads none of its modules."""
 import ast
 import os
 import subprocess
@@ -86,6 +87,27 @@ def test_every_public_name_is_read_by_the_library_or_a_script():
     readers = list(library.values()) + [p.read_text() for p in SCRIPTS.glob("*.py")]
     del library["highprec"]
     assert unread_public_names(library, readers) == []
+
+
+def unread_private_names(modules: dict[str, str]) -> list[str]:
+    """`module.name` for each private top-level function, class or constant its own module never reads."""
+    return sorted(
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        for name in defined_names(node)
+        if name.startswith("_") and not name.startswith("__") and name not in read_names(source)
+    )
+
+
+def test_the_check_finds_a_private_name_its_module_does_not_read():
+    lib = "def _used():\n    pass\ndef _dead():\n    pass\n_LIMIT, __version__ = 3, '1'\nclass _Spare:\n    pass\n_used()\n"
+    reader = "from .a import _dead, _LIMIT, _Spare\n_dead(_LIMIT, _Spare)\n"
+    assert unread_private_names({"a": lib, "b": reader}) == ["a._LIMIT", "a._Spare", "a._dead"]
+
+
+def test_every_private_name_is_read_in_its_own_module():
+    assert unread_private_names({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
 
 
 def test_importing_the_package_loads_none_of_its_modules():
