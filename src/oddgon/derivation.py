@@ -28,7 +28,7 @@ from .geometry import (
     EPS,
     Vec,
     clip_polygon_halfplane,
-    interior_hits,
+    line_crossings,
     point_in_polygon,
     polygon_area,
     polygon_centroid,
@@ -161,11 +161,9 @@ def _arrow_chords(surface: Surface, x: int, y: int) -> tuple[str, list[tuple[Vec
 
 
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
-    rows = [e.row for e in surface.aux_for(polygon)]
-    events: list[tuple[float, str, str]] = []
-    # one step from a to b; its lead event at time 0 is not a crossing of the chord
-    interior_hits([((0.0, ORIGINAL, ""), a[0], a[1], b[0] - a[0], b[1] - a[1], rows)], events)
-    return tuple(label for _, _, label in sorted(events[1:]))
+    d = (b[0] - a[0], b[1] - a[1])
+    rows = line_crossings(d, d[0] * a[1] - d[1] * a[0], [e.row for e in surface.aux_for(polygon)])
+    return tuple(label for *_, (_, label) in rows)
 
 
 def build_augmented_diagram(surface: Surface) -> tuple[TransitionDiagram, dict]:

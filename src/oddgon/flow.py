@@ -16,18 +16,15 @@ the torus tracer, its letters (`CuttingSequence`: a periodic trajectory is
 one period). `crossing_events` is the one scan of a traced trajectory
 against edge pieces; the geometric derivation feeds it the primed edges
 carried onto the trajectory's charts, so a trajectory is traced once in any
-direction. Every piece scan reads the pieces' cached `Edge.row` rows through
-`geometry.interior_hits`, which walks a trajectory's segments in one loop
-and appends their (time, kind, name) events to the stream itself.
-The event scan reads only the pieces a segment's line can meet: each row's
-span across the direction is worked out once (`geometry.span_table`), and
-its piece tables (per polygon, entry and exit edge) are filtered from the
-spans. The tracer reads no table: a ray leaves a convex polygon through the
-one edge facing its direction whose span of s = dx*y - dy*x holds its own,
-so each step bisects its polygon's chain of facing edges (`Surface.exit_rows`
-with their denominators worked out once per direction) and hits one row, or
-two where its line passes near a vertex. Both walk a trajectory in one flat
-loop that builds no temporary list per crossing.
+direction. Every piece scan asks `geometry.line_crossings` which pieces a
+line crosses; the event scan sorts the pieces' ends in s = dx*y - dy*x once
+per polygon and direction, and each segment does one bisect of its s. The
+tracer reads the edges alike: a ray leaves a convex polygon through the one
+edge facing its direction whose span of s holds its own, so each step
+bisects its polygon's chain of facing edges (`Surface.exit_rows` with their
+denominators worked out once per direction) and hits one row, or two where
+its line passes near a vertex. Both walk a trajectory in one flat loop that
+builds no temporary list per crossing.
 """
 from __future__ import annotations
 
@@ -41,14 +38,14 @@ from .geometry import (
     CORNER_DELTA,
     CORNER_SHORTCUT,
     EPS,
+    SNAP,
     STEP_MIN,
     Segment,
     Vec,
-    interior_hits,
+    line_crossings,
     ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
     rotation,
     round_sig,
-    span_table,
     unit,
     vadd,
     vsub,
@@ -187,8 +184,10 @@ def trace(
     """Cutting sequence of a ray from `start`, a (polygon, chart point) on edge pair `start_edge`.
 
     That edge is emitted as crossing 0 and tracing continues into the
-    polygon the direction flows into. Periodicity: first return within EPS
-    of crossing 0 on the same edge pair and polygon.
+    polygon the direction flows into. A start within CORNER_DELTA of an end
+    of its edge is a corner hit after 0 crossings, as an exit there is.
+    Periodicity: first return within EPS of crossing 0 on the same edge pair
+    and polygon.
     """
     if not 1 <= start_edge <= surface.n:
         raise ValueError(f"edge index {start_edge} out of range for n={surface.n}")
@@ -204,8 +203,12 @@ def trace(
     fx, fy = start[1]
     if start[0] != UPPER:  # onto the upper representative
         fx, fy = fx + tx, fy + ty
+    side = surface.edge_segs[UPPER][start_edge - 1]
+    at_corner = min(math.dist((fx, fy), side.p0), math.dist((fx, fy), side.p1)) < CORNER_DELTA
     if polygon == LOWER:
         fx, fy = fx - tx, fy - ty
+    if at_corner:
+        raise CornerHit(polygon, (fx, fy), 0, theta, start[0], start[1])
     x, y = fx, fy
     crossings = [Crossing(start_edge, letters[start_edge - 1], polygon, (x, y))]
     traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
@@ -360,53 +363,64 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     """Time-ordered (time, kind, name) crossings of a traced trajectory, as a list.
 
     Time is crossing-index-valued: original crossing i comes at time i with
-    kind ORIGINAL and its letter; a proper crossing of the piece `e` in
-    `edges[polygon]` strictly inside segment i (which spans (i, i+1)) comes
-    at i + t tagged as `e.row` is: kind `e.kind` and name `e.label` stripped
-    of its prime, so a primed piece is named by the letter it is the image
-    of. Hits at equal times keep the order of `edges`. Segment i ends at
-    `traj.segment_ends[i]`, so periodic orbits include the closing segment.
-    Each piece row's and edge row's span across the trajectory's direction
-    is worked out once (`span_table`). A segment reads the piece table of its
-    polygon, entry edge and exit edge: the pieces whose spans overlap both
-    edges' spans, filtered the first time that triple comes up.
-    `interior_hits` walks the segments in one loop, appending each one's
-    original crossing and then its hits, sorted stably by the float time
-    i + t, and scans nothing for a segment whose table is empty. Below 2**24 crossings that time lies
-    strictly between i and i + 1 (t is in (EPS, 1 - EPS)), so this is the
-    stable sort of the whole stream by time, ties included, without sorting
-    the whole stream.
+    kind ORIGINAL and its letter; a crossing of the piece `e` in
+    `edges[polygon]` by segment i (which spans (i, i+1)) comes at i + t
+    tagged as `e.row` is: kind `e.kind` and name `e.label` stripped of its
+    prime, so a primed piece is named by the letter it is the image of.
+    Segment i ends at `traj.segment_ends[i]`, so periodic orbits include the
+    closing segment.
+
+    Every segment is a full chord of its polygon, and no two pieces cross
+    inside one, so which pieces a segment crosses, and in what order, is
+    fixed between consecutive piece ends in s = dx*y - dy*x. Per polygon the
+    piece ends are sorted once; a segment does one bisect of its s + SNAP
+    and emits its cell's pieces, `line_crossings` at the cell's midpoint,
+    worked out when a segment first reads the cell. A segment's s is read at
+    its exit point, so a periodic orbit's closing segment is read on the
+    line through crossing 0, as segment 0 is. Each hit comes at the t of
+    ray_segment_hit's arithmetic along the segment; where a primed edge's
+    two pieces meet, at the midpoint of the edge crossed, that is 0 or 1 up
+    to rounding, and the stream is in time order up to that rounding.
     """
     d = unit(traj.theta)
-    pieces = {polygon: span_table(d, [e.row for e in edges[polygon]]) for polygon in edges}
-    sides = {polygon: span_table(d, rows) for polygon, rows in surface.exit_rows.items()}
+    dx, dy = d
+    tables = {}
+    for polygon, pieces in edges.items():
+        rows, ends = [e.row for e in pieces], set()
+        for ax, ay, ex, ey, _, _ in rows:
+            s0 = dx * ay - dy * ax
+            ends.update((s0, s0 + (dx * ey - dy * ex)))  # line_crossings' span ends
+        ends = sorted(ends)
+        # cell i holds the s in [ends[i - 1], ends[i]), filled when a segment
+        # first reads it; the first and last cross nothing
+        tables[polygon] = rows, ends, [()] + [None] * (len(ends) - 1) + [()]
     crossings = traj.crossings
     # the identification offset of S_k, signed to carry a lower-chart point
     # into the upper chart or back: carry[polygon][k - 1]
     carry = {UPPER: surface.offsets, LOWER: tuple((-ox, -oy) for ox, oy in surface.offsets)}
-
-    def steps():
-        tables: dict[tuple[str, int, int], tuple] = {}
-        base = 0.0
-        for (k, letter, polygon, (px, py)), (exit_k, _, _, (bx, by)) in zip(crossings, traj.segment_ends):
-            table = tables.get((polygon, k, exit_k))
-            if table is None:
-                (lo0, hi0, _), (lo1, hi1, _) = sides[polygon][k - 1], sides[polygon][exit_k - 1]
-                lo_s, hi_s = max(lo0, lo1), min(hi0, hi1)
-                table = tables[polygon, k, exit_k] = tuple(
-                    row for lo, hi, row in pieces[polygon] if lo <= hi_s and lo_s <= hi
-                )
-            # segment i in this chart, from the entry point to the next crossing's
-            # point carried back across the identification it entered by
-            # (Trajectory.segment)
-            ox, oy = carry[polygon][exit_k - 1]
-            yield (base, ORIGINAL, letter), px, py, bx + ox - px, by + oy - py, table
-            base += 1.0
-
     events: list[tuple[float, str, str]] = []
-    interior_hits(steps(), events)
+    append = events.append
+    base = 0.0
+    for (k, letter, polygon, (px, py)), (exit_k, _, _, (bx, by)) in zip(crossings, traj.segment_ends):
+        append((base, ORIGINAL, letter))
+        rows, ends, cells = tables[polygon]
+        # segment i in this chart, from the entry point to the next crossing's
+        # point carried back across the identification it entered by
+        # (Trajectory.segment)
+        ox, oy = carry[polygon][exit_k - 1]
+        qx, qy = bx + ox, by + oy
+        i = bisect_right(ends, dx * qy - dy * qx + SNAP)
+        hits = cells[i]
+        if hits is None:
+            hits = cells[i] = line_crossings(d, 0.5 * (ends[i - 1] + ends[i]), rows)
+        if hits:
+            sx, sy = qx - px, qy - py
+            for ax, ay, ex, ey, _, (kind, name) in hits:
+                wx, wy = ax - px, ay - py
+                append((base + (wx * ey - wy * ex) / (sx * ey - sy * ex), kind, name))
+        base += 1.0
     if not traj.periodic:
-        events.append((float(len(crossings) - 1), ORIGINAL, crossings[-1].letter))
+        append((float(len(crossings) - 1), ORIGINAL, crossings[-1].letter))
     return events
 
 

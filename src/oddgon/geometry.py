@@ -10,18 +10,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Vec = tuple[float, float]
 
 # ---- tolerance policy --------------------------------------------------------
-# Every piece scan (trajectory crossing events, chord labels) reads
-# `segment_row` rows through `interior_hits`, which applies the EPS windows
-# and the PARALLEL guard; the tracer's loop hits the edges' rows itself.
+# Every piece scan (trajectory crossing events, chord labels) asks
+# `line_crossings` which pieces a line crosses, and reads no t or u window:
+# a chart segment is a full chord and no two pieces cross inside a chart, so
+# a line crosses a piece exactly when its s = dx*y - dy*x lies strictly
+# inside the piece's span of s, and an s equal to a piece end reads the cell
+# above it (spans are half-open, [lo, hi)). The tracer's loop hits the
+# edges' rows itself.
 # Segment parameters, containment, clipped areas, chord windows, guide
 # snapping and the periodic return: closer than this counts as on.
 EPS = 1e-9
-# An exit this close to a polygon vertex (or torus lattice point) is a corner hit.
+# An exit this close to a polygon vertex (or torus lattice point) is a corner
+# hit, and so is a start this close to an end of its start edge.
 CORNER_DELTA = 1e-12
 # A ray step this short, or a start this close to an edge line, is the start itself.
 STEP_MIN = 1e-12
@@ -35,11 +40,14 @@ PARALLEL = 1e-15
 # chain row when its line passes this close to the vertex the two share,
 # where rounding decides which is hit first (see `flow.trace`).
 CORNER_SHORTCUT = 1e6 * CORNER_DELTA
-# `span_table` widens each row's span across a direction by this much, so
-# that filtering by spans only prunes: the exit window [-EPS, 1 + EPS]
-# reaches EPS past a unit side, a periodic return closes within EPS, and
-# rounding is far below either. A row's span is worked out once per direction.
-REACH = 2 * EPS
+# A traced segment reads the cell of its s + SNAP: an s this close below a
+# piece end reads the cell above it, as an s at the end does. A primed edge's
+# two pieces meet at the midpoint of its edge, and the s of the two segments
+# that meet at a crossing there differ by rounding (about 1e-15 at n = 25);
+# read alike, that crossing counts once. SNAP is far below CORNER_DELTA, so
+# elsewhere it moves only lines that pass a piece's vertex end closer than a
+# corner hit's distance.
+SNAP = 1e-13
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -123,8 +131,8 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment) -> Optional[Hit]:
     reported; callers decide whether an endpoint hit is a corner event.
     """
     # the arithmetic of cross(d, e), cross(w, e), cross(w, d) and vlerp,
-    # written out on local floats; interior_hits and the loop of flow.trace
-    # repeat it, so their t and u are the same floats
+    # written out on local floats; the loop of flow.trace and the hit times
+    # of flow.crossing_events repeat it, so their t and u are the same floats
     ax, ay = seg.p0
     ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
     dx, dy = d
@@ -153,54 +161,29 @@ def segment_row(seg: Segment, tag) -> Row:
     return (ax, ay, ex, ey, PARALLEL * max(1.0, math.hypot(ex, ey)), tag)
 
 
-def interior_hits(
-    steps: Iterable[tuple[tuple[float, str, str], float, float, float, float, Sequence[Row]]], events: list
-) -> None:
-    """Append each step's lead event to `events`, then its crossings of the step's rows.
+def line_crossings(d: Vec, s: float, rows: Sequence[Row]) -> list[Row]:
+    """The rows a line of direction d and value s = dx*y - dy*x crosses, in order along d.
 
-    A step is (lead, px, py, dx, dy, rows): `lead` is a (time, kind, name)
-    event; the step itself is p + t*d for t in (EPS, 1 - EPS), and a row it
-    crosses with the row's own parameter u in (EPS, 1 - EPS) too appends
-    (time + t, kind, name), the (kind, name) pair being the row's tag. The
-    arithmetic is ray_segment_hit's, so every t is the same float. A step's
-    crossings are sorted stably by their time, so hits at equal times keep
-    the order of `rows`.
-    """
-    hi = 1.0 - EPS
-    append = events.append
-    for lead, px, py, dx, dy, rows in steps:
-        append(lead)
-        if not rows:
-            continue
-        base, start = lead[0], len(events)
-        for ax, ay, ex, ey, guard, (kind, name) in rows:
-            denom = dx * ey - dy * ex
-            if -guard < denom < guard:
-                continue
-            wx, wy = ax - px, ay - py
-            t = (wx * ey - wy * ex) / denom
-            if EPS < t < hi and EPS < (wx * dy - wy * dx) / denom < hi:
-                append((base + t, kind, name))
-        if len(events) - start > 1:
-            events[start:] = sorted(events[start:], key=itemgetter(0))
-
-
-def span_table(d: Vec, rows: Sequence[Row]) -> list[tuple[float, float, Row]]:
-    """Each row as (lo, hi, row): its span of s(x) = dx*y - dy*x, widened by REACH.
-
-    A line of direction d keeps one value of s, so it meets a row only where
-    that value lies in the row's span, and it meets every row of a set only
-    if its value lies in all their spans. Filtering a table by the
-    intersection of some rows' spans therefore keeps every row such a line
-    can meet, and, the spans being widened, every row the full scan accepts.
+    Along a row s runs from s0 = dx*ay - dy*ax to s0 + denom, denom = dx*ey -
+    dy*ex. The line crosses the row when s lies in that span, half-open as
+    the tolerance policy above says, at the row's parameter u = (s - s0) /
+    denom, and the crossings are sorted by their position along d. Rows
+    within the PARALLEL guard are skipped.
     """
     dx, dy = d
-    table = []
+    hits = []
     for row in rows:
-        s0 = dx * row[1] - dy * row[0]
-        s1 = s0 + dx * row[3] - dy * row[2]
-        table.append((min(s0, s1) - REACH, max(s0, s1) + REACH, row))
-    return table
+        ax, ay, ex, ey, guard, _ = row
+        denom = dx * ey - dy * ex
+        if -guard < denom < guard:
+            continue
+        s0 = dx * ay - dy * ax
+        s1 = s0 + denom
+        if s0 <= s < s1 if denom > 0.0 else s1 <= s < s0:
+            u = (s - s0) / denom
+            hits.append((dx * (ax + ex * u) + dy * (ay + ey * u), row))
+    hits.sort(key=itemgetter(0))
+    return [row for _, row in hits]
 
 
 def clip_polygon_halfplane(poly: Sequence[Vec], n: Vec, c: float) -> list[Vec]:

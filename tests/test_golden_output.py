@@ -98,6 +98,11 @@ GOLDEN = [
         0,
         "05b9aa2fc5612121d86a5e07402fd1e95c35bda06865c4311444db59d72dc478",
     ),
+    (  # 1e-10 rad from pi: the primed crossings at the window's end are kept
+        "derive-geometric --n 5 --edge S1 --t 0.36546834457545097 --theta 3.141592653489793 --crossings 400",
+        0,
+        "8d4ceced85adad92e3fa03cd1f318372c1bc12cc5a2080c9a5a599c8fc931003",
+    ),
 ]
 
 
