@@ -255,11 +255,14 @@ def _enumerate_dual_transitions(
 
 
 def _dual_steps(
-    stream: list[tuple[object, str, str]],
+    stream: list[tuple[str, str]],
     nodes: frozenset[str],
     aux_of: Optional[dict[tuple[str, str], tuple[str, ...]]] = None,
 ):
-    """Dual transitions of a time-ordered (time, kind, name) stream, in one pass.
+    """Dual transitions of a stream of (kind, name) tokens, in one pass.
+
+    The tokens carry no time; their order in the stream is the order they
+    are crossed or walked in.
 
     For each dual node (an auxiliary token, or an original one named by a
     node letter) at position i, yields (i, j, originals, primeds): j is the
@@ -274,7 +277,7 @@ def _dual_steps(
     originals: list[str] = []
     primeds: list[str] = []
     between: list[str] = []
-    for j, (_, kind, name) in enumerate(stream):
+    for j, (kind, name) in enumerate(stream):
         if kind == PRIMED:
             primeds.append(name)
             continue
@@ -339,7 +342,7 @@ def _scan_sampled_transitions(
         for i, j, originals, primeds in _dual_steps(events, surface.node_letters, aux_of):
             if j is None:
                 continue
-            key = (events[i][2], events[j][2], originals)
+            key = (events[i][1], events[j][1], originals)
             seen = observed.get(key)
             if seen is None:
                 observed[key] = primeds
@@ -422,24 +425,28 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
 # ---- walking words through the diagrams ------------------------------------
 
 
-def _token_stream(pipeline: DiagramPipeline, word: str) -> list[tuple[int, str, str]]:
-    """(anchor, kind, name) tokens of the word's unique augmented walk; a
-    token's anchor is the index of the letter it is or follows."""
+def _token_stream(pipeline: DiagramPipeline, word: str) -> tuple[list[tuple[str, str]], list[int]]:
+    """The (kind, name) tokens of the word's unique augmented walk and, beside
+    them, their anchors: a token's anchor is the index of the letter it is or
+    follows."""
     alphabet = pipeline.stages["arrows"].nodes
     for ch in word:
         if ch not in alphabet:
             raise InvalidPath(f"letter {ch!r} is not in the alphabet {''.join(alphabet)}")
     if not word:
-        return []
-    stream: list[tuple[int, str, str]] = [(0, ORIGINAL, word[0])]
+        return [], []
+    tokens: list[tuple[str, str]] = [(ORIGINAL, word[0])]
+    anchors = [0]
     for i in range(len(word) - 1):
         pair = (word[i], word[i + 1])
         if pair not in pipeline.aux_of:
             raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
         for name in pipeline.aux_of[pair]:
-            stream.append((i, AUXILIARY, name))
-        stream.append((i + 1, ORIGINAL, word[i + 1]))
-    return stream
+            tokens.append((AUXILIARY, name))
+            anchors.append(i)
+        tokens.append((ORIGINAL, word[i + 1]))
+        anchors.append(i + 1)
+    return tokens, anchors
 
 
 def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = False) -> str:
@@ -452,10 +459,10 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
     L = len(word)
     walked = word * 3 if cyclic else word
     lo, hi = (L, 2 * L) if cyclic else (0, L)
-    stream = _token_stream(pipeline, walked)
+    tokens, anchors = _token_stream(pipeline, walked)
     out: list[str] = []
-    for i, j, originals, _ in _dual_steps(stream, pipeline.node_letters):
-        anchor, kind, name = stream[i]
+    for i, j, originals, _ in _dual_steps(tokens, pipeline.node_letters):
+        anchor, (kind, name) = anchors[i], tokens[i]
         if not lo <= anchor < hi:
             continue
         if kind == ORIGINAL and 0 < anchor < len(walked) - 1:
@@ -464,7 +471,7 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
             if cyclic:
                 raise AssertionError("tripled walk ended before its transitions completed")
             continue
-        key = (name, stream[j][2], originals)
+        key = (name, tokens[j][1], originals)
         if key not in pipeline.transitions:
             raise InvalidPath(f"no dual transition {key[0]}->{key[1]} via {originals!r}")
         out.append(pipeline.transitions[key])

@@ -14,17 +14,18 @@ against the midpoint matching of `rotation_isometry`.
 A traced trajectory owns its segments (`Trajectory.segment_ends`) and, with
 the torus tracer, its letters (`CuttingSequence`: a periodic trajectory is
 one period). `crossing_events` is the one scan of a traced trajectory
-against edge pieces; the geometric derivation feeds it the primed edges
-carried onto the trajectory's charts, so a trajectory is traced once in any
-direction. Every piece scan asks `geometry.line_crossings` which pieces a
-line crosses; the event scan sorts the pieces' ends in s = dx*y - dy*x once
-per polygon and direction, and each segment does one bisect of its s. The
-tracer reads the edges alike: a ray leaves a convex polygon through the one
-edge facing its direction whose span of s holds its own, so each step
-bisects its polygon's chain of facing edges (`Surface.exit_rows` with their
-denominators worked out once per direction) and hits one row, or two where
-its line passes near a vertex. Both walk a trajectory in one flat loop that
-builds no temporary list per crossing.
+against edge pieces, a list of untimed (kind, name) tokens; the geometric
+derivation feeds it the primed edges carried onto the trajectory's charts,
+so a trajectory is traced once in any direction. Every piece scan asks
+`geometry.line_crossings` which pieces a line crosses; the event scan sorts
+the pieces' ends in s = dx*y - dy*x once per polygon and direction, and each
+segment does one bisect of its s and appends its cell's tokens, worked out
+once per cell. The tracer reads the edges alike: a ray leaves a convex
+polygon through the one edge facing its direction whose span of s holds its
+own, so each step bisects its polygon's chain of facing edges
+(`Surface.exit_rows` with their denominators worked out once per direction)
+and hits one row, or two where its line passes near a vertex. Both walk a
+trajectory in one flat loop that builds no temporary list per crossing.
 """
 from __future__ import annotations
 
@@ -356,31 +357,28 @@ class GeometricDerivation:
     cyclic: bool
     normalized_theta: float
     rotation_steps: int
-    primed_hits: tuple[tuple[float, str], ...]  # (crossing_events time, derived letter), unrounded
+    primed_hits: tuple[tuple[int, str], ...]  # (i, derived letter): crossing i's node letter or a primed hit of segment i
 
 
-def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]) -> list[tuple[float, str, str]]:
-    """Time-ordered (time, kind, name) crossings of a traced trajectory, as a list.
+def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]) -> list[tuple[str, str]]:
+    """The (kind, name) tokens of a traced trajectory's crossings, in order along it, as a list.
 
-    Time is crossing-index-valued: original crossing i comes at time i with
-    kind ORIGINAL and its letter; a crossing of the piece `e` in
-    `edges[polygon]` by segment i (which spans (i, i+1)) comes at i + t
-    tagged as `e.row` is: kind `e.kind` and name `e.label` stripped of its
-    prime, so a primed piece is named by the letter it is the image of.
-    Segment i ends at `traj.segment_ends[i]`, so periodic orbits include the
-    closing segment.
+    Original crossing i is the token (ORIGINAL, its letter); segment i, from
+    crossing i to `traj.segment_ends[i]`, then gives one token per piece `e`
+    of `edges[polygon]` it crosses, in line order, tagged as `e.row` is:
+    kind `e.kind` and name `e.label` stripped of its prime, so a primed
+    piece is named by the letter it is the image of. Periodic orbits
+    include the closing segment. No token carries a time: a token's segment
+    is the number of original tokens before it, less one.
 
     Every segment is a full chord of its polygon, and no two pieces cross
     inside one, so which pieces a segment crosses, and in what order, is
     fixed between consecutive piece ends in s = dx*y - dy*x. Per polygon the
     piece ends are sorted once; a segment does one bisect of its s + SNAP
-    and emits its cell's pieces, `line_crossings` at the cell's midpoint,
-    worked out when a segment first reads the cell. A segment's s is read at
-    its exit point, so a periodic orbit's closing segment is read on the
-    line through crossing 0, as segment 0 is. Each hit comes at the t of
-    ray_segment_hit's arithmetic along the segment; where a primed edge's
-    two pieces meet, at the midpoint of the edge crossed, that is 0 or 1 up
-    to rounding, and the stream is in time order up to that rounding.
+    and emits its cell's tokens, the tags of `line_crossings` at the cell's
+    midpoint, worked out once, when a segment first reads the cell. A
+    segment's s is read at its exit point, so a periodic orbit's closing
+    segment is read on the line through crossing 0, as segment 0 is.
     """
     d = unit(traj.theta)
     dx, dy = d
@@ -398,29 +396,23 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     # the identification offset of S_k, signed to carry a lower-chart point
     # into the upper chart or back: carry[polygon][k - 1]
     carry = {UPPER: surface.offsets, LOWER: tuple((-ox, -oy) for ox, oy in surface.offsets)}
-    events: list[tuple[float, str, str]] = []
-    append = events.append
-    base = 0.0
-    for (k, letter, polygon, (px, py)), (exit_k, _, _, (bx, by)) in zip(crossings, traj.segment_ends):
-        append((base, ORIGINAL, letter))
+    originals = {letter: (ORIGINAL, letter) for letter in surface.letters}  # one shared token per letter
+    events: list[tuple[str, str]] = []
+    append, extend = events.append, events.extend
+    for (_, letter, polygon, _), (exit_k, _, _, (bx, by)) in zip(crossings, traj.segment_ends):
+        append(originals[letter])
         rows, ends, cells = tables[polygon]
-        # segment i in this chart, from the entry point to the next crossing's
-        # point carried back across the identification it entered by
-        # (Trajectory.segment)
+        # segment i ends at the next crossing's point carried back across the
+        # identification it entered by (Trajectory.segment)
         ox, oy = carry[polygon][exit_k - 1]
         qx, qy = bx + ox, by + oy
         i = bisect_right(ends, dx * qy - dy * qx + SNAP)
-        hits = cells[i]
-        if hits is None:
-            hits = cells[i] = line_crossings(d, 0.5 * (ends[i - 1] + ends[i]), rows)
-        if hits:
-            sx, sy = qx - px, qy - py
-            for ax, ay, ex, ey, _, (kind, name) in hits:
-                wx, wy = ax - px, ay - py
-                append((base + (wx * ey - wy * ex) / (sx * ey - sy * ex), kind, name))
-        base += 1.0
+        cell = cells[i]
+        if cell is None:
+            cell = cells[i] = tuple(row[5] for row in line_crossings(d, 0.5 * (ends[i - 1] + ends[i]), rows))
+        extend(cell)
     if not traj.periodic:
-        append((float(len(crossings) - 1), ORIGINAL, crossings[-1].letter))
+        append(originals[crossings[-1].letter])
     return events
 
 
@@ -450,17 +442,20 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
     norm = normalize_direction(surface, traj.theta)
     # original letter -> its normalized letter, for the letters that normalize to a node letter
     node_of = {letter: name for letter, name in norm.letter_map.items() if name in surface.node_letters}
-    events = [
-        (t, node_of[name] if kind == ORIGINAL else name)
-        for t, kind, name in crossing_events(surface, traj, carried_primed(surface, -norm.steps))
-        if kind != ORIGINAL or name in node_of
-    ]
+    hits, segment = [], -1
+    for kind, name in crossing_events(surface, traj, carried_primed(surface, -norm.steps)):
+        if kind == ORIGINAL:
+            segment += 1
+            name = node_of.get(name)
+            if name is None:
+                continue
+        hits.append((segment, name))
     return GeometricDerivation(
-        letters=norm.invert("".join(map(itemgetter(1), events))),
+        letters=norm.invert("".join(map(itemgetter(1), hits))),
         cyclic=traj.periodic,
         normalized_theta=norm.theta,
         rotation_steps=norm.steps,
-        primed_hits=tuple(events),
+        primed_hits=tuple(hits),
     )
 
 

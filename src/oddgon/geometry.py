@@ -131,8 +131,8 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment) -> Optional[Hit]:
     reported; callers decide whether an endpoint hit is a corner event.
     """
     # the arithmetic of cross(d, e), cross(w, e), cross(w, d) and vlerp,
-    # written out on local floats; the loop of flow.trace and the hit times
-    # of flow.crossing_events repeat it, so their t and u are the same floats
+    # written out on local floats; the loop of flow.trace repeats it, so its
+    # t and u are the same floats
     ax, ay = seg.p0
     ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
     dx, dy = d

@@ -253,17 +253,16 @@ def test_dual_steps_splits_a_stream_at_dual_nodes():
         (ORIGINAL, "C"),
         (PRIMED, "D"),
     ]
-    stream = [(t, kind, name) for t, (kind, name) in enumerate(tokens)]
     steps = [(1, 5, "B", "BE"), (5, 6, "", ""), (6, 9, "E", "C"), (9, None, "C", "D")]
-    assert list(_dual_steps(stream, frozenset("AD"))) == steps
-    assert list(_dual_steps([(0, ORIGINAL, "B"), (1, PRIMED, "C")], frozenset("AD"))) == []
+    assert list(_dual_steps(tokens, frozenset("AD"))) == steps
+    assert list(_dual_steps([(ORIGINAL, "B"), (PRIMED, "C")], frozenset("AD"))) == []
     # given the augmented labels, the same pass checks the auxiliary names between letters
     aux_of = {("B", "A"): (), ("A", "B"): (), ("B", "E"): ("l1", "u1"), ("E", "D"): (), ("D", "C"): ()}
-    assert list(_dual_steps(stream, frozenset("AD"), aux_of)) == steps
+    assert list(_dual_steps(tokens, frozenset("AD"), aux_of)) == steps
     with pytest.raises(AssertionError, match=r"\('l1', 'u1'\) for B->E differ from region label \('l1',\)"):
-        list(_dual_steps(stream, frozenset("AD"), {**aux_of, ("B", "E"): ("l1",)}))
+        list(_dual_steps(tokens, frozenset("AD"), {**aux_of, ("B", "E"): ("l1",)}))
     with pytest.raises(AssertionError, match="pair D->C has no arrow"):
-        list(_dual_steps(stream, frozenset("AD"), {k: v for k, v in aux_of.items() if k != ("D", "C")}))
+        list(_dual_steps(tokens, frozenset("AD"), {k: v for k, v in aux_of.items() if k != ("D", "C")}))
 
 
 def test_sampled_scan_checks_the_augmented_labels(pentagon, monkeypatch):
@@ -285,9 +284,9 @@ def test_sampled_scan_checks_the_primed_content(pentagon, monkeypatch):
         events = scan(surface, traj, edges)
         calls.append(traj)
         if len(calls) == PLAN_SAMPLES:
-            i = next(i for i, (_, kind, _) in enumerate(events) if kind == PRIMED)
-            time, kind, name = events[i]
-            events[i] = (time, kind, name.lower())
+            i = next(i for i, (kind, _) in enumerate(events) if kind == PRIMED)
+            kind, name = events[i]
+            events[i] = (kind, name.lower())
         return events
 
     monkeypatch.setattr(derivation, "crossing_events", renamed)

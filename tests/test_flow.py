@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oddgon import flow
-from oddgon.derivation import cyclic_normal_form, ksl_cyclic, ksl_window
+from oddgon.derivation import PLAN_CROSSINGS, _sector_sample_plan, cyclic_normal_form, ksl_cyclic, ksl_window
 from oddgon.flow import (
     CornerHit,
     Crossing,
@@ -46,7 +46,7 @@ def test_period_four_orbit(pentagon):
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
 def test_periodic_trace_holds_one_period(n):
     """A periodic trajectory is one period: its letters are its period word,
-    and its geometric derivation reads no primed hit outside [0, period)."""
+    and its geometric derivation indexes every primed hit in range(period)."""
     s, rng, periodic = build_surface(n), random.Random(n), 0
     for _ in range(12):
         theta = 0.5 * s.sector + rng.randrange(2 * n) * s.sector  # completely periodic, any sector
@@ -59,7 +59,7 @@ def test_periodic_trace_holds_one_period(n):
         periodic += 1
         assert len(traj.crossings) == traj.period
         assert traj.period_word == traj.letters
-        assert all(0.0 <= t < traj.period for t, _ in derive_geometric(s, traj).primed_hits)
+        assert all(type(i) is int and 0 <= i < traj.period for i, _ in derive_geometric(s, traj).primed_hits)
     assert periodic >= 6
 
 
@@ -575,14 +575,14 @@ def test_rotated_trace_reproduces_permuted_letters(n):
 def test_crossing_events_stream(pentagon):
     traj = trace_from_edge(pentagon, 3, 0.37, 0.9, max_crossings=40)
     edges = {p: pentagon.aux_for(p) + pentagon.primed_for(p) for p in (UPPER, LOWER)}
-    events = list(crossing_events(pentagon, traj, edges))
-    times = [t for t, _, _ in events]
-    assert times == sorted(times)
-    origs = [(t, name) for t, kind, name in events if kind == ORIGINAL]
-    assert origs == [(float(i), c.letter) for i, c in enumerate(traj.crossings)]
-    assert {kind for _, kind, _ in events} == {ORIGINAL, AUXILIARY, PRIMED}
-    # primed pieces are named by the letter of the edge they are the image of
-    assert all(name in "ABCDE" for _, kind, name in events if kind == PRIMED)
+    events = crossing_events(pentagon, traj, edges)
+    assert "".join(name for kind, name in events if kind == ORIGINAL) == traj.letters
+    assert {kind for kind, _ in events} == {ORIGINAL, AUXILIARY, PRIMED}
+    # an auxiliary piece is named by its label; a primed piece by the letter
+    # of the edge it is the image of
+    aux_labels = {e.label for p in (UPPER, LOWER) for e in pentagon.aux_for(p)}
+    assert all(name in aux_labels for kind, name in events if kind == AUXILIARY)
+    assert all(name in "ABCDE" for kind, name in events if kind == PRIMED)
 
 
 @pytest.mark.parametrize("theta", [0.2, 2.0, math.pi / 10])
@@ -611,6 +611,7 @@ def _reference_hits(a, d, pieces):
 
 
 def _reference_events(surface, traj, edges):
+    """The (kind, name) tokens of the per-piece scan, sorted by their hit times, which are then dropped."""
     events = [(float(i), ORIGINAL, c.letter) for i, c in enumerate(traj.crossings)]
     m = len(traj.crossings)
     for i in range(m if traj.periodic else m - 1):
@@ -618,7 +619,7 @@ def _reference_events(surface, traj, edges):
         for t, e in _reference_hits(a, vsub(b, a), edges[polygon]):
             events.append((i + t, e.kind, e.label.rstrip("'")))
     events.sort(key=lambda ev: ev[0])
-    return events
+    return [(kind, name) for _, kind, name in events]
 
 
 @pytest.mark.parametrize("n", range(5, 27, 2))
@@ -645,7 +646,7 @@ def test_crossing_events_equal_the_per_piece_reference(n):
         periodic += traj.periodic
         steps = normalize_direction(s, theta).steps
         for edges in (aux_and_primed, carried_primed(s, -steps), carried_primed(s, rng.randrange(1, 2 * n))):
-            assert list(crossing_events(s, traj, edges)) == _reference_events(s, traj, edges), (k, u, theta)
+            assert crossing_events(s, traj, edges) == _reference_events(s, traj, edges), (k, u, theta)
             compared += 1
     assert periodic >= 2 and compared >= 36
     # one trace as long as a long-derive trace, in a generic direction, on the
@@ -654,7 +655,37 @@ def test_crossing_events_equal_the_per_piece_reference(n):
     traj = trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta, max_crossings=3000)
     assert len(traj.crossings) == 3000
     edges = carried_primed(s, -normalize_direction(s, theta).steps)
-    assert list(crossing_events(s, traj, edges)) == _reference_events(s, traj, edges)
+    assert crossing_events(s, traj, edges) == _reference_events(s, traj, edges)
+
+
+@pytest.mark.parametrize("n", [5, 25])
+def test_the_event_scan_works_out_each_cell_once(n, monkeypatch):
+    # over the diagram build's sample plan, one crossing_events call asks
+    # line_crossings at most once per cell of its piece-end tables, however
+    # many segments read the cell, and its tokens are bare (kind, name) pairs
+    s = build_surface(n)
+    edges = {p: s.aux_for(p) + s.primed_for(p) for p in (UPPER, LOWER)}
+    calls = []
+    scan = flow.line_crossings
+
+    def recorded(d, at, rows):
+        calls.append((id(rows), at))
+        return scan(d, at, rows)
+
+    monkeypatch.setattr(flow, "line_crossings", recorded)
+    segments = cells = 0
+    for k, u, theta in _sector_sample_plan(s):
+        try:
+            traj = trace_from_edge(s, k, u, theta, max_crossings=PLAN_CROSSINGS)
+        except CornerHit:
+            continue
+        calls.clear()
+        events = crossing_events(s, traj, edges)
+        assert len(set(calls)) == len(calls), (k, u, theta)
+        assert all(type(token) is tuple and list(map(type, token)) == [str, str] for token in events), (k, u, theta)
+        segments += len(traj.crossings) - 1 + traj.periodic
+        cells += len(calls)
+    assert 0 < cells < segments
 
 
 @pytest.mark.parametrize("n", range(5, 27, 2))
@@ -751,11 +782,11 @@ def test_exit_chains_pick_every_exit_and_piece_tables_prune(n, monkeypatch):
             except CornerHit:
                 pass
     assert near
-    assert any(kind != ORIGINAL for *_, traj in traced for _, kind, _ in crossing_events(s, traj, edges))
+    assert any(kind != ORIGINAL for *_, traj in traced for kind, _ in crossing_events(s, traj, edges))
     monkeypatch.setattr(flow, "line_crossings", lambda d, s, rows: [])
     for k, u, theta, traj in traced:
         assert trace_from_edge(s, k, u, theta, 100).crossings == traj.crossings
-        assert all(kind == ORIGINAL for _, kind, _ in crossing_events(s, traj, edges))
+        assert all(kind == ORIGINAL for kind, _ in crossing_events(s, traj, edges))
 
 
 def test_a_line_through_a_piece_end_reads_the_cell_above():
@@ -794,6 +825,7 @@ def test_a_crossing_where_the_primed_halves_meet_counts_once(n):
             assert traj.periodic, (k, theta)
             derived = derive_geometric(s, traj)
             assert cyclic_normal_form(derived.letters) == cyclic_normal_form(ksl_cyclic(traj.period_word)), (k, theta)
+            assert all(i in range(traj.period) for i, _ in derived.primed_hits), (k, theta)
             checked += 1
     assert checked >= n - 1
 
