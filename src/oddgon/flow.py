@@ -20,12 +20,15 @@ so a trajectory is traced once in any direction. Every piece scan asks
 `geometry.line_crossings` which pieces a line crosses; the event scan sorts
 the pieces' ends in s = dx*y - dy*x once per polygon and direction, and each
 segment does one bisect of its s and appends its cell's tokens, worked out
-once per cell. The tracer reads the edges alike: a ray leaves a convex
-polygon through the one edge facing its direction whose span of s holds its
-own, so each step bisects its polygon's chain of facing edges
-(`Surface.exit_rows` with their denominators worked out once per direction)
-and hits one row, or two where its line passes near a vertex. Both walk a
-trajectory in one flat loop that builds no temporary list per crossing.
+once per cell. The tracer walks on s alike, as an interval exchange: s is
+constant along a chart segment, and a ray leaves a convex polygon through
+the one edge facing its direction whose span of s holds its own. So each
+step bisects its polygon's chain of facing edges (`_chains`, worked out once
+per direction), compares s with the ends of that one row's span for a
+corner, and moves the exit by the row's identification offset, which shifts
+s by the offset's cross product with the direction. Both walk a trajectory
+in one flat loop that builds no temporary list per crossing, and both read
+a segment's s from its entry point by the same expression.
 """
 from __future__ import annotations
 
@@ -37,10 +40,9 @@ from typing import Callable, NamedTuple, Optional
 
 from .geometry import (
     CORNER_DELTA,
-    CORNER_SHORTCUT,
+    CORNER_TIE,
     EPS,
     SNAP,
-    STEP_MIN,
     Segment,
     Vec,
     line_crossings,
@@ -136,41 +138,39 @@ class Trajectory(CuttingSequence):
         return a.polygon, a.point, exit_point
 
 
-def _chains(surface: Surface, d: Vec) -> dict[str, tuple[list[float], list[tuple]]]:
-    """Per polygon, the rows (k, ax, ay, ex, ey, denom) of the edges facing d,
-    denom = dx*ey - dy*ex at least the parallel guard, sorted by s = dx*y - dy*x
-    at (ax, ay), and the bounds in s between them: row i takes s from
-    bounds[i] to bounds[i + 1], the first and last rows on to -inf and inf.
+def _chains(surface: Surface, d: Vec) -> dict[str, tuple[list[float], list[tuple], str]]:
+    """Per polygon, its chain of the edges facing d, the bounds in s = dx*y -
+    dy*x between them, and the polygon a ray leaving it enters.
 
-    Along a facing edge s rises by denom, and the facing edges of a convex
-    polygon run from its lowest vertex in s to its highest, so their spans
-    tile the polygon's: a ray leaves by the row whose span holds its s.
+    A row (denom, ax, ay, ex, ey, ox, oy, k, letter) is S_k from (ax, ay)
+    along (ex, ey), denom = dx*ey - dy*ex at least the parallel guard, with
+    (ox, oy) its identification offset signed to carry a point of S_k into
+    the other chart. Along the row s rises from lo = dx*ay - dy*ax by denom.
+    Rows are sorted by lo, and row i takes s from bounds[i] to bounds[i + 1],
+    the lo of the next row; the first and last rows go on to -inf and inf.
+
+    The facing edges of a convex polygon run from its lowest vertex in s to
+    its highest, so their spans tile the polygon's: a ray leaves by the row
+    whose span holds its s.
     """
     dx, dy = d
     chains = {}
     for polygon, rows in surface.exit_rows.items():
+        sign = -1.0 if polygon == UPPER else 1.0
         chain = sorted(
-            (dx * ay - dy * ax, (k, ax, ay, ex, ey, denom))
+            (dx * ay - dy * ax, (denom, ax, ay, ex, ey, sign * ox, sign * oy, k, surface.letters[k - 1]))
             for ax, ay, ex, ey, guard, k in rows
-            for denom in (dx * ey - dy * ex,)
+            for denom, (ox, oy) in ((dx * ey - dy * ex, surface.offsets[k - 1]),)
             if denom >= guard
         )
-        chains[polygon] = [-math.inf] + [s for s, _ in chain[1:]] + [math.inf], [row for _, row in chain]
+        bounds = [-math.inf] + [lo for lo, _ in chain[1:]] + [math.inf]
+        chains[polygon] = bounds, [row for _, row in chain], other_polygon(polygon)
     return chains
 
 
-def _vertex_exit(rows: list[tuple], i: int, left: bool, right: bool, x: float, y: float, dx: float, dy: float):
-    """The exit (row, u) among chain row i and its neighbours on the `left` and
-    `right`, or None: `trace`'s hit test, the smaller t winning, then the smaller k."""
-    best_key, best = None, None
-    for row in rows[i - left : i + right + 1]:
-        k, ax, ay, ex, ey, denom = row
-        wx, wy = ax - x, ay - y
-        u = (wx * dy - wy * dx) / denom
-        t = (wx * ey - wy * ex) / denom
-        if -EPS <= u <= 1.0 + EPS and t > STEP_MIN and (best is None or (t, k) < best_key):
-            best_key, best = (t, k), (row, u)
-    return best
+def _at_corner(side: Segment, x: float, y: float) -> bool:
+    """Whether (x, y) lies within CORNER_DELTA of an end of `side`."""
+    return min(math.dist((x, y), side.p0), math.dist((x, y), side.p1)) < CORNER_DELTA
 
 
 def trace(
@@ -187,8 +187,18 @@ def trace(
     That edge is emitted as crossing 0 and tracing continues into the
     polygon the direction flows into. A start within CORNER_DELTA of an end
     of its edge is a corner hit after 0 crossings, as an exit there is.
-    Periodicity: first return within EPS of crossing 0 on the same edge pair
-    and polygon.
+
+    Each step reads s = dx*y - dy*x at its entry point and bisects its
+    polygon's chain for the exit row (`_chains`). The line's s less the
+    row's lo runs from 0 to denom along the row: within CORNER_DELTA * denom
+    of either end, the exit lies within CORNER_DELTA of a vertex of that unit
+    side, a corner hit raised with the exit point held to the row. Within
+    CORNER_TIE * denom of that threshold, rounding may decide it either way,
+    and the exit's distance from the vertex decides instead.
+    Otherwise the exit lies at u = (s - lo) / denom along the row, and the
+    next entry point is that exit moved by the row's offset. Periodicity:
+    first return to the start edge pair and polygon with s within EPS *
+    denom of crossing 0's, that is within EPS along the edge.
     """
     if not 1 <= start_edge <= surface.n:
         raise ValueError(f"edge index {start_edge} out of range for n={surface.n}")
@@ -198,64 +208,44 @@ def trace(
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     d = unit(theta)
     dx, dy = d
-    chains, offsets, letters = _chains(surface, d), surface.offsets, surface.letters
+    chains = _chains(surface, d)
     tx, ty = surface.identification_offset(start_edge)
     polygon = surface.entering_polygon(start_edge, theta)
-    fx, fy = start[1]
+    x, y = start[1]
     if start[0] != UPPER:  # onto the upper representative
-        fx, fy = fx + tx, fy + ty
-    side = surface.edge_segs[UPPER][start_edge - 1]
-    at_corner = min(math.dist((fx, fy), side.p0), math.dist((fx, fy), side.p1)) < CORNER_DELTA
+        x, y = x + tx, y + ty
+    at_corner = _at_corner(surface.edge_segs[UPPER][start_edge - 1], x, y)
     if polygon == LOWER:
-        fx, fy = fx - tx, fy - ty
+        x, y = x - tx, y - ty
     if at_corner:
-        raise CornerHit(polygon, (fx, fy), 0, theta, start[0], start[1])
-    x, y = fx, fy
-    crossings = [Crossing(start_edge, letters[start_edge - 1], polygon, (x, y))]
+        raise CornerHit(polygon, (x, y), 0, theta, start[0], start[1])
+    crossings = [Crossing(start_edge, surface.letters[start_edge - 1], polygon, (x, y))]
     traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
 
-    # each step bisects its polygon's chain for the row whose span holds the
-    # entry point's s and hits it with ray_segment_hit's arithmetic inline, so
-    # t, u and the exit point are the same floats; no hit (u outside
-    # [-EPS, 1 + EPS] or t <= STEP_MIN), or an exit within CORNER_DELTA of an
-    # edge end, is a corner hit. A line within CORNER_SHORTCUT of the vertex
-    # the row shares with a neighbour hits that row too, since rounding may
-    # put its hit first.
-    first_polygon, segs = polygon, surface.edge_segs
-    u_min, u_max, near_end = -EPS, 1.0 + EPS, 1.0 - CORNER_SHORTCUT
+    # s - lo is read relative to the row's vertex, not as the difference of
+    # s and lo: their rounding grows with the coordinates (up to 8 at n =
+    # 25), and along an edge nearly parallel to d, u magnifies it by 1/denom
+    first_polygon, s0 = polygon, dx * y - dy * x
+    s, near, far = s0, CORNER_DELTA + CORNER_TIE, CORNER_DELTA - CORNER_TIE
     append, new = crossings.append, tuple.__new__  # Crossing's fields without its generated __new__
     for _ in range(max_crossings - 1):  # one crossing per step after crossing 0
-        bounds, rows = chains[polygon]
+        bounds, rows, entered = chains[polygon]
+        denom, ax, ay, ex, ey, ox, oy, k, letter = rows[bisect_right(bounds, s) - 1]
+        v = (ax - x) * dy - (ay - y) * dx  # s - lo
+        u = v / denom
+        if (v < near * denom or denom - v < near * denom) and (
+            min(v, denom - v) < far * denom or _at_corner(surface.edge_segs[polygon][k - 1], ax + ex * u, ay + ey * u)
+        ):
+            # at the vertex for a line past the row's end, or along a row so
+            # nearly parallel to d that rounding puts u far past it
+            u = min(max(u, 0.0), 1.0)
+            raise CornerHit(polygon, (ax + ex * u, ay + ey * u), len(crossings), theta, start[0], start[1])
+        polygon, x, y = entered, ax + ex * u + ox, ay + ey * u + oy
         s = dx * y - dy * x
-        i = bisect_right(bounds, s) - 1
-        k, ax, ay, ex, ey, denom = rows[i]
-        left, right = s - bounds[i] < CORNER_SHORTCUT, bounds[i + 1] - s < CORNER_SHORTCUT
-        if left or right:
-            hit = _vertex_exit(rows, i, left, right, x, y, dx, dy)
-            if hit is None:
-                raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
-            (k, ax, ay, ex, ey, _), u = hit
-        else:
-            wx, wy = ax - x, ay - y
-            u = (wx * dy - wy * dx) / denom
-            if u < u_min or u > u_max or (wx * ey - wy * ex) / denom <= STEP_MIN:
-                raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
-        x, y = ax + ex * u, ay + ey * u
-        # an exit at least CORNER_SHORTCUT in from both ends of a unit side is
-        # no corner hit, so only exits near an end pay for the exact distances
-        if not CORNER_SHORTCUT <= u <= near_end:
-            (x0, y0), (x1, y1) = segs[polygon][k - 1].p0, segs[polygon][k - 1].p1
-            if min(math.hypot(x - x0, y - y0), math.hypot(x - x1, y - y1)) < CORNER_DELTA:
-                raise CornerHit(polygon, (x, y), len(crossings), theta, start[0], start[1])
-        ox, oy = offsets[k - 1]
-        if polygon == UPPER:
-            polygon, x, y = LOWER, x - ox, y - oy
-        else:
-            polygon, x, y = UPPER, x + ox, y + oy
-        if k == start_edge and polygon == first_polygon and math.hypot(x - fx, y - fy) < EPS:
+        if k == start_edge and polygon == first_polygon and abs(s - s0) < EPS * denom:
             traj.periodic = True
             break
-        append(new(Crossing, (k, letters[k - 1], polygon, (x, y))))
+        append(new(Crossing, (k, letter, polygon, (x, y))))
     return traj
 
 
@@ -377,8 +367,11 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     piece ends are sorted once; a segment does one bisect of its s + SNAP
     and emits its cell's tokens, the tags of `line_crossings` at the cell's
     midpoint, worked out once, when a segment first reads the cell. A
-    segment's s is read at its exit point, so a periodic orbit's closing
-    segment is read on the line through crossing 0, as segment 0 is.
+    segment's s is read at its entry point, crossing i's, by the expression
+    `trace` bisects its chain with, so both read the same float. A periodic
+    orbit's closing segment is read on crossing 0's line if within SNAP per
+    crossing of it, the float surface's rounding, so a piece ending at
+    crossing 0 counts once; an orbit that only nearly closes, on its own.
     """
     d = unit(traj.theta)
     dx, dy = d
@@ -393,20 +386,24 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
         # first reads it; the first and last cross nothing
         tables[polygon] = rows, ends, [()] + [None] * (len(ends) - 1) + [()]
     crossings = traj.crossings
-    # the identification offset of S_k, signed to carry a lower-chart point
-    # into the upper chart or back: carry[polygon][k - 1]
-    carry = {UPPER: surface.offsets, LOWER: tuple((-ox, -oy) for ox, oy in surface.offsets)}
     originals = {letter: (ORIGINAL, letter) for letter in surface.letters}  # one shared token per letter
     events: list[tuple[str, str]] = []
     append, extend = events.append, events.extend
-    for (_, letter, polygon, _), (exit_k, _, _, (bx, by)) in zip(crossings, traj.segment_ends):
+    segments = crossings[:-1]  # an open trajectory's last crossing starts no segment
+    if traj.periodic:
+        # the closing segment ends at crossing 0, carried into its chart: it
+        # is read on that point's line if its own lies within SNAP a crossing
+        last, (k, _, first, (x, y)) = crossings[-1], crossings[0]
+        ox, oy = surface.offsets[k - 1]
+        qx, qy = (x - ox, y - oy) if first == UPPER else (x + ox, y + oy)
+        lx, ly = last.point
+        if abs((dx * qy - dy * qx) - (dx * ly - dy * lx)) <= len(crossings) * SNAP:
+            last = last._replace(point=(qx, qy))
+        segments.append(last)
+    for _, letter, polygon, (x, y) in segments:
         append(originals[letter])
         rows, ends, cells = tables[polygon]
-        # segment i ends at the next crossing's point carried back across the
-        # identification it entered by (Trajectory.segment)
-        ox, oy = carry[polygon][exit_k - 1]
-        qx, qy = bx + ox, by + oy
-        i = bisect_right(ends, dx * qy - dy * qx + SNAP)
+        i = bisect_right(ends, dx * y - dy * x + SNAP)
         cell = cells[i]
         if cell is None:
             cell = cells[i] = tuple(row[5] for row in line_crossings(d, 0.5 * (ends[i - 1] + ends[i]), rows))

@@ -20,33 +20,33 @@ Vec = tuple[float, float]
 # a chart segment is a full chord and no two pieces cross inside a chart, so
 # a line crosses a piece exactly when its s = dx*y - dy*x lies strictly
 # inside the piece's span of s, and an s equal to a piece end reads the cell
-# above it (spans are half-open, [lo, hi)). The tracer's loop hits the
-# edges' rows itself.
+# above it (spans are half-open, [lo, hi)). The tracer reads the edges by s
+# too, with no window: it bisects its chain of exit rows (`flow._chains`).
 # Segment parameters, containment, clipped areas, chord windows, guide
 # snapping and the periodic return: closer than this counts as on.
 EPS = 1e-9
 # An exit this close to a polygon vertex (or torus lattice point) is a corner
-# hit, and so is a start this close to an end of its start edge.
+# hit, and so is a start this close to an end of its start edge. Sides have
+# unit length, so the tracer compares the line's s less the exit row's lo
+# with CORNER_DELTA * denom from each end of the row's span [0, denom].
 CORNER_DELTA = 1e-12
-# A ray step this short, or a start this close to an edge line, is the start itself.
+# Within this of CORNER_DELTA, where rounding in a vertex distance (a few
+# ulps of coordinates up to 8) may decide either way, the tracer measures it.
+CORNER_TIE = 1e-14
+# The torus tracer's: a start this close to a lattice line lies on it, and a
+# time this short is the start itself.
 STEP_MIN = 1e-12
 # A denominator this small is zero: parallel ray and segment, a cot pole.
 PARALLEL = 1e-15
-# The tracer runs the exact corner test (distance from the exit to each edge
-# end against CORNER_DELTA) only for an exit whose edge parameter lies within
-# this of 0 or 1. Sides have unit length, so an exit farther in is this far
-# from both ends up to rounding far below CORNER_DELTA: the shortcut never
-# changes a decision. That is all it licenses. The tracer also hits a second
-# chain row when its line passes this close to the vertex the two share,
-# where rounding decides which is hit first (see `flow.trace`).
-CORNER_SHORTCUT = 1e6 * CORNER_DELTA
 # A traced segment reads the cell of its s + SNAP: an s this close below a
 # piece end reads the cell above it, as an s at the end does. A primed edge's
 # two pieces meet at the midpoint of its edge, and the s of the two segments
 # that meet at a crossing there differ by rounding (about 1e-15 at n = 25);
 # read alike, that crossing counts once. SNAP is far below CORNER_DELTA, so
 # elsewhere it moves only lines that pass a piece's vertex end closer than a
-# corner hit's distance.
+# corner hit's distance. A periodic orbit's closing segment within SNAP per
+# crossing of crossing 0's line is read on it: the float surface moves a
+# closed orbit off its start by under 1e-14 a crossing (2.6e-13 at n = 25).
 SNAP = 1e-13
 
 
@@ -131,8 +131,8 @@ def ray_segment_hit(origin: Vec, d: Vec, seg: Segment) -> Optional[Hit]:
     reported; callers decide whether an endpoint hit is a corner event.
     """
     # the arithmetic of cross(d, e), cross(w, e), cross(w, d) and vlerp,
-    # written out on local floats; the loop of flow.trace repeats it, so its
-    # t and u are the same floats
+    # written out on local floats; the loop of flow.trace works u and the
+    # exit point out alike, so they are the same floats
     ax, ay = seg.p0
     ex, ey = seg.p1[0] - ax, seg.p1[1] - ay
     dx, dy = d

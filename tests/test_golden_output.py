@@ -25,7 +25,7 @@ GOLDEN = [
     (  # a corner hit
         "trace --n 5 --edge S2 --t 0.5 --theta 2.1225616175277833",
         1,
-        "d136c2562467d52b4b2992357a6323162c2570e66134e9f1c30abf076920b01a",
+        "59931cbe7b8ba171660f95beb35463a69f4adccca38161295f7ebca05a29ba15",
     ),
     (
         "derive-geometric --n 15 --edge S3 --t 0.31 --theta 4.1 --crossings 300",
