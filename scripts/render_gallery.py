@@ -25,7 +25,7 @@ def main() -> int:
         s = build_surface(n)
         (out / f"surface_{n}.svg").write_text(render_surface_svg(s))
         (out / f"edges_{n}.svg").write_text(render_surface_svg(s, show_aux=True, show_primed=True))
-        (out / f"guide_{n}.svg").write_text(render_guide_svg(build_vertex_guide(n)))
+        (out / f"guide_{n}.svg").write_text(render_guide_svg(build_vertex_guide(s)))
         theta = 0.43 * s.sector
         try:
             traj = trace_from_edge(s, 2, 0.55, theta, max_crossings=50)

@@ -34,7 +34,7 @@ from .shear import (
     telescoping_identity,
     verify_reassembly,
 )
-from .surface import build_surface, check_n, index_for_letter, surface_json
+from .surface import build_surface, index_for_letter, surface_json
 from .torus import torus_derive_geometric, torus_derive_rule, torus_trace
 
 
@@ -162,6 +162,7 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_guide(args) -> int:
+    s = build_surface(args.n)
     points = [
         {
             "polygon": p.polygon,
@@ -170,21 +171,20 @@ def _cmd_guide(args) -> int:
             "x": round_sig(p.x),
             "y": round_sig(p.y),
         }
-        for p in build_vertex_guide(args.n)
+        for p in build_vertex_guide(s)
     ]
     _emit_json({"n": args.n, "points": points}, args.out)
     return 0
 
 
-def _check_moduli(args) -> dict:
-    s = build_surface(args.n)
+def _check_moduli(args, surface) -> dict:
     ref = float(highprec.shear_coefficient(args.n))
-    devs = [abs(c.modulus - ref) for c in decompose_cylinders(s)]
+    devs = [abs(c.modulus - ref) for c in decompose_cylinders(surface)]
     return {"pass": max(devs) <= args.tol, "max_dev": round_sig(max(devs), 3)}
 
 
-def _check_reassembly(args) -> dict:
-    rep = verify_reassembly(args.n, tol=args.tol)
+def _check_reassembly(args, surface) -> dict:
+    rep = verify_reassembly(surface, tol=args.tol)
     return {
         "pass": rep.passed,
         "max_residual": round_sig(rep.max_residual, 3),
@@ -193,7 +193,7 @@ def _check_reassembly(args) -> dict:
     }
 
 
-def _check_identities(args) -> dict:
+def _check_identities(args, surface) -> dict:
     import random
 
     rng = random.Random(args.seed)
@@ -208,8 +208,8 @@ def _check_identities(args) -> dict:
     return {"pass": worst < 1e-10, "max_dev": round_sig(worst, 3)}
 
 
-def _check_equivalence(args) -> dict:
-    pipeline = build_pipeline_diagrams(build_surface(args.n))
+def _check_equivalence(args, surface) -> dict:
+    pipeline = build_pipeline_diagrams(surface)
     rep = sandwich_equivalence_check(pipeline, seed=args.seed)
     return {
         "pass": rep.passed,
@@ -219,7 +219,7 @@ def _check_equivalence(args) -> dict:
     }
 
 
-def _check_torus(args) -> dict:
+def _check_torus(args, surface) -> dict:
     import random
 
     rng = random.Random(args.seed)
@@ -253,6 +253,7 @@ def _check_torus(args) -> dict:
     return {"pass": failures == 0, "orbits_checked": checked, "failures": failures}
 
 
+# each check reads the one Surface `verify` builds, which validates --n first
 _CHECKS = {
     "moduli": _check_moduli,
     "reassembly": _check_reassembly,
@@ -263,7 +264,7 @@ _CHECKS = {
 
 
 def _cmd_verify(args) -> int:
-    check_n(args.n)  # not every check builds a surface
+    s = build_surface(args.n)
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     available = f"available: {', '.join(sorted(_CHECKS))}"
     if not names:
@@ -275,7 +276,7 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--checks names {name!r} twice")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be a finite number > 0, got {args.tol}")
-    results = {name: _CHECKS[name](args) for name in names}
+    results = {name: _CHECKS[name](args, s) for name in names}
     report = {
         "n": args.n,
         "tol": args.tol,
@@ -301,6 +302,8 @@ def _cmd_torus(args) -> int:
     if args.slope is None and args.theta is None:
         raise ValueError("torus needs --seq, --slope, or --theta")
     _reject_unread(args, ("cyclic",), f"torus {args.action} without --seq")
+    if args.slope is not None:
+        _reject_unread(args, ("theta",), f"torus {args.action} --slope")
     theta = _parse_theta(args)
     start_txt = "0.23,0.61" if args.start is None else args.start
     try:
@@ -331,7 +334,7 @@ def _cmd_render(args) -> int:
     s = build_surface(args.n)
     if args.what == "guide":
         _reject_unread(args, ("edge", "t", "theta", "crossings", "aux", "primed", "guide"), "render --what guide")
-        svg = render_guide_svg(build_vertex_guide(args.n))
+        svg = render_guide_svg(build_vertex_guide(s))
     else:
         traj = None
         if args.theta is None:
@@ -341,7 +344,7 @@ def _cmd_render(args) -> int:
             t = 0.55 if args.t is None else args.t
             crossings = 60 if args.crossings is None else args.crossings
             traj = trace_from_edge(s, k, t, args.theta, max_crossings=crossings)
-        guide = build_vertex_guide(args.n) if args.guide else None
+        guide = build_vertex_guide(s) if args.guide else None
         svg = render_surface_svg(
             s, trajectory=traj, guide=guide, show_aux=bool(args.aux), show_primed=bool(args.primed)
         )

@@ -11,8 +11,9 @@ the half turn that swaps the polygons, whose edges point opposite ways.
 `tests/test_flow.py::test_edge_permutation_matches_arithmetic` pins it
 against the midpoint matching of `rotation_isometry`.
 
-A traced trajectory owns its segments (`Trajectory.segment_ends`) and, with
-the torus tracer, its letters (`CuttingSequence`: a periodic trajectory is
+A traced trajectory owns its segments (`Trajectory.segment`, the one place
+a segment's end is carried back across its gluing) and, with the torus
+tracer, its letters (`CuttingSequence`: a periodic trajectory is
 one period). `crossing_events` is the one scan of a traced trajectory
 against edge pieces, a list of untimed (kind, name) tokens; the geometric
 derivation feeds it the primed edges carried onto the trajectory's charts,
@@ -25,7 +26,7 @@ constant along a chart segment, and a ray leaves a convex polygon through
 the one edge facing its direction whose span of s holds its own. So each
 step bisects its polygon's chain of facing edges (`_chains`, worked out once
 per direction), compares s with the ends of that one row's span for a
-corner, and moves the exit by the row's identification offset, which shifts
+corner, and moves the exit by the row's `Surface.offset`, which shifts
 s by the offset's cross product with the direction. Both walk a trajectory
 in one flat loop that builds no temporary list per crossing, and both read
 a segment's s from its entry point by the same expression.
@@ -118,24 +119,13 @@ class Trajectory(CuttingSequence):
     periodic: bool = False
     start_param: Optional[float] = None
 
-    @property
-    def segment_ends(self) -> list[Crossing]:
-        """The crossing each segment ends at: segment i runs from crossing i to
-        segment_ends[i]. A periodic orbit's last segment closes on crossing 0."""
-        return self.crossings[1:] + self.crossings[:1] if self.periodic else self.crossings[1:]
-
     def segment(self, i: int, surface: Surface) -> tuple[str, Vec, Vec]:
-        """Chart segment i, (polygon, from, to): from crossing i to segment_ends[i],
-        whose point is carried back across the identification it entered by."""
-        a = self.crossings[i]
-        # segment_ends[i] is crossings[i + 1] but for the last segment; reading that copies no list per call
-        b = self.crossings[i + 1] if i + 1 < len(self.crossings) else self.segment_ends[i]
-        t = surface.identification_offset(b.index)
-        if a.polygon == UPPER:
-            exit_point = vadd(b.point, t)  # b entered the lower chart
-        else:
-            exit_point = vsub(b.point, t)
-        return a.polygon, a.point, exit_point
+        """Chart segment i, (polygon, from, to): from crossing i to crossing
+        (i + 1) % len(crossings), whose point is carried back across the
+        identification it entered by. There are len(crossings) - 1 segments,
+        and one more, closing on crossing 0, for a periodic orbit."""
+        a, b = self.crossings[i], self.crossings[(i + 1) % len(self.crossings)]
+        return a.polygon, a.point, vadd(b.point, surface.offset(b.polygon, b.index))
 
 
 def _chains(surface: Surface, d: Vec) -> dict[str, tuple[list[float], list[tuple], str]]:
@@ -144,10 +134,11 @@ def _chains(surface: Surface, d: Vec) -> dict[str, tuple[list[float], list[tuple
 
     A row (denom, ax, ay, ex, ey, ox, oy, k, letter) is S_k from (ax, ay)
     along (ex, ey), denom = dx*ey - dy*ex at least the parallel guard, with
-    (ox, oy) its identification offset signed to carry a point of S_k into
-    the other chart. Along the row s rises from lo = dx*ay - dy*ax by denom.
-    Rows are sorted by lo, and row i takes s from bounds[i] to bounds[i + 1],
-    the lo of the next row; the first and last rows go on to -inf and inf.
+    (ox, oy) = `surface.offset(polygon, k)`, which carries a point of S_k
+    into the other chart. Along the row s rises from lo = dx*ay - dy*ax by
+    denom. Rows are sorted by lo, and row i takes s from bounds[i] to
+    bounds[i + 1], the lo of the next row; the first and last rows go on to
+    -inf and inf.
 
     The facing edges of a convex polygon run from its lowest vertex in s to
     its highest, so their spans tile the polygon's: a ray leaves by the row
@@ -156,11 +147,10 @@ def _chains(surface: Surface, d: Vec) -> dict[str, tuple[list[float], list[tuple
     dx, dy = d
     chains = {}
     for polygon, rows in surface.exit_rows.items():
-        sign = -1.0 if polygon == UPPER else 1.0
         chain = sorted(
-            (dx * ay - dy * ax, (denom, ax, ay, ex, ey, sign * ox, sign * oy, k, surface.letters[k - 1]))
+            (dx * ay - dy * ax, (denom, ax, ay, ex, ey, *surface.offset(polygon, k), k, surface.letters[k - 1]))
             for ax, ay, ex, ey, guard, k in rows
-            for denom, (ox, oy) in ((dx * ey - dy * ex, surface.offsets[k - 1]),)
+            for denom in (dx * ey - dy * ex,)
             if denom >= guard
         )
         bounds = [-math.inf] + [lo for lo, _ in chain[1:]] + [math.inf]
@@ -209,14 +199,13 @@ def trace(
     d = unit(theta)
     dx, dy = d
     chains = _chains(surface, d)
-    tx, ty = surface.identification_offset(start_edge)
     polygon = surface.entering_polygon(start_edge, theta)
     x, y = start[1]
     if start[0] != UPPER:  # onto the upper representative
-        x, y = x + tx, y + ty
+        x, y = vadd((x, y), surface.offset(LOWER, start_edge))
     at_corner = _at_corner(surface.edge_segs[UPPER][start_edge - 1], x, y)
     if polygon == LOWER:
-        x, y = x - tx, y - ty
+        x, y = vadd((x, y), surface.offset(UPPER, start_edge))
     if at_corner:
         raise CornerHit(polygon, (x, y), 0, theta, start[0], start[1])
     crossings = [Crossing(start_edge, surface.letters[start_edge - 1], polygon, (x, y))]
@@ -353,9 +342,9 @@ class GeometricDerivation:
 def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]) -> list[tuple[str, str]]:
     """The (kind, name) tokens of a traced trajectory's crossings, in order along it, as a list.
 
-    Original crossing i is the token (ORIGINAL, its letter); segment i, from
-    crossing i to `traj.segment_ends[i]`, then gives one token per piece `e`
-    of `edges[polygon]` it crosses, in line order, tagged as `e.row` is:
+    Original crossing i is the token (ORIGINAL, its letter); segment i,
+    `traj.segment(i, surface)` in `polygon`, then gives one token per piece
+    `e` of `edges[polygon]` it crosses, in line order, tagged as `e.row` is:
     kind `e.kind` and name `e.label` stripped of its prime, so a primed
     piece is named by the letter it is the image of. Periodic orbits
     include the closing segment. No token carries a time: a token's segment
@@ -369,9 +358,10 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     midpoint, worked out once, when a segment first reads the cell. A
     segment's s is read at its entry point, crossing i's, by the expression
     `trace` bisects its chain with, so both read the same float. A periodic
-    orbit's closing segment is read on crossing 0's line if within SNAP per
-    crossing of it, the float surface's rounding, so a piece ending at
-    crossing 0 counts once; an orbit that only nearly closes, on its own.
+    orbit's closing segment is read on the line of its end, crossing 0
+    carried back by `traj.segment`, if within SNAP per crossing of it, the
+    float surface's rounding, so a piece ending at crossing 0 counts once;
+    an orbit that only nearly closes, on its own.
     """
     d = unit(traj.theta)
     dx, dy = d
@@ -393,10 +383,8 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     if traj.periodic:
         # the closing segment ends at crossing 0, carried into its chart: it
         # is read on that point's line if its own lies within SNAP a crossing
-        last, (k, _, first, (x, y)) = crossings[-1], crossings[0]
-        ox, oy = surface.offsets[k - 1]
-        qx, qy = (x - ox, y - oy) if first == UPPER else (x + ox, y + oy)
-        lx, ly = last.point
+        last = crossings[-1]
+        _, (lx, ly), (qx, qy) = traj.segment(len(crossings) - 1, surface)
         if abs((dx * qy - dy * qx) - (dx * ly - dy * lx)) <= len(crossings) * SNAP:
             last = last._replace(point=(qx, qy))
         segments.append(last)

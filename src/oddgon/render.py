@@ -96,7 +96,7 @@ def render_surface_svg(
         for e in surface.primed_edges:
             cv.line(e.seg.p0, e.seg.p1, stroke="#27ae60", width=1.2, dashed=True)
     if trajectory is not None:
-        for i in range(len(trajectory.segment_ends)):
+        for i in range(len(trajectory.crossings) - (not trajectory.periodic)):
             _, a, b = trajectory.segment(i, surface)
             cv.line(a, b, stroke="#c0392b", width=1.6)
         for c in trajectory.crossings:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import EPS, PARALLEL, Vec, vadd, vsub
-from .surface import LOWER, UPPER, Surface, build_surface, shear_matrix
+from .geometry import EPS, PARALLEL, Vec, vadd
+from .surface import LOWER, UPPER, Surface, shear_matrix
 
 LEFT = "left"
 RIGHT = "right"
@@ -132,7 +132,7 @@ class GuidePoint:
     y: float
 
 
-def build_vertex_guide(n: int) -> tuple[GuidePoint, ...]:
+def build_vertex_guide(surface: Surface) -> tuple[GuidePoint, ...]:
     """Guide x-positions from the geometric gluing chain, not the closed forms.
 
     Starting from the base copy, repeatedly glue a half-turned copy along the
@@ -143,8 +143,7 @@ def build_vertex_guide(n: int) -> tuple[GuidePoint, ...]:
     the x-axis and is fixed). The lower level-0 row comes from the first
     half-turned copy glued in the upper chain.
     """
-    surface = build_surface(n)
-    t = {k: surface.identification_offset(k) for k in range(1, n + 1)}
+    n = surface.n
     points: list[GuidePoint] = []
 
     def emit(polygon: str, level: int, offset: Vec) -> None:
@@ -159,19 +158,19 @@ def build_vertex_guide(n: int) -> tuple[GuidePoint, ...]:
     emit(UPPER, 0, (0.0, 0.0))
     offset = (0.0, 0.0)
     for k in range(2, surface.m + 2):
-        lower_offset = vadd(offset, t[k])
+        lower_offset = vadd(offset, surface.offset(LOWER, k))
         if k == 2:
             # S_1 edge of the first glued lower copy: the lower level-0 row
             emit(LOWER, 0, lower_offset)
-        offset = vsub(lower_offset, t[n + 2 - k])
+        offset = vadd(lower_offset, surface.offset(UPPER, n + 2 - k))
         emit(UPPER, k - 1, offset)
 
     # lower chain
     emit(LOWER, 1, (0.0, 0.0))
     offset = (0.0, 0.0)
     for k in range(3, surface.m + 2):
-        upper_offset = vsub(offset, t[k])
-        offset = vadd(upper_offset, t[n + 2 - k])
+        upper_offset = vadd(offset, surface.offset(UPPER, k))
+        offset = vadd(upper_offset, surface.offset(LOWER, n + 2 - k))
         emit(LOWER, k - 1, offset)
 
     return tuple(points)
@@ -188,11 +187,10 @@ class ReassemblyReport:
     y_preserved: bool
 
 
-def verify_reassembly(n: int, tol: float = 1e-8) -> ReassemblyReport:
+def verify_reassembly(surface: Surface, tol: float = 1e-8) -> ReassemblyReport:
     """Compare every guide x-position against the sheared original vertex."""
-    surface = build_surface(n)
-    guide = build_vertex_guide(n)
-    M = shear_matrix(n)
+    guide = build_vertex_guide(surface)
+    M = shear_matrix(surface.n)
     worst = ("", "", -1)
     max_residual = 0.0
     y_ok = True

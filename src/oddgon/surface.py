@@ -3,8 +3,9 @@
 The surface is two regular n-gons (n odd): an upper copy with bottom edge
 from (0,0) to (1,0), and a lower copy obtained by a half turn about the
 midpoint of the upper polygon's last edge. Opposite (parallel) edges are
-identified by translation. A `Surface` owns its alphabet (`letters`) and its
-two direction-fixed ("node") edges (`node_indices`, `node_letters`), and
+identified by translation. A `Surface` owns its alphabet (`letters`), its
+two direction-fixed ("node") edges (`node_indices`, `node_letters`) and the
+signed translation of every gluing out of either chart (`offset`), and
 every edge piece owns its flat scan row (`Edge.row`). On top of the n
 original edge pairs the model carries:
 
@@ -124,16 +125,15 @@ class Surface:
         self.lower: tuple[Vec, ...] = tuple(self.half_turn(p) for p in verts)
 
         # Per-polygon edge tables, read by the tracer at every step.
-        # edge_segs[polygon][k - 1] is S_k; offsets[k - 1] is the translation
-        # taking the lower S_k onto the upper one (upper midpoint minus lower
-        # midpoint); exit_rows[polygon] holds S_k's `segment_row`, tagged k.
+        # edge_segs[polygon][k - 1] is S_k; _offsets[polygon][k - 1] is
+        # `offset(polygon, k)`; exit_rows[polygon] holds S_k's `segment_row`, tagged k.
         self.edge_segs: dict[str, tuple[Segment, ...]] = {
             polygon: tuple(Segment(vs[k - 1], vs[k % n]) for k in range(1, n + 1))
             for polygon, vs in ((UPPER, self.upper), (LOWER, self.lower))
         }
-        self.offsets: tuple[Vec, ...] = tuple(
-            vsub(up.midpoint(), lo.midpoint()) for up, lo in zip(self.edge_segs[UPPER], self.edge_segs[LOWER])
-        )
+        pairs = zip(self.edge_segs[UPPER], self.edge_segs[LOWER])
+        to_upper = tuple(vsub(up.midpoint(), lo.midpoint()) for up, lo in pairs)
+        self._offsets: dict[str, tuple[Vec, ...]] = {LOWER: to_upper, UPPER: tuple((-x, -y) for x, y in to_upper)}
         self.exit_rows: dict[str, tuple[Row, ...]] = {
             polygon: tuple(segment_row(seg, k) for k, seg in enumerate(segs, start=1))
             for polygon, segs in self.edge_segs.items()
@@ -150,9 +150,10 @@ class Surface:
     def edge_seg(self, polygon: str, k: int) -> Segment:
         return self.edge_segs[polygon][(k - 1) % self.n]
 
-    def identification_offset(self, k: int) -> Vec:
-        """Translation taking the lower S_k representative onto the upper one."""
-        return self.offsets[(k - 1) % self.n]
+    def offset(self, polygon: str, k: int) -> Vec:
+        """The translation that carries a point of S_k out of `polygon`'s chart
+        into the other one; the two polygons' offsets are exact negatives."""
+        return self._offsets[polygon][(k - 1) % self.n]
 
     def entering_polygon(self, k: int, theta: float) -> str:
         """Polygon entered when edge pair k is crossed in direction theta."""
@@ -250,7 +251,7 @@ class Surface:
         side = self.edge_seg(UPPER, k)
         mid = side.midpoint()
         half = vscale(flip_shear_matrix(self.n).apply(side.direction()), 0.5)
-        lower = Segment(mid, vadd(mid, half)).translated(vscale(self.identification_offset(k), -1.0))
+        lower = Segment(mid, vadd(mid, half)).translated(self.offset(UPPER, k))
         return (
             Edge(label=label, kind=PRIMED, polygon=UPPER, index=k, seg=Segment(mid, vsub(mid, half))),
             Edge(label=label, kind=PRIMED, polygon=LOWER, index=k, seg=lower),

@@ -75,6 +75,10 @@ def torus_trace(
     A start on a lattice line emits that crossing at t = 0. The walk stops
     after `max_crossings`, past `t_max`, or at the first return; CornerHit
     when a crossing before that passes within CORNER_DELTA of a lattice point.
+    The walk starts from `start` reduced by math.fmod(., 1.0), which is
+    exact; far from the unit square, x0 + t*dx would round the start's
+    fraction away. The trajectory holds the reduced start, a CornerHit the
+    caller's.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be a finite direction in radians, got {theta}")
@@ -83,7 +87,7 @@ def torus_trace(
     if max_crossings < 1:
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     dx, dy = math.cos(theta), math.sin(theta)
-    x0, y0 = start
+    x0, y0 = math.fmod(start[0], 1.0), math.fmod(start[1], 1.0)
     # each crossing is checked for a corner; the first return to crossing 0's
     # letter and point modulo the lattice ends one period
     crossings: list[TorusCrossing] = []
@@ -99,9 +103,9 @@ def torus_trace(
         elif letter == letter0:
             rx, ry = px - fx, py - fy
             if abs(rx - round(rx)) < EPS and abs(ry - round(ry)) < EPS:
-                return TorusTrajectory(start, theta, crossings, periodic=True)
+                return TorusTrajectory((x0, y0), theta, crossings, periodic=True)
         crossings.append(TorusCrossing(t, letter, (px, py)))
-    return TorusTrajectory(start, theta, crossings)
+    return TorusTrajectory((x0, y0), theta, crossings)
 
 
 def torus_derive_rule(word: str, cyclic: bool = False) -> str:

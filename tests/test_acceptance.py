@@ -72,7 +72,7 @@ def test_criterion_3_reassembly():
     worst = 0.0
     all_y = True
     for n in SWEEP_NS:
-        rep = verify_reassembly(n, tol=1e-8)
+        rep = verify_reassembly(build_surface(n), tol=1e-8)
         worst = max(worst, rep.max_residual)
         all_y = all_y and rep.y_preserved
         assert rep.passed, f"n={n}: residual {rep.max_residual} at {rep.worst}"

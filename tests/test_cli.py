@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oddgon import cli, derivation
+from oddgon import cli, derivation, surface
 from oddgon.cli import main
 from oddgon.geometry import vsub
 from oddgon.shear import build_vertex_guide
@@ -163,6 +163,29 @@ def test_verify_torus_compares_open_and_periodic_orbits(capsys, monkeypatch):
     assert True in cyclic_flags and False in cyclic_flags
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "7", "--checks", "identities,moduli,reassembly,equivalence,torus"],
+        ["guide", "--n", "7"],
+        ["render", "--n", "7", "--theta", "0.31", "--guide"],
+        ["render", "--n", "7", "--what", "guide"],
+    ],
+)
+def test_a_command_builds_one_surface(capsys, monkeypatch, argv):
+    # every check, the guide and the render read the one Surface their command builds
+    built = []
+    init = surface.Surface.__init__
+
+    def counted(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(surface.Surface, "__init__", counted)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0 and built == [7]
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code = main(["verify", "--checks", "bogus"])
     assert code == 2
@@ -260,7 +283,7 @@ def test_render_guide_overlay_adds_one_dot_per_guide_point(capsys):
     plain = run_cli(capsys, "render", "--n", "7", "--theta", "0.31")
     overlaid = run_cli(capsys, "render", "--n", "7", "--theta", "0.31", "--guide")
     assert plain[0] == overlaid[0] == 0
-    points = len(build_vertex_guide(7))
+    points = len(build_vertex_guide(build_surface(7)))
     assert overlaid[1].count("<circle") == plain[1].count("<circle") + points
 
 
@@ -325,6 +348,8 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
         (["torus", "derive", "--seq", "AB", "--theta", "0.3", "--crossings", "9"], ["--theta", "--crossings"]),
         (["torus", "derive", "--slope", "1/3", "--cyclic"], ["--cyclic"]),
         (["torus", "trace", "--seq", "AB"], ["--seq"]),
+        (["torus", "trace", "--slope", "1/3", "--theta", "0.5"], ["--theta"]),
+        (["torus", "derive", "--slope", "1/3", "--theta", "0.5"], ["--theta"]),
     ],
 )
 def test_flags_one_mode_does_not_read_are_usage_errors(capsys, argv, flags):

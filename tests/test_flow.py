@@ -69,7 +69,7 @@ def test_start_on_edge_emits_first_crossing(pentagon):
     assert first.letter == "B"
     # a sector direction leaves the upper S2 into the lower polygon, at the start point
     assert first.polygon == LOWER
-    on_upper = vadd(first.point, pentagon.identification_offset(2))
+    on_upper = vadd(first.point, pentagon.offset(LOWER, 2))
     assert math.dist(on_upper, pentagon.edge_seg(UPPER, 2).point_at(0.55)) < 1e-12
 
 
@@ -211,14 +211,14 @@ def _exact_replay(s, k0, u0, theta, exits, digits):
         x, y = map(mpf, s.edge_seg(UPPER, k0).point_at(u0))
         polygon = s.entering_polygon(k0, theta)
         if polygon == LOWER:
-            x, y = x - mpf(s.offsets[k0 - 1][0]), y - mpf(s.offsets[k0 - 1][1])
+            x, y = x + mpf(s.offset(UPPER, k0)[0]), y + mpf(s.offset(UPPER, k0)[1])
         points = [(x, y)]
         for k in exits:
             (ax, ay), (bx, by) = (map(mpf, p) for p in (s.edge_seg(polygon, k).p0, s.edge_seg(polygon, k).p1))
             ex, ey = bx - ax, by - ay
             u = ((ax - x) * dy - (ay - y) * dx) / (dx * ey - dy * ex)
-            sign = -1 if polygon == UPPER else 1
-            x, y = ax + ex * u + sign * mpf(s.offsets[k - 1][0]), ay + ey * u + sign * mpf(s.offsets[k - 1][1])
+            ox, oy = map(mpf, s.offset(polygon, k))
+            x, y = ax + ex * u + ox, ay + ey * u + oy
             polygon = LOWER if polygon == UPPER else UPPER
             points.append((x, y))
         return points
@@ -259,7 +259,7 @@ def test_trace_equals_brute_force_reference(n):
             assert s.edge_seg(polygon, k) == Segment(vs[k - 1], vs[k % n])
     for k in range(1, n + 1):
         up, lo = Segment(s.upper[k - 1], s.upper[k % n]), Segment(s.lower[k - 1], s.lower[k % n])
-        assert s.identification_offset(k) == vsub(up.midpoint(), lo.midpoint())
+        assert s.offset(LOWER, k) == vsub(up.midpoint(), lo.midpoint())
 
     rng = random.Random(700 + n)
     inputs = []
@@ -284,7 +284,7 @@ def test_trace_equals_brute_force_reference(n):
             k, u = rng.randrange(1, n + 1), rng.uniform(0.02, 0.98)
             p = s.edge_seg(UPPER, k).point_at(u)
             if polygon == LOWER:
-                p = vsub(p, s.identification_offset(k))
+                p = vadd(p, s.offset(UPPER, k))
             aim = vsub(s.vertices(polygon)[rng.randrange(n)], p)
             cases.append((k, u, math.atan2(aim[1], aim[0]) + delta, 150))
     ends = [_check_against_reference(s, k, u, theta, length)[1] for k, u, theta, length in cases]
@@ -305,7 +305,7 @@ def test_corner_test_on_s_keeps_every_corner_decision(n, polygon):
         u = rng.uniform(0.2, 0.8)
         p = s.edge_seg(UPPER, k).point_at(u)
         if polygon == LOWER:
-            p = vsub(p, s.identification_offset(k))
+            p = vadd(p, s.offset(UPPER, k))
         exit_edge = s.edge_seg(polygon, 1 + (k - 1 + n // 2) % n)
         for delta in (0.5 * CORNER_DELTA, CORNER_DELTA, 2.0 * CORNER_DELTA, 0.5e6 * CORNER_DELTA, 2e6 * CORNER_DELTA):
             for v in (delta, 1.0 - delta):
@@ -790,11 +790,10 @@ def test_exit_chains_pick_every_exit_and_piece_tables_prune(n, monkeypatch):
         chains = flow._chains(s, d)
         for polygon, (bounds, rows, entered) in chains.items():
             assert entered == (LOWER if polygon == UPPER else UPPER)
-            sign = -1.0 if polygon == UPPER else 1.0
             for denom, ax, ay, ex, ey, ox, oy, k, letter in rows:
                 assert (ax, ay, ex, ey) == s.exit_rows[polygon][k - 1][:4]
                 assert denom == d[0] * ey - d[1] * ex
-                assert (ox, oy) == (sign * s.offsets[k - 1][0], sign * s.offsets[k - 1][1])
+                assert (ox, oy) == s.offset(polygon, k)
                 assert letter == s.letters[k - 1]
             starts = [d[0] * ay - d[1] * ax for _, ax, ay, *_ in rows]
             assert starts == sorted(starts) and len(set(starts)) == len(starts)
@@ -821,7 +820,7 @@ def test_exit_chains_pick_every_exit_and_piece_tables_prune(n, monkeypatch):
                 side = s.edge_seg(UPPER, entry)
                 for u in samples:
                     start = side.point_at(u)
-                    p = start if polygon == UPPER else vsub(start, s.identification_offset(entry))
+                    p = start if polygon == UPPER else vadd(start, s.offset(UPPER, entry))
                     hits = {k: ray_segment_hit(p, d, s.edge_seg(polygon, k)) for k in range(1, n + 1) if k != entry}
                     accepted = {k: hit for k, hit in hits.items() if hit is not None and hit.t > STEP_MIN}
                     if 0.0 <= u <= 1.0:
@@ -838,8 +837,7 @@ def test_exit_chains_pick_every_exit_and_piece_tables_prune(n, monkeypatch):
                         edge, point = s.edge_seg(polygon, k), accepted[k].point
                         want = ("corner", polygon, point)
                         if min(math.dist(point, edge.p0), math.dist(point, edge.p1)) >= CORNER_DELTA:
-                            offset = s.identification_offset(k)
-                            want = (k, vsub(point, offset) if polygon == UPPER else vadd(point, offset))
+                            want = (k, vadd(point, s.offset(polygon, k)))
                     try:
                         c = trace(s, (UPPER, start), theta, 2, start_edge=entry).crossings[1]
                         got = (c.index, c.point)

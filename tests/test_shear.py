@@ -118,7 +118,7 @@ def test_side_vertices_match_summation_formulas(n):
 
 @pytest.mark.parametrize("n", ODD_NS)
 def test_reassembly(n):
-    rep = verify_reassembly(n, tol=1e-8)
+    rep = verify_reassembly(build_surface(n), tol=1e-8)
     assert rep.passed, f"n={n}: residual {rep.max_residual} at {rep.worst}"
     assert rep.y_preserved
     assert rep.max_residual < 1e-8
@@ -126,7 +126,7 @@ def test_reassembly(n):
 
 @pytest.mark.parametrize("n", [5, 9, 13])
 def test_guide_marks_every_level_on_both_sides(n):
-    guide = build_vertex_guide(n)
+    guide = build_vertex_guide(build_surface(n))
     m = (n - 1) // 2
     seen = {(p.polygon, p.side, p.level) for p in guide}
     assert len(seen) == len(guide)  # no duplicates

@@ -61,9 +61,19 @@ def test_edge_directions_and_offsets(n):
         want = (k - 1) * s.alpha
         assert abs(math.atan2(d[1], d[0]) % (2 * math.pi) - want % (2 * math.pi)) < 1e-9
         # identified lower edge is the parallel translate by -t_k
-        t = s.identification_offset(k)
+        t = s.offset(LOWER, k)
         lower_seg = s.edge_seg(LOWER, k)
         assert math.dist(vadd(lower_seg.midpoint(), t), seg.midpoint()) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_the_two_charts_offsets_are_exact_negatives(n):
+    s = build_surface(n)
+    for k in range(1, n + 1):
+        (ux, uy), (lx, ly) = s.offset(UPPER, k), s.offset(LOWER, k)
+        assert (ux, uy) == (-lx, -ly)
+        assert math.copysign(1.0, ux) == -math.copysign(1.0, lx)
+        assert math.copysign(1.0, uy) == -math.copysign(1.0, ly)
 
 
 def test_pentagon_entering_polygons(pentagon):
@@ -76,7 +86,7 @@ def test_crossing_an_edge_lands_where_identification_says(pentagon):
     # a point on the upper S_k representative equals its lower twin plus t_k,
     # with the parameter reversed
     for k in range(1, 6):
-        t = pentagon.identification_offset(k)
+        t = pentagon.offset(LOWER, k)
         for u in (0.2, 0.5, 0.8):
             p_up = pentagon.edge_seg(UPPER, k).point_at(u)
             p_lo = pentagon.edge_seg(LOWER, k).point_at(1.0 - u)
@@ -187,7 +197,7 @@ def test_primed_pieces_lie_in_their_band_pieces(n):
         y = s.edge_seg(UPPER, k).midpoint()[1]
         (c,) = [c for c in range(1, s.m + 1) if levels[c - 1] < y < levels[c]]
         up_band, lo_band = s.band_polygons(c)
-        t = s.identification_offset(k)
+        t = s.offset(LOWER, k)
         glued = lower.seg.translated(t)
         assert (upper.polygon, lower.polygon, lower.index) == (UPPER, LOWER, k)
         assert math.dist(glued.p0, upper.seg.p0) < 1e-12

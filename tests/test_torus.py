@@ -118,8 +118,10 @@ def test_horizontal_orbit_is_all_vertical_letters():
 
 
 def test_corner_hit_on_lattice_diagonal():
-    with pytest.raises(CornerHit):
-        torus_trace((0.5, 0.5), math.pi / 4)
+    for start in ((0.5, 0.5), (1e15 + 0.5, 0.5)):
+        with pytest.raises(CornerHit) as hit:
+            torus_trace(start, math.pi / 4)
+        assert hit.value.start_point == start  # the caller's start, not its reduction
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -144,6 +146,20 @@ def test_start_on_lattice_line_emits_first_crossing():
     traj = torus_trace((0.0, 0.25), math.atan2(1.0, 2.0), max_crossings=5)
     assert traj.crossings[0].t == 0.0
     assert traj.crossings[0].letter == "B"
+
+
+@pytest.mark.parametrize("start", [(1e17, 0.61), (1e15 + 0.23, 0.61), (-3e15 - 0.5, 2e15 + 0.75)])
+def test_a_start_far_from_the_unit_square_traces_like_its_reduction(start):
+    # far out, x0 + t*dx rounds the start's fraction away: (1e17, 0.61) read
+    # as the one-letter periodic orbit "B", (1e15 + 0.23, 0.61) as a corner hit
+    theta = math.atan2(2.0, 5.0)
+    reduced = (math.fmod(start[0], 1.0), math.fmod(start[1], 1.0))
+    assert all(-1.0 < v < 1.0 for v in reduced)
+    far, near = torus_trace(start, theta), torus_trace(reduced, theta)
+    assert far.start == near.start == reduced
+    assert repr(far.crossings) == repr(near.crossings) and far.periodic == near.periodic
+    assert far.periodic and far.period == 7
+    assert torus_derive_geometric(far) == torus_derive_geometric(near)
 
 
 def _letters_or_corner(start, theta):
@@ -231,9 +247,10 @@ def _reference_line_crossings(p0: float, d: float, t_max: float) -> list[float]:
 
 def _reference_trace(start, theta, max_crossings=100, t_max: Optional[float] = None) -> TorusTrajectory:
     """Brute-force tracer: every lattice crossing up to a horizon, sorted and
-    corner-checked, then cut to one period at the first return."""
+    corner-checked, then cut to one period at the first return. It starts
+    from `start` reduced modulo 1 as `torus_trace` does."""
     dx, dy = math.cos(theta), math.sin(theta)
-    x0, y0 = start
+    x0, y0 = math.fmod(start[0], 1.0), math.fmod(start[1], 1.0)
     events = []
     if abs(y0 - round(y0)) < STEP_MIN:
         events.append((0.0, "A"))
@@ -258,8 +275,8 @@ def _reference_trace(start, theta, max_crossings=100, t_max: Optional[float] = N
                 period = len(crossings)
         crossings.append(TorusCrossing(t, letter, (px, py)))
     if period is None:
-        return TorusTrajectory(start, theta, crossings)
-    return TorusTrajectory(start, theta, crossings[:period], periodic=True)
+        return TorusTrajectory((x0, y0), theta, crossings)
+    return TorusTrajectory((x0, y0), theta, crossings[:period], periodic=True)
 
 
 def _walk_cases(count: int, seed: int):
