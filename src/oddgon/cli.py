@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification or computation failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -362,7 +363,11 @@ def _add_common(p: argparse.ArgumentParser, n: bool = True) -> None:
     p.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parser is a web of
+    reference cycles, so one built per in-process `main` call is garbage that
+    only the cyclic collector frees."""
     ap = argparse.ArgumentParser(prog="oddgon", description="Double odd n-gon surfaces, flows, and derivation")
     sub = ap.add_subparsers(dest="command", required=True)
 

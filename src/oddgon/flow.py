@@ -11,10 +11,15 @@ the half turn that swaps the polygons, whose edges point opposite ways.
 `tests/test_flow.py::test_edge_permutation_matches_arithmetic` pins it
 against the midpoint matching of `rotation_isometry`.
 
-A traced trajectory owns its segments (`Trajectory.segment`, the one place
-a segment's end is carried back across its gluing) and, with the torus
-tracer, its letters (`CuttingSequence`: a periodic trajectory is
-one period). `crossing_events` is the one scan of a traced trajectory
+A traced trajectory is three columns, each crossing's edge index and the
+two coordinates of its entry point, plus the polygon crossing 0 enters:
+every gluing joins the two polygons, so crossing i enters that one when i
+is even and the other when i is odd, and a letter is a function of its
+index. Its `Crossing` records are a view, built only when read. It owns
+its segments (`Trajectory.segment`, the one place a segment's end is
+carried back across its gluing) and, with the torus tracer, its letters
+(`CuttingSequence`: a periodic trajectory is one period).
+`crossing_events` is the one scan of a traced trajectory
 against edge pieces, a list of untimed (kind, name) tokens; the geometric
 derivation feeds it the primed edges carried onto the trajectory's charts,
 so a trajectory is traced once in any direction. Every piece scan asks
@@ -28,14 +33,16 @@ step bisects its polygon's chain of facing edges (`_chains`, worked out once
 per direction), compares s with the ends of that one row's span for a
 corner, and moves the exit by the row's `Surface.offset`, which shifts
 s by the offset's cross product with the direction. Both walk a trajectory
-in one flat loop that builds no temporary list per crossing, and both read
-a segment's s from its entry point by the same expression.
+in one flat loop that builds no object per crossing: the tracer appends an
+index and two floats to the columns, the scan reads them back. Both read a
+segment's s from its entry point by the same expression.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import cycle
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -61,6 +68,7 @@ from .surface import (
     UPPER,
     Edge,
     Surface,
+    letter_for_index,
     other_polygon,
 )
 
@@ -91,18 +99,17 @@ class Crossing(NamedTuple):
 class CuttingSequence:
     """The letters of a traced trajectory's crossings, for `trace` and `torus.torus_trace` alike.
 
-    A periodic trajectory holds exactly one period: both tracers stop at the
-    first return, so `period` is `len(crossings)` and `period_word` is
+    Each tracer's trajectory gives `letters`, one per crossing. A periodic
+    trajectory holds exactly one period: both tracers stop at the first
+    return, so `period` is the number of letters and `period_word` is
     `letters`; an open trajectory has neither.
     """
 
-    @property
-    def letters(self) -> str:
-        return "".join(c.letter for c in self.crossings)
+    letters: str
 
     @property
     def period(self) -> Optional[int]:
-        return len(self.crossings) if self.periodic else None
+        return len(self.letters) if self.periodic else None
 
     @property
     def period_word(self) -> Optional[str]:
@@ -111,28 +118,55 @@ class CuttingSequence:
 
 @dataclass
 class Trajectory(CuttingSequence):
+    """A traced trajectory: crossing i is edge pair `indices[i]`, entered at
+    (`xs[i]`, `ys[i]`) in the chart of `first_polygon` when i is even and of
+    the other polygon when i is odd (`polygon(i)`)."""
+
     start_polygon: str
     start_point: Vec
     theta: float
-    crossings: list[Crossing]
+    first_polygon: str  # polygon entered at crossing 0
+    indices: list[int]  # original edge index 1..n of each crossing
+    xs: list[float]  # entry point of each crossing, in its polygon's chart
+    ys: list[float]
     start_edge: int
     periodic: bool = False
     start_param: Optional[float] = None
+    _crossings: Optional[list[Crossing]] = field(default=None, init=False, repr=False, compare=False)
+
+    def polygon(self, i: int) -> str:
+        """The polygon crossing i enters."""
+        return self.first_polygon if i % 2 == 0 else other_polygon(self.first_polygon)
+
+    @property
+    def letters(self) -> str:
+        return "".join(map(letter_for_index, self.indices))
+
+    @property
+    def crossings(self) -> list[Crossing]:
+        """The crossings as `Crossing` records, built once, on the first read; the library reads the columns."""
+        if self._crossings is None:
+            self._crossings = [
+                Crossing(k, letter_for_index(k), self.polygon(i), (x, y))
+                for i, (k, x, y) in enumerate(zip(self.indices, self.xs, self.ys))
+            ]
+        return self._crossings
 
     def segment(self, i: int, surface: Surface) -> tuple[str, Vec, Vec]:
         """Chart segment i, (polygon, from, to): from crossing i to crossing
-        (i + 1) % len(crossings), whose point is carried back across the
-        identification it entered by. There are len(crossings) - 1 segments,
+        (i + 1) % len(indices), whose point is carried back across the
+        identification it entered by. There are len(indices) - 1 segments,
         and one more, closing on crossing 0, for a periodic orbit."""
-        a, b = self.crossings[i], self.crossings[(i + 1) % len(self.crossings)]
-        return a.polygon, a.point, vadd(b.point, surface.offset(b.polygon, b.index))
+        j = (i + 1) % len(self.indices)
+        end = vadd((self.xs[j], self.ys[j]), surface.offset(self.polygon(j), self.indices[j]))
+        return self.polygon(i), (self.xs[i], self.ys[i]), end
 
 
 def _chains(surface: Surface, d: Vec) -> dict[str, tuple[list[float], list[tuple], str]]:
     """Per polygon, its chain of the edges facing d, the bounds in s = dx*y -
     dy*x between them, and the polygon a ray leaving it enters.
 
-    A row (denom, ax, ay, ex, ey, ox, oy, k, letter) is S_k from (ax, ay)
+    A row (denom, ax, ay, ex, ey, ox, oy, k) is S_k from (ax, ay)
     along (ex, ey), denom = dx*ey - dy*ex at least the parallel guard, with
     (ox, oy) = `surface.offset(polygon, k)`, which carries a point of S_k
     into the other chart. Along the row s rises from lo = dx*ay - dy*ax by
@@ -148,7 +182,7 @@ def _chains(surface: Surface, d: Vec) -> dict[str, tuple[list[float], list[tuple
     chains = {}
     for polygon, rows in surface.exit_rows.items():
         chain = sorted(
-            (dx * ay - dy * ax, (denom, ax, ay, ex, ey, *surface.offset(polygon, k), k, surface.letters[k - 1]))
+            (dx * ay - dy * ax, (denom, ax, ay, ex, ey, *surface.offset(polygon, k), k))
             for ax, ay, ex, ey, guard, k in rows
             for denom in (dx * ey - dy * ex,)
             if denom >= guard
@@ -208,18 +242,18 @@ def trace(
         x, y = vadd((x, y), surface.offset(UPPER, start_edge))
     if at_corner:
         raise CornerHit(polygon, (x, y), 0, theta, start[0], start[1])
-    crossings = [Crossing(start_edge, surface.letters[start_edge - 1], polygon, (x, y))]
-    traj = Trajectory(start[0], start[1], theta, crossings, start_edge, start_param=start_param)
+    indices, xs, ys = [start_edge], [x], [y]
+    traj = Trajectory(start[0], start[1], theta, polygon, indices, xs, ys, start_edge, start_param=start_param)
 
     # s - lo is read relative to the row's vertex, not as the difference of
     # s and lo: their rounding grows with the coordinates (up to 8 at n =
     # 25), and along an edge nearly parallel to d, u magnifies it by 1/denom
     first_polygon, s0 = polygon, dx * y - dy * x
     s, near, far = s0, CORNER_DELTA + CORNER_TIE, CORNER_DELTA - CORNER_TIE
-    append, new = crossings.append, tuple.__new__  # Crossing's fields without its generated __new__
+    add_index, add_x, add_y = indices.append, xs.append, ys.append
     for _ in range(max_crossings - 1):  # one crossing per step after crossing 0
         bounds, rows, entered = chains[polygon]
-        denom, ax, ay, ex, ey, ox, oy, k, letter = rows[bisect_right(bounds, s) - 1]
+        denom, ax, ay, ex, ey, ox, oy, k = rows[bisect_right(bounds, s) - 1]
         v = (ax - x) * dy - (ay - y) * dx  # s - lo
         u = v / denom
         if (v < near * denom or denom - v < near * denom) and (
@@ -228,13 +262,15 @@ def trace(
             # at the vertex for a line past the row's end, or along a row so
             # nearly parallel to d that rounding puts u far past it
             u = min(max(u, 0.0), 1.0)
-            raise CornerHit(polygon, (ax + ex * u, ay + ey * u), len(crossings), theta, start[0], start[1])
+            raise CornerHit(polygon, (ax + ex * u, ay + ey * u), len(indices), theta, start[0], start[1])
         polygon, x, y = entered, ax + ex * u + ox, ay + ey * u + oy
         s = dx * y - dy * x
         if k == start_edge and polygon == first_polygon and abs(s - s0) < EPS * denom:
             traj.periodic = True
             break
-        append(new(Crossing, (k, letter, polygon, (x, y))))
+        add_index(k)
+        add_x(x)
+        add_y(y)
     return traj
 
 
@@ -343,12 +379,12 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     """The (kind, name) tokens of a traced trajectory's crossings, in order along it, as a list.
 
     Original crossing i is the token (ORIGINAL, its letter); segment i,
-    `traj.segment(i, surface)` in `polygon`, then gives one token per piece
-    `e` of `edges[polygon]` it crosses, in line order, tagged as `e.row` is:
-    kind `e.kind` and name `e.label` stripped of its prime, so a primed
-    piece is named by the letter it is the image of. Periodic orbits
-    include the closing segment. No token carries a time: a token's segment
-    is the number of original tokens before it, less one.
+    `traj.segment(i, surface)` in `polygon = traj.polygon(i)`, then gives
+    one token per piece `e` of `edges[polygon]` it crosses, in line order,
+    tagged as `e.row` is: kind `e.kind` and name `e.label` stripped of its
+    prime, so a primed piece is named by the letter it is the image of.
+    Periodic orbits include the closing segment. No token carries a time: a
+    token's segment is the number of original tokens before it, less one.
 
     Every segment is a full chord of its polygon, and no two pieces cross
     inside one, so which pieces a segment crosses, and in what order, is
@@ -356,12 +392,14 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
     piece ends are sorted once; a segment does one bisect of its s + SNAP
     and emits its cell's tokens, the tags of `line_crossings` at the cell's
     midpoint, worked out once, when a segment first reads the cell. A
-    segment's s is read at its entry point, crossing i's, by the expression
-    `trace` bisects its chain with, so both read the same float. A periodic
-    orbit's closing segment is read on the line of its end, crossing 0
-    carried back by `traj.segment`, if within SNAP per crossing of it, the
-    float surface's rounding, so a piece ending at crossing 0 counts once;
-    an orbit that only nearly closes, on its own.
+    segment's s is read at its entry point, crossing i's, off the
+    trajectory's columns by the expression `trace` bisects its chain with,
+    so both read the same float; segments alternate polygon, so the scan
+    reads the two polygons' tables in turn and builds no `Crossing`. A
+    periodic orbit's closing segment is read on the line of its end,
+    crossing 0 carried back by `traj.segment`, if within SNAP per crossing
+    of it, the float surface's rounding, so a piece ending at crossing 0
+    counts once; an orbit that only nearly closes, on its own.
     """
     d = unit(traj.theta)
     dx, dy = d
@@ -375,29 +413,30 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
         # cell i holds the s in [ends[i - 1], ends[i]), filled when a segment
         # first reads it; the first and last cross nothing
         tables[polygon] = rows, ends, [()] + [None] * (len(ends) - 1) + [()]
-    crossings = traj.crossings
-    originals = {letter: (ORIGINAL, letter) for letter in surface.letters}  # one shared token per letter
+    originals = [None] + [(ORIGINAL, letter) for letter in surface.letters]  # one shared token per edge index
     events: list[tuple[str, str]] = []
     append, extend = events.append, events.extend
-    segments = crossings[:-1]  # an open trajectory's last crossing starts no segment
+    m = len(traj.indices)
+    # an open trajectory's last crossing starts no segment
+    indices, xs, ys = traj.indices[:-1], traj.xs[:-1], traj.ys[:-1]
     if traj.periodic:
         # the closing segment ends at crossing 0, carried into its chart: it
         # is read on that point's line if its own lies within SNAP a crossing
-        last = crossings[-1]
-        _, (lx, ly), (qx, qy) = traj.segment(len(crossings) - 1, surface)
-        if abs((dx * qy - dy * qx) - (dx * ly - dy * lx)) <= len(crossings) * SNAP:
-            last = last._replace(point=(qx, qy))
-        segments.append(last)
-    for _, letter, polygon, (x, y) in segments:
-        append(originals[letter])
-        rows, ends, cells = tables[polygon]
+        _, (lx, ly), (qx, qy) = traj.segment(m - 1, surface)
+        if abs((dx * qy - dy * qx) - (dx * ly - dy * lx)) <= m * SNAP:
+            lx, ly = qx, qy
+        indices.append(traj.indices[-1])
+        xs.append(lx)
+        ys.append(ly)
+    for (rows, ends, cells), k, x, y in zip(cycle([tables[traj.polygon(0)], tables[traj.polygon(1)]]), indices, xs, ys):
+        append(originals[k])
         i = bisect_right(ends, dx * y - dy * x + SNAP)
         cell = cells[i]
         if cell is None:
             cell = cells[i] = tuple(row[5] for row in line_crossings(d, 0.5 * (ends[i - 1] + ends[i]), rows))
         extend(cell)
     if not traj.periodic:
-        append(originals[crossings[-1].letter])
+        append(originals[traj.indices[-1]])
     return events
 
 

@@ -96,11 +96,11 @@ def render_surface_svg(
         for e in surface.primed_edges:
             cv.line(e.seg.p0, e.seg.p1, stroke="#27ae60", width=1.2, dashed=True)
     if trajectory is not None:
-        for i in range(len(trajectory.crossings) - (not trajectory.periodic)):
+        for i in range(len(trajectory.indices) - (not trajectory.periodic)):
             _, a, b = trajectory.segment(i, surface)
             cv.line(a, b, stroke="#c0392b", width=1.6)
-        for c in trajectory.crossings:
-            cv.dot(c.point, fill="#c0392b", r=2.0)
+        for point in zip(trajectory.xs, trajectory.ys):
+            cv.dot(point, fill="#c0392b", r=2.0)
     if guide is not None:
         for gp in guide:
             cv.dot((gp.x, gp.y), fill="#2c3e50", r=2.5)

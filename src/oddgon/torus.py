@@ -33,6 +33,10 @@ class TorusTrajectory(CuttingSequence):
     crossings: list[TorusCrossing]
     periodic: bool = False
 
+    @property
+    def letters(self) -> str:
+        return "".join(c.letter for c in self.crossings)
+
 
 def _line_crossings(p0: float, d: float) -> Iterator[float]:
     """Times t > 0, in increasing order, at which p0 + t*d crosses an integer."""

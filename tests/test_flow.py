@@ -1,11 +1,22 @@
+import dataclasses
 import math
 import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oddgon import flow
-from oddgon.derivation import PLAN_CROSSINGS, _sector_sample_plan, cyclic_normal_form, ksl_cyclic, ksl_window
+from oddgon import derivation, flow
+from oddgon.derivation import (
+    PLAN_CROSSINGS,
+    _scan_sampled_transitions,
+    _sector_sample_plan,
+    build_augmented_diagram,
+    cyclic_normal_form,
+    ksl_cyclic,
+    ksl_window,
+)
 from oddgon.flow import (
     CornerHit,
     Crossing,
@@ -677,12 +688,21 @@ def test_crossing_events_stream(pentagon):
 
 @pytest.mark.parametrize("theta", [0.2, 2.0, math.pi / 10])
 def test_a_trajectory_rebuilt_from_its_fields_scans_and_derives_alike(theta):
-    # a trajectory is its crossings: one built from the fields of a traced one
+    # a trajectory is its columns: one built from the fields of a traced one
     # gives the same event stream and the same derivation
     s = build_surface(7)
     traj = trace_from_edge(s, 3, 0.37, theta, max_crossings=200)
     rebuilt = Trajectory(
-        traj.start_polygon, traj.start_point, traj.theta, traj.crossings, traj.start_edge, traj.periodic, traj.start_param
+        traj.start_polygon,
+        traj.start_point,
+        traj.theta,
+        traj.first_polygon,
+        list(traj.indices),
+        list(traj.xs),
+        list(traj.ys),
+        traj.start_edge,
+        traj.periodic,
+        traj.start_param,
     )
     assert rebuilt == traj
     edges = carried_primed(s, -normalize_direction(s, theta).steps)
@@ -748,6 +768,127 @@ def test_crossing_events_equal_the_per_piece_reference(n):
     assert crossing_events(s, traj, edges) == _reference_events(s, traj, edges)
 
 
+class _ColumnsOnly(Trajectory):
+    """A trajectory whose `Crossing` view may not be read."""
+
+    @property
+    def crossings(self):
+        raise AssertionError("the Crossing view was read")
+
+
+def _columns_only(traj):
+    return _ColumnsOnly(**{f.name: getattr(traj, f.name) for f in dataclasses.fields(Trajectory) if f.init})
+
+
+def _no_record(*fields):
+    raise AssertionError("a Crossing was built")
+
+
+@pytest.mark.parametrize("n", [5, 9, 15])
+def test_tracing_scanning_and_deriving_build_no_crossing_record(n, monkeypatch):
+    # trace, crossing_events, derive_geometric, segment, letters and period
+    # read the columns: with no Crossing to build and a view that raises,
+    # each gives what the Crossing view of the same trace gives
+    s = build_surface(n)
+    aux_and_primed = {p: s.aux_for(p) + s.primed_for(p) for p in (UPPER, LOWER)}
+    rng = random.Random(2500 + n)
+    inputs = [(rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(8)]
+    # perpendicular to an edge: periodic orbits, whose closing segment the scan carries back
+    inputs += [(k, rng.uniform(0.05, 0.95), (2 * rng.randrange(2 * n) + 1) * math.pi / (2 * n)) for k in range(1, n + 1)]
+    traced = []
+    for k, u, theta in inputs:
+        try:
+            traced.append((k, u, theta, trace_from_edge(s, k, u, theta, max_crossings=300)))
+        except CornerHit:
+            continue
+    assert sum(traj.periodic for *_, traj in traced) >= 3 and sum(not traj.periodic for *_, traj in traced) >= 3
+    wants = []
+    for k, u, theta, traj in traced:
+        crossings = traj.crossings
+        carried = carried_primed(s, -normalize_direction(s, theta).steps)
+        segments = [
+            (a.polygon, a.point, vadd(b.point, s.offset(b.polygon, b.index)))
+            for a, b in zip(crossings, crossings[1:] + crossings[:1] * traj.periodic)
+        ]
+        letters = "".join(c.letter for c in crossings)
+        wants.append(
+            (
+                _reference_events(s, traj, aux_and_primed),
+                _reference_events(s, traj, carried),
+                derive_geometric(s, traj),
+                segments,
+                letters,
+                len(crossings) if traj.periodic else None,
+                letters if traj.periodic else None,
+            )
+        )
+    monkeypatch.setattr(flow, "Crossing", _no_record)
+    for (k, u, theta, traj), want in zip(traced, wants):
+        guarded = _columns_only(trace_from_edge(s, k, u, theta, max_crossings=300))
+        carried = carried_primed(s, -normalize_direction(s, theta).steps)
+        got = (
+            crossing_events(s, guarded, aux_and_primed),
+            crossing_events(s, guarded, carried),
+            derive_geometric(s, guarded),
+            [guarded.segment(i, s) for i in range(len(guarded.indices) - (not guarded.periodic))],
+            guarded.letters,
+            guarded.period,
+            guarded.period_word,
+        )
+        assert got == want, (k, u, theta)
+
+
+def test_the_sampled_scan_builds_no_crossing_record(pentagon, monkeypatch):
+    aux_of = build_augmented_diagram(pentagon)[1]
+    want = _scan_sampled_transitions(pentagon, aux_of)
+    monkeypatch.setattr(flow, "Crossing", _no_record)
+    monkeypatch.setattr(
+        derivation, "trace_from_edge", lambda *args, **kwargs: _columns_only(trace_from_edge(*args, **kwargs))
+    )
+    assert _scan_sampled_transitions(pentagon, aux_of) == want
+
+
+_ODD_NS = range(5, 27, 2)
+
+
+@pytest.mark.parametrize("n", _ODD_NS)
+def test_every_gluing_leads_into_the_other_polygon(n):
+    # the columns keep no polygon: crossing i enters the polygon crossing 0
+    # enters when i is even and the other one when i is odd, because every
+    # exit chain leads into the other polygon
+    s = build_surface(n)
+    rng = random.Random(2700 + n)
+    thetas = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(12)] + [j * math.pi / n for j in range(2 * n)]
+    for theta in thetas:
+        for polygon, (_, rows, entered) in flow._chains(s, unit(theta)).items():
+            assert rows and entered == (LOWER if polygon == UPPER else UPPER), (theta, polygon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_ODD_NS),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.02, max_value=0.98),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.booleans(),
+)
+def test_traces_alternate_polygon_and_close_after_an_even_period(n, edge, u, theta, periodic_direction):
+    s = build_surface(n)
+    k = 1 + edge % n
+    if periodic_direction:  # perpendicular to an edge: every orbit closes
+        theta = (2 * (edge % (2 * n)) + 1) * math.pi / (2 * n)
+    try:
+        traj = trace_from_edge(s, k, u, theta, max_crossings=400)
+    except CornerHit:
+        return
+    polygons = [c.polygon for c in traj.crossings]
+    assert polygons[0] == s.entering_polygon(k, theta)
+    assert all(a != b for a, b in zip(polygons, polygons[1:]))
+    assert [c.index for c in traj.crossings] == traj.indices
+    if traj.periodic:
+        assert traj.period % 2 == 0
+
+
 @pytest.mark.parametrize("n", [5, 25])
 def test_the_event_scan_works_out_each_cell_once(n, monkeypatch):
     # over the diagram build's sample plan, one crossing_events call asks
@@ -790,11 +931,10 @@ def test_exit_chains_pick_every_exit_and_piece_tables_prune(n, monkeypatch):
         chains = flow._chains(s, d)
         for polygon, (bounds, rows, entered) in chains.items():
             assert entered == (LOWER if polygon == UPPER else UPPER)
-            for denom, ax, ay, ex, ey, ox, oy, k, letter in rows:
+            for denom, ax, ay, ex, ey, ox, oy, k in rows:
                 assert (ax, ay, ex, ey) == s.exit_rows[polygon][k - 1][:4]
                 assert denom == d[0] * ey - d[1] * ex
                 assert (ox, oy) == s.offset(polygon, k)
-                assert letter == s.letters[k - 1]
             starts = [d[0] * ay - d[1] * ax for _, ax, ay, *_ in rows]
             assert starts == sorted(starts) and len(set(starts)) == len(starts)
             assert bounds == [-math.inf] + starts[1:] + [math.inf]
