@@ -10,9 +10,20 @@ Two independent routes produce derived sequences:
   reads the primed labels off the trajectories of one fixed, deterministic
   sample plan (`_sector_sample_plan`), so it takes no seed.
 
-The build and the walk split their token streams into dual transitions
-(from one auxiliary crossing or direction-fixed letter to the next) with one
-forward reader, `_dual_steps`.
+The build and the walk split what they read into dual transitions (from one
+auxiliary crossing or direction-fixed letter to the next) with one reader,
+`_dual_step`, stepped once per segment: a segment is an original letter and
+then the (kind, name) tokens met before the next one, a traced segment's
+cell (`flow.crossing_events`) or, in a walk, the auxiliary names of the
+letter's arrow to the next letter.
+A step is a pure function of the reader's state and the segment's tokens,
+so the sampled scan keeps each step it takes within a trace, keyed by the
+state, the edge index and the cell object the trace's list shares among
+the segments of one cell, and the walk keeps its steps per pipeline, keyed
+by the state and the letter pair. Equal keys mean equal tokens, so a kept
+step gives what taking it again would; the first time a key occurs the
+step is taken in full, so every check of the build fires on the same input
+as it would reading every token.
 
 `sandwich_equivalence_check` compares the two routes on enumerated cyclic
 walks and sampled windows.
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Optional
 
 from .flow import CornerHit, crossing_events, trace_from_edge
@@ -226,8 +238,21 @@ def _enumerate_dual_transitions(
     succ = _successors(aux_of)
     found: set[tuple[str, str, str]] = set()
     bound = 4 * surface.n
-
-    def walk_from_letter(d0: str, letter: str, acc: str, depth: int) -> None:
+    # walks (from, at letter, letters so far, depth) still to extend
+    walks: list[tuple[str, str, str, int]] = []
+    # transitions starting at an auxiliary token
+    for (x, y), aux in aux_of.items():
+        for i, name in enumerate(aux):
+            if i + 1 < len(aux):
+                found.add((name, aux[i + 1], ""))
+            elif y in nodes:
+                found.add((name, y, ""))
+            else:
+                walks.append((name, y, y, 0))
+    # transitions starting at a node letter
+    walks += [(letter, letter, "", 0) for letter in nodes]
+    while walks:
+        d0, letter, acc, depth = walks.pop()
         if depth > bound:
             raise AssertionError("walk exceeded bound; node-free cycle in diagrams")
         for y in succ.get(letter, ()):
@@ -237,70 +262,65 @@ def _enumerate_dual_transitions(
             elif y in nodes:
                 found.add((d0, y, acc))
             else:
-                walk_from_letter(d0, y, acc + y, depth + 1)
-
-    # transitions starting at an auxiliary token
-    for (x, y), aux in aux_of.items():
-        for i, name in enumerate(aux):
-            if i + 1 < len(aux):
-                found.add((name, aux[i + 1], ""))
-            elif y in nodes:
-                found.add((name, y, ""))
-            else:
-                walk_from_letter(name, y, y, 0)
-    # transitions starting at a node letter
-    for letter in nodes:
-        walk_from_letter(letter, letter, "", 0)
+                walks.append((d0, y, acc + y, depth + 1))
     return found
 
 
-def _dual_steps(
-    stream: list[tuple[str, str]],
+# The dual-transition reader's state before its first segment: no dual node
+# read yet, no original or primed letter since, no original letter for the
+# augmented-label check and no auxiliary name after it.
+_START: tuple = (None, "", "", None, ())
+
+
+def _dual_step(
+    state: tuple,
+    letter: str,
+    cell: tuple[tuple[str, str], ...],
     nodes: frozenset[str],
     aux_of: Optional[dict[tuple[str, str], tuple[str, ...]]] = None,
-):
-    """Dual transitions of a stream of (kind, name) tokens, in one pass.
+) -> tuple[tuple, tuple[tuple[Optional[str], str, str, str], ...]]:
+    """One segment of the dual-transition reader: its original `letter`, then its `cell`'s (kind, name) tokens.
 
-    The tokens carry no time; their order in the stream is the order they
-    are crossed or walked in.
+    A dual node is an auxiliary token or an original one named by a node
+    letter; a dual transition runs from one to the next. `state` is (node,
+    originals, primeds, x, between): the last dual node read (None before
+    the first), the original and primed letters read since it, and the last
+    original letter with the auxiliary names read since it. Returns the
+    state after the segment and the transitions the segment completes, each
+    (from, to, originals, primeds) in reading order; the first one read has
+    from None and holds what came before the first dual node. Given
+    `aux_of`, it raises AssertionError unless the auxiliary names between
+    each two consecutive original letters x, y are the augmented label
+    aux_of[(x, y)]; the sampled scan passes it, while a diagram walk, whose
+    segments are built from aux_of, does not.
 
-    For each dual node (an auxiliary token, or an original one named by a
-    node letter) at position i, yields (i, j, originals, primeds): j is the
-    next dual node's position (None after the last), and the two strings
-    hold the original and primed letters strictly between them. Given
-    `aux_of`, the same pass raises AssertionError unless the auxiliary names
-    between each two consecutive original letters x, y are the augmented
-    label aux_of[(x, y)]; the sampled scan passes it, while a diagram walk,
-    whose stream is built from aux_of, does not.
+    The result depends on the arguments alone, so a reader may keep it and
+    reuse it for an equal state and equal tokens.
     """
-    i = x = None
-    originals: list[str] = []
-    primeds: list[str] = []
-    between: list[str] = []
-    for j, (kind, name) in enumerate(stream):
+    node, originals, primeds, x, between = state
+    done = []
+    for kind, name in ((ORIGINAL, letter), *cell):
         if kind == PRIMED:
-            primeds.append(name)
+            primeds += name
             continue
         if aux_of is not None:
             if kind == AUXILIARY:
-                between.append(name)
+                between += (name,)
             else:
-                if x is not None and tuple(between) != aux_of.get((x, name)):
+                if x is not None and between != aux_of.get((x, name)):
                     if (x, name) not in aux_of:
                         raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
                     raise AssertionError(
-                        f"sampled aux crossings {tuple(between)} for {x}->{name} differ from "
+                        f"sampled aux crossings {between} for {x}->{name} differ from "
                         f"region label {aux_of[(x, name)]}"
                     )
-                x, between = name, []
+                x, between = name, ()
         if kind == AUXILIARY or name in nodes:
-            if i is not None:
-                yield i, j, "".join(originals), "".join(primeds)
-            i, originals, primeds = j, [], []
+            done.append((node, name, originals, primeds))
+            node, originals, primeds = name, "", ""
         else:
-            originals.append(name)
-    if i is not None:
-        yield i, None, "".join(originals), "".join(primeds)
+            originals += name
+    return (node, originals, primeds, x, between), tuple(done)
 
 
 # The fixed sample plan of the diagram build: PLAN_SAMPLES traces of
@@ -325,32 +345,48 @@ def _scan_sampled_transitions(
 ) -> tuple[dict[tuple[str, str, str], str], dict[tuple[str, str, str], int]]:
     """Observed primed content per dual transition, from the traced sample plan.
 
-    `_dual_steps` reads each sample's crossing events in one pass: it checks
-    that the auxiliary names between consecutive original letters equal the
-    clipping-derived augmented labels, and its steps fill the table.
+    `_dual_step` reads each sample segment by segment: it checks that the
+    auxiliary names between consecutive original letters equal the
+    clipping-derived augmented labels, and the transitions it completes fill
+    the table. Within one trace a step is taken once per distinct (state,
+    edge index, cell) and kept: `crossing_events` gives every segment in a
+    cell the one tuple object, which the trace's list holds to its end, so
+    the cell's id names its tokens there. A kept step gives the same state
+    and transitions; those were recorded and checked when it was first
+    taken, in the same sample.
     Also returns, per transition, the 1-based sample that first realized it.
     """
     edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
+    nodes, letters = surface.node_letters, surface.letters
     observed: dict[tuple[str, str, str], str] = {}
     first_seen: dict[tuple[str, str, str], int] = {}
-    for sample, (k, u, theta) in enumerate(_sector_sample_plan(surface), 1):
+    for sample, (edge, u, theta) in enumerate(_sector_sample_plan(surface), 1):
         try:
-            traj = trace_from_edge(surface, k, u, theta, max_crossings=PLAN_CROSSINGS)
+            traj = trace_from_edge(surface, edge, u, theta, max_crossings=PLAN_CROSSINGS)
         except CornerHit:
             continue
-        events = crossing_events(surface, traj, edges)
-        for i, j, originals, primeds in _dual_steps(events, surface.node_letters, aux_of):
-            if j is None:
-                continue
-            key = (events[i][1], events[j][1], originals)
-            seen = observed.get(key)
-            if seen is None:
-                observed[key] = primeds
-                first_seen[key] = sample
-            elif seen != primeds:
-                raise AssertionError(
-                    f"primed content of dual transition {key} is not well defined: {seen!r} vs {primeds!r}"
-                )
+        cells = crossing_events(surface, traj, edges)
+        steps: dict[tuple, tuple] = {}
+        state = _START
+        # an open trajectory's last crossing starts no segment: it reads no cell
+        for k, cell in zip_longest(traj.indices, cells, fillvalue=()):
+            key = (state, k, id(cell))
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = _dual_step(state, letters[k - 1], cell, nodes, aux_of)
+                for d1, d2, originals, primeds in step[1]:
+                    if d1 is None:
+                        continue
+                    key = (d1, d2, originals)
+                    seen = observed.get(key)
+                    if seen is None:
+                        observed[key] = primeds
+                        first_seen[key] = sample
+                    elif seen != primeds:
+                        raise AssertionError(
+                            f"primed content of dual transition {key} is not well defined: {seen!r} vs {primeds!r}"
+                        )
+            state = step[0]
     return observed, first_seen
 
 
@@ -363,6 +399,8 @@ class DiagramPipeline:
     transitions: dict[tuple[str, str, str], str]  # (from, to, originals) -> primed letters
     node_letters: frozenset[str]
     covered_at: int  # 1-based plan sample at which every predicted transition had been seen
+    # the walk's `_dual_step` results, kept per (state, letter, next letter)
+    _walk_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
@@ -425,32 +463,13 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
 # ---- walking words through the diagrams ------------------------------------
 
 
-def _token_stream(pipeline: DiagramPipeline, word: str) -> tuple[list[tuple[str, str]], list[int]]:
-    """The (kind, name) tokens of the word's unique augmented walk and, beside
-    them, their anchors: a token's anchor is the index of the letter it is or
-    follows."""
-    alphabet = pipeline.stages["arrows"].nodes
-    for ch in word:
-        if ch not in alphabet:
-            raise InvalidPath(f"letter {ch!r} is not in the alphabet {''.join(alphabet)}")
-    if not word:
-        return [], []
-    tokens: list[tuple[str, str]] = [(ORIGINAL, word[0])]
-    anchors = [0]
-    for i in range(len(word) - 1):
-        pair = (word[i], word[i + 1])
-        if pair not in pipeline.aux_of:
-            raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
-        for name in pipeline.aux_of[pair]:
-            tokens.append((AUXILIARY, name))
-            anchors.append(i)
-        tokens.append((ORIGINAL, word[i + 1]))
-        anchors.append(i + 1)
-    return tokens, anchors
-
-
 def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = False) -> str:
     """Derived word of a diagram walk, read off the primed labels.
+
+    The walk is read by `_dual_step`, one segment per letter: the letter,
+    then the auxiliary names of its arrow to the next letter. The derived
+    word takes, dual node by dual node, the node letter if it is one and
+    the primed content of the transition leaving it.
 
     Window semantics match ksl_window: the first and last letters carry no
     verdict. Cyclic words are walked on a tripled copy and the transitions
@@ -459,22 +478,35 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
     L = len(word)
     walked = word * 3 if cyclic else word
     lo, hi = (L, 2 * L) if cyclic else (0, L)
-    tokens, anchors = _token_stream(pipeline, walked)
+    alphabet = pipeline.stages["arrows"].nodes
+    for ch in walked:
+        if ch not in alphabet:
+            raise InvalidPath(f"letter {ch!r} is not in the alphabet {''.join(alphabet)}")
+    for pair in zip(walked, walked[1:]):
+        if pair not in pipeline.aux_of:
+            raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
+    last = len(walked) - 1
+    nodes, steps = pipeline.node_letters, pipeline._walk_steps
     out: list[str] = []
-    for i, j, originals, _ in _dual_steps(tokens, pipeline.node_letters):
-        anchor, (kind, name) = anchors[i], tokens[i]
-        if not lo <= anchor < hi:
-            continue
-        if kind == ORIGINAL and 0 < anchor < len(walked) - 1:
-            out.append(name)
-        if j is None:
-            if cyclic:
-                raise AssertionError("tripled walk ended before its transitions completed")
-            continue
-        key = (name, tokens[j][1], originals)
-        if key not in pipeline.transitions:
-            raise InvalidPath(f"no dual transition {key[0]}->{key[1]} via {originals!r}")
-        out.append(pipeline.transitions[key])
+    # anchor: the index of the letter the last dual node read is or follows
+    state, anchor = _START, None
+    for i, (letter, after) in enumerate(zip_longest(walked, walked[1:])):
+        key = (state, letter, after)
+        step = steps.get(key)
+        if step is None:
+            cell = tuple((AUXILIARY, name) for name in pipeline.aux_of[(letter, after)]) if after else ()
+            step = steps[key] = _dual_step(state, letter, cell, nodes)
+        state, done = step
+        for d1, d2, originals, _ in done:
+            if d1 is not None and lo <= anchor < hi:
+                if (d1, d2, originals) not in pipeline.transitions:
+                    raise InvalidPath(f"no dual transition {d1}->{d2} via {originals!r}")
+                out.append(pipeline.transitions[(d1, d2, originals)])
+            anchor = i
+            if d2 in nodes and lo <= i < hi and 0 < i < last:
+                out.append(d2)
+    if cyclic and anchor is not None and lo <= anchor < hi:
+        raise AssertionError("tripled walk ended before its transitions completed")
     return "".join(out)
 
 
@@ -496,19 +528,15 @@ def _cyclic_walks(pipeline: DiagramPipeline, max_len: int) -> set[str]:
     """All distinct cyclic walks (as normal forms) up to the given length."""
     succ = _successors(pipeline.aux_of)
     words: set[str] = set()
-
-    def dfs(start: str, path: list[str]) -> None:
-        cur = path[-1]
-        for y in succ.get(cur, ()):
-            if y == start:
-                words.add(cyclic_normal_form("".join(path)))
-            if len(path) < max_len:
-                path.append(y)
-                dfs(start, path)
-                path.pop()
-
     for start in sorted(succ):
-        dfs(start, [start])
+        paths = [start]  # walks from start still to extend
+        while paths:
+            path = paths.pop()
+            for y in succ.get(path[-1], ()):
+                if y == start:
+                    words.add(cyclic_normal_form(path))
+                if len(path) < max_len:
+                    paths.append(path + y)
     return words
 
 

@@ -19,14 +19,16 @@ index. Its `Crossing` records are a view, built only when read. It owns
 its segments (`Trajectory.segment`, the one place a segment's end is
 carried back across its gluing) and, with the torus tracer, its letters
 (`CuttingSequence`: a periodic trajectory is one period).
-`crossing_events` is the one scan of a traced trajectory
-against edge pieces, a list of untimed (kind, name) tokens; the geometric
+`crossing_events` is the one scan of a traced trajectory against edge
+pieces: per segment, its cell, the tuple of untimed (kind, name) tokens of
+the pieces it crosses, one object shared by every segment in the cell; the
+original crossings are the trajectory's own `indices`. The geometric
 derivation feeds it the primed edges carried onto the trajectory's charts,
 so a trajectory is traced once in any direction. Every piece scan asks
 `geometry.line_crossings` which pieces a line crosses; the event scan sorts
 the pieces' ends in s = dx*y - dy*x once per polygon and direction, and each
-segment does one bisect of its s and appends its cell's tokens, worked out
-once per cell. The tracer walks on s alike, as an interval exchange: s is
+segment does one bisect of its s and appends its cell, worked out once per
+cell. The tracer walks on s alike, as an interval exchange: s is
 constant along a chart segment, and a ray leaves a convex polygon through
 the one edge facing its direction whose span of s holds its own. So each
 step bisects its polygon's chain of facing edges (`_chains`, worked out once
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import cycle
+from itertools import cycle, zip_longest
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -63,7 +65,6 @@ from .geometry import (
 )
 from .surface import (
     LOWER,
-    ORIGINAL,
     PRIMED,
     UPPER,
     Edge,
@@ -375,24 +376,28 @@ class GeometricDerivation:
     primed_hits: tuple[tuple[int, str], ...]  # (i, derived letter): crossing i's node letter or a primed hit of segment i
 
 
-def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]) -> list[tuple[str, str]]:
-    """The (kind, name) tokens of a traced trajectory's crossings, in order along it, as a list.
+def crossing_events(
+    surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]
+) -> list[tuple[tuple[str, str], ...]]:
+    """The cells of a traced trajectory's segments, in order along it: one per segment.
 
-    Original crossing i is the token (ORIGINAL, its letter); segment i,
-    `traj.segment(i, surface)` in `polygon = traj.polygon(i)`, then gives
-    one token per piece `e` of `edges[polygon]` it crosses, in line order,
-    tagged as `e.row` is: kind `e.kind` and name `e.label` stripped of its
-    prime, so a primed piece is named by the letter it is the image of.
-    Periodic orbits include the closing segment. No token carries a time: a
-    token's segment is the number of original tokens before it, less one.
+    Segment i, `traj.segment(i, surface)` in `polygon = traj.polygon(i)`,
+    gets the tuple of one (kind, name) token per piece `e` of
+    `edges[polygon]` it crosses, in line order, tagged as `e.row` is: kind
+    `e.kind` and name `e.label` stripped of its prime, so a primed piece is
+    named by the letter it is the image of. The original crossings are not
+    repeated here: segment i starts at crossing i, `traj.indices[i]`. An
+    open trajectory has one segment fewer than crossings, its last crossing
+    starting none; a periodic orbit's closing segment is included.
 
     Every segment is a full chord of its polygon, and no two pieces cross
     inside one, so which pieces a segment crosses, and in what order, is
     fixed between consecutive piece ends in s = dx*y - dy*x. Per polygon the
     piece ends are sorted once; a segment does one bisect of its s + SNAP
-    and emits its cell's tokens, the tags of `line_crossings` at the cell's
-    midpoint, worked out once, when a segment first reads the cell. A
-    segment's s is read at its entry point, crossing i's, off the
+    and gets its cell, the tags of `line_crossings` at the cell's midpoint,
+    worked out once, when a segment first reads the cell. Every segment in
+    a cell gets that one tuple object, so a reader can key a cell's work on
+    it. A segment's s is read at its entry point, crossing i's, off the
     trajectory's columns by the expression `trace` bisects its chain with,
     so both read the same float; segments alternate polygon, so the scan
     reads the two polygons' tables in turn and builds no `Crossing`. A
@@ -413,31 +418,26 @@ def crossing_events(surface: Surface, traj: Trajectory, edges: dict[str, list[Ed
         # cell i holds the s in [ends[i - 1], ends[i]), filled when a segment
         # first reads it; the first and last cross nothing
         tables[polygon] = rows, ends, [()] + [None] * (len(ends) - 1) + [()]
-    originals = [None] + [(ORIGINAL, letter) for letter in surface.letters]  # one shared token per edge index
-    events: list[tuple[str, str]] = []
-    append, extend = events.append, events.extend
+    read: list[tuple[tuple[str, str], ...]] = []
+    append = read.append
     m = len(traj.indices)
     # an open trajectory's last crossing starts no segment
-    indices, xs, ys = traj.indices[:-1], traj.xs[:-1], traj.ys[:-1]
+    xs, ys = traj.xs[:-1], traj.ys[:-1]
     if traj.periodic:
         # the closing segment ends at crossing 0, carried into its chart: it
         # is read on that point's line if its own lies within SNAP a crossing
         _, (lx, ly), (qx, qy) = traj.segment(m - 1, surface)
         if abs((dx * qy - dy * qx) - (dx * ly - dy * lx)) <= m * SNAP:
             lx, ly = qx, qy
-        indices.append(traj.indices[-1])
         xs.append(lx)
         ys.append(ly)
-    for (rows, ends, cells), k, x, y in zip(cycle([tables[traj.polygon(0)], tables[traj.polygon(1)]]), indices, xs, ys):
-        append(originals[k])
+    for (rows, ends, cells), x, y in zip(cycle([tables[traj.polygon(0)], tables[traj.polygon(1)]]), xs, ys):
         i = bisect_right(ends, dx * y - dy * x + SNAP)
         cell = cells[i]
         if cell is None:
             cell = cells[i] = tuple(row[5] for row in line_crossings(d, 0.5 * (ends[i - 1] + ends[i]), rows))
-        extend(cell)
-    if not traj.periodic:
-        append(originals[traj.indices[-1]])
-    return events
+        append(cell)
+    return read
 
 
 def carried_primed(surface: Surface, steps: int) -> dict[str, list[Edge]]:
@@ -459,21 +459,27 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
     The standard primed pieces are carried onto the trajectory's charts by
     the inverse of the isometry that normalizes its direction (the identity
     in the sector); the two direction-fixed ones fire at the crossings whose
-    normalized letter is a node letter. The normalized word is mapped back
-    through the inverse letter permutation. Nothing is traced again, so
-    CornerHit cannot arise here.
+    normalized letter is a node letter. Each crossing gives its node letter,
+    if any, then the names of the cell of the segment it starts
+    (`crossing_events`). The normalized word is mapped back through the
+    inverse letter permutation. Nothing is traced again, so CornerHit cannot
+    arise here.
     """
     norm = normalize_direction(surface, traj.theta)
-    # original letter -> its normalized letter, for the letters that normalize to a node letter
-    node_of = {letter: name for letter, name in norm.letter_map.items() if name in surface.node_letters}
-    hits, segment = [], -1
-    for kind, name in crossing_events(surface, traj, carried_primed(surface, -norm.steps)):
-        if kind == ORIGINAL:
-            segment += 1
-            name = node_of.get(name)
-            if name is None:
-                continue
-        hits.append((segment, name))
+    # edge index -> the node letter it normalizes to, None for the others
+    node_of = [None] + [
+        name if name in surface.node_letters else None for name in map(norm.letter_map.get, surface.letters)
+    ]
+    hits = []
+    add = hits.append
+    cells = crossing_events(surface, traj, carried_primed(surface, -norm.steps))
+    # an open trajectory's last crossing starts no segment: it reads no cell
+    for segment, (k, cell) in enumerate(zip_longest(traj.indices, cells, fillvalue=())):
+        name = node_of[k]
+        if name is not None:
+            add((segment, name))
+        for _, name in cell:
+            add((segment, name))
     return GeometricDerivation(
         letters=norm.invert("".join(map(itemgetter(1), hits))),
         cyclic=traj.periodic,

@@ -14,11 +14,22 @@ def heptagon():
     return build_surface(7)
 
 
+class _Pipelines(dict):
+    """n -> the full diagram pipeline of build_surface(n), each built once, when first asked for."""
+
+    def __missing__(self, n):
+        pipe = self[n] = build_pipeline_diagrams(build_surface(n))
+        return pipe
+
+
 @pytest.fixture(scope="session")
 def pipelines(pentagon, heptagon):
-    """Full diagram pipelines for the three small surfaces; expensive, built once."""
-    return {
-        5: build_pipeline_diagrams(pentagon),
-        7: build_pipeline_diagrams(heptagon),
-        9: build_pipeline_diagrams(build_surface(9)),
-    }
+    """Full diagram pipelines, expensive, built once per session: the three
+    small surfaces up front, any other odd n on its first read."""
+    return _Pipelines(
+        {
+            5: build_pipeline_diagrams(pentagon),
+            7: build_pipeline_diagrams(heptagon),
+            9: build_pipeline_diagrams(build_surface(9)),
+        }
+    )

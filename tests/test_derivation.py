@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -13,8 +14,10 @@ from oddgon.derivation import (
     InvalidPath,
     _arrow_chords,
     _aux_sequence_for_chord,
-    _dual_steps,
+    _START,
+    _dual_step,
     _scan_sampled_transitions,
+    _sector_sample_plan,
     build_arrows_diagram,
     build_augmented_diagram,
     build_pipeline_diagrams,
@@ -26,9 +29,10 @@ from oddgon.derivation import (
     ksl_window,
     sandwich_equivalence_check,
 )
-from oddgon.flow import CornerHit, trace_from_edge
+from oddgon.flow import CornerHit, crossing_events, trace_from_edge
 from oddgon.geometry import EPS, ray_segment_hit
-from oddgon.surface import AUXILIARY, ORIGINAL, PRIMED, build_surface, index_for_letter
+from oddgon.surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, build_surface, index_for_letter, letter_for_index
+from test_flow import interleaved_events
 
 words = st.text(alphabet="ABCDE", min_size=0, max_size=40)
 
@@ -238,31 +242,126 @@ def test_node_letters_are_the_direction_fixed_edges(pipelines):
 # ---- reading dual transitions --------------------------------------------------
 
 
+def _read(segments, nodes, aux_of=None):
+    """The state after a walk's (letter, cell) segments, and the transitions they complete."""
+    state, done = _START, []
+    for letter, cell in segments:
+        state, steps = _dual_step(state, letter, cell, nodes, aux_of)
+        done += steps
+    return state, done
+
+
 def test_dual_steps_splits_a_stream_at_dual_nodes():
-    tokens = [
-        (ORIGINAL, "B"),  # before the first dual node: in no transition
-        (ORIGINAL, "A"),  # node letter
-        (PRIMED, "B"),
-        (ORIGINAL, "B"),
-        (PRIMED, "E"),
-        (AUXILIARY, "l1"),
-        (AUXILIARY, "u1"),
-        (ORIGINAL, "E"),
-        (PRIMED, "C"),
-        (ORIGINAL, "D"),  # node letter
-        (ORIGINAL, "C"),
-        (PRIMED, "D"),
+    segments = [
+        ("B", ()),  # before the first dual node: in no transition
+        ("A", ((PRIMED, "B"),)),  # node letter
+        ("B", ((PRIMED, "E"), (AUXILIARY, "l1"), (AUXILIARY, "u1"))),
+        ("E", ((PRIMED, "C"),)),
+        ("D", ()),  # node letter
+        ("C", ((PRIMED, "D"),)),
     ]
-    steps = [(1, 5, "B", "BE"), (5, 6, "", ""), (6, 9, "E", "C"), (9, None, "C", "D")]
-    assert list(_dual_steps(tokens, frozenset("AD"))) == steps
-    assert list(_dual_steps([(ORIGINAL, "B"), (PRIMED, "C")], frozenset("AD"))) == []
-    # given the augmented labels, the same pass checks the auxiliary names between letters
+    nodes = frozenset("AD")
+    steps = [("A", "l1", "B", "BE"), ("l1", "u1", "", ""), ("u1", "D", "E", "C")]
+    state, done = _read(segments, nodes)
+    # the stretch before the first dual node comes first, from no node
+    assert done == [(None, "A", "B", "")] + steps
+    assert state[:3] == ("D", "C", "D")  # the last node and what follows it
+    assert _read([("B", ((PRIMED, "C"),))], nodes) == ((None, "B", "C", None, ()), [])
+    # one segment completes every transition it holds a dual node of
+    assert _dual_step(_read(segments[:2], nodes)[0], *segments[2], nodes)[1] == tuple(steps[:2])
+    # given the augmented labels, the same step checks the auxiliary names between letters
     aux_of = {("B", "A"): (), ("A", "B"): (), ("B", "E"): ("l1", "u1"), ("E", "D"): (), ("D", "C"): ()}
-    assert list(_dual_steps(tokens, frozenset("AD"), aux_of)) == steps
+    state, checked = _read(segments, nodes, aux_of)
+    assert checked == done and state[:3] == ("D", "C", "D")
     with pytest.raises(AssertionError, match=r"\('l1', 'u1'\) for B->E differ from region label \('l1',\)"):
-        list(_dual_steps(tokens, frozenset("AD"), {**aux_of, ("B", "E"): ("l1",)}))
+        _read(segments, nodes, {**aux_of, ("B", "E"): ("l1",)})
     with pytest.raises(AssertionError, match="pair D->C has no arrow"):
-        list(_dual_steps(tokens, frozenset("AD"), {k: v for k, v in aux_of.items() if k != ("D", "C")}))
+        _read(segments, nodes, {k: v for k, v in aux_of.items() if k != ("D", "C")})
+
+
+def _reference_dual_steps(stream, nodes, aux_of=None):
+    """The per-token reader the per-segment step replaces: for each dual node of
+    a flat (kind, name) stream at position i, (i, j, originals, primeds), j the
+    next dual node's position (None after the last); given aux_of, it checks
+    the auxiliary names between consecutive original letters."""
+    i = x = None
+    originals, primeds, between = [], [], []
+    for j, (kind, name) in enumerate(stream):
+        if kind == PRIMED:
+            primeds.append(name)
+            continue
+        if aux_of is not None:
+            if kind == AUXILIARY:
+                between.append(name)
+            else:
+                if x is not None and tuple(between) != aux_of.get((x, name)):
+                    if (x, name) not in aux_of:
+                        raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
+                    raise AssertionError(
+                        f"sampled aux crossings {tuple(between)} for {x}->{name} differ from "
+                        f"region label {aux_of[(x, name)]}"
+                    )
+                x, between = name, []
+        if kind == AUXILIARY or name in nodes:
+            if i is not None:
+                yield i, j, "".join(originals), "".join(primeds)
+            i, originals, primeds = j, [], []
+        else:
+            originals.append(name)
+    if i is not None:
+        yield i, None, "".join(originals), "".join(primeds)
+
+
+def _reference_scan(surface, aux_of):
+    """The sampled scan read token by token, every segment in full, over flat streams."""
+    edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
+    observed, first_seen = {}, {}
+    for sample, (k, u, theta) in enumerate(_sector_sample_plan(surface), 1):
+        try:
+            traj = trace_from_edge(surface, k, u, theta, max_crossings=PLAN_CROSSINGS)
+        except CornerHit:
+            continue
+        events = interleaved_events(traj, crossing_events(surface, traj, edges))
+        for i, j, originals, primeds in _reference_dual_steps(events, surface.node_letters, aux_of):
+            if j is None:
+                continue
+            key = (events[i][1], events[j][1], originals)
+            seen = observed.setdefault(key, primeds)
+            first_seen.setdefault(key, sample)
+            assert seen == primeds, key
+    return observed, first_seen
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_sampled_scan_equals_the_per_token_reference(pipelines, n):
+    s = build_surface(n)
+    observed, first_seen = _scan_sampled_transitions(s, pipelines[n].aux_of)
+    assert observed == pipelines[n].transitions
+    assert (observed, first_seen) == _reference_scan(s, pipelines[n].aux_of)
+
+
+@pytest.mark.parametrize("n", [5, 25])
+def test_the_sampled_scan_steps_once_per_distinct_segment(pipelines, n, monkeypatch):
+    # within a trace the reader's step is kept per (state, edge index, cell),
+    # so over the plan it runs far fewer times than segments are read (about
+    # 5% of them at n = 5 and 14% at n = 25), with the same table
+    s = build_surface(n)
+    step, calls, read = derivation._dual_step, [], []
+
+    def counted(state, letter, cell, nodes, aux_of=None):
+        calls.append((state, letter, cell))
+        return step(state, letter, cell, nodes, aux_of)
+
+    def traced(*args, **kwargs):
+        traj = trace_from_edge(*args, **kwargs)
+        read.append(len(traj.indices))  # every crossing is stepped, with its segment's cell
+        return traj
+
+    monkeypatch.setattr(derivation, "_dual_step", counted)
+    monkeypatch.setattr(derivation, "trace_from_edge", traced)
+    observed, _ = _scan_sampled_transitions(s, pipelines[n].aux_of)
+    assert observed == pipelines[n].transitions
+    assert 0 < 4 * len(calls) < sum(read)
 
 
 def test_sampled_scan_checks_the_augmented_labels(pentagon, monkeypatch):
@@ -276,18 +375,23 @@ def test_sampled_scan_checks_the_augmented_labels(pentagon, monkeypatch):
 
 
 def test_sampled_scan_checks_the_primed_content(pentagon, monkeypatch):
-    # the last sample reads one primed hit under another name; every dual
-    # transition it meets was realized earlier in the plan (covered_at is 5)
+    # the last sample reads one primed hit under another name: one segment
+    # gets a fresh tuple for its cell, which no earlier step of the trace was
+    # kept for, while the other segments of that cell keep the shared one;
+    # every dual transition it meets was realized earlier in the plan
+    # (covered_at is 5)
     scan, calls = derivation.crossing_events, []
 
     def renamed(surface, traj, edges):
-        events = scan(surface, traj, edges)
+        cells = scan(surface, traj, edges)
         calls.append(traj)
         if len(calls) == PLAN_SAMPLES:
-            i = next(i for i, (kind, _) in enumerate(events) if kind == PRIMED)
-            kind, name = events[i]
-            events[i] = (kind, name.lower())
-        return events
+            i = max(i for i, cell in enumerate(cells) if any(kind == PRIMED for kind, _ in cell))
+            j = next(j for j, (kind, _) in enumerate(cells[i]) if kind == PRIMED)
+            kind, name = cells[i][j]
+            assert cells.count(cells[i]) > 1  # an earlier segment read the cell unchanged
+            cells[i] = cells[i][:j] + ((kind, name.lower()),) + cells[i][j + 1 :]
+        return cells
 
     monkeypatch.setattr(derivation, "crossing_events", renamed)
     _, aux_of = build_augmented_diagram(pentagon)
@@ -334,8 +438,50 @@ def test_sampled_scan_skips_a_sample_that_hits_a_corner(pentagon, pipelines, mon
 def test_fixed_plan_covers_every_transition_in_half_the_plan(pipelines, n):
     # the build raises unless the whole plan realizes exactly the predicted
     # transitions; coverage within half of it leaves a margin (37 at n = 25)
-    pipe = pipelines[n] if n in pipelines else build_pipeline_diagrams(build_surface(n))
+    pipe = pipelines[n]
     assert pipe.covered_at <= PLAN_SAMPLES // 2
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_the_geometric_build_has_the_closed_form(pipelines, n):
+    # the arrows diagram is the path x -> y, x != y, x + y = 2 or 3 (mod n);
+    # it has 4n - 8 dual transitions, each over at most one original letter,
+    # whose primed content is that letter exactly where the walk turns back:
+    # from a node letter to itself, or between the two copies l j and u j of
+    # one auxiliary diagonal; elsewhere it is empty
+    pipe = pipelines[n]
+    arrows = {(a.source, a.target) for a in pipe.stages["arrows"].arrows}
+    assert arrows == {
+        (letter_for_index(x), letter_for_index(y))
+        for x in range(1, n + 1)
+        for y in range(1, n + 1)
+        if x != y and (x + y) % n in (2, 3)
+    }
+    assert len(pipe.transitions) == len(pipe.stages["dual"].arrows) == 4 * n - 8
+    nodes = pipe.node_letters
+    for (d1, d2, originals), primeds in pipe.transitions.items():
+        assert len(originals) <= 1, (d1, d2, originals)
+        if d1 in nodes or d2 in nodes:
+            turns = d1 == d2
+        else:
+            turns = d1[1:] == d2[1:] and {d1[0], d2[0]} == {"l", "u"}
+        assert primeds == (originals if turns else ""), (d1, d2, originals, primeds)
+        assert len(primeds) == turns, (d1, d2, originals, primeds)
+
+
+def test_building_and_checking_leaves_no_reference_cycle():
+    # every object the build and the equivalence check make is freed by
+    # reference counting: with the cyclic collector off, it finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (5, 9):
+            pipe = build_pipeline_diagrams(build_surface(n))
+            assert sandwich_equivalence_check(pipe, seed=3).passed
+        del pipe
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---- derivation through the diagrams ------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -676,7 +677,11 @@ def test_rotated_trace_reproduces_permuted_letters(n):
 def test_crossing_events_stream(pentagon):
     traj = trace_from_edge(pentagon, 3, 0.37, 0.9, max_crossings=40)
     edges = {p: pentagon.aux_for(p) + pentagon.primed_for(p) for p in (UPPER, LOWER)}
-    events = crossing_events(pentagon, traj, edges)
+    cells = crossing_events(pentagon, traj, edges)
+    # one cell per segment; an open trajectory's last crossing starts none
+    assert not traj.periodic and len(cells) == len(traj.indices) - 1
+    assert all(type(cell) is tuple for cell in cells)
+    events = interleaved_events(traj, cells)
     assert "".join(name for kind, name in events if kind == ORIGINAL) == traj.letters
     assert {kind for kind, _ in events} == {ORIGINAL, AUXILIARY, PRIMED}
     # an auxiliary piece is named by its label; a primed piece by the letter
@@ -720,6 +725,16 @@ def _reference_hits(a, d, pieces):
     return hits
 
 
+def interleaved_events(traj, cells):
+    """The flat (kind, name) stream of a trajectory: each crossing's (ORIGINAL, letter)
+    token, then the cell of the segment it starts, if any."""
+    events = []
+    for k, cell in itertools.zip_longest(traj.indices, cells, fillvalue=()):
+        events.append((ORIGINAL, letter_for_index(k)))
+        events.extend(cell)
+    return events
+
+
 def _reference_events(surface, traj, edges):
     """The (kind, name) tokens of the per-piece scan, sorted by their hit times, which are then dropped."""
     events = [(float(i), ORIGINAL, c.letter) for i, c in enumerate(traj.crossings)]
@@ -756,7 +771,9 @@ def test_crossing_events_equal_the_per_piece_reference(n):
         periodic += traj.periodic
         steps = normalize_direction(s, theta).steps
         for edges in (aux_and_primed, carried_primed(s, -steps), carried_primed(s, rng.randrange(1, 2 * n))):
-            assert crossing_events(s, traj, edges) == _reference_events(s, traj, edges), (k, u, theta)
+            cells = crossing_events(s, traj, edges)
+            assert len(cells) == len(traj.indices) - (not traj.periodic), (k, u, theta)
+            assert interleaved_events(traj, cells) == _reference_events(s, traj, edges), (k, u, theta)
             compared += 1
     assert periodic >= 2 and compared >= 36
     # one trace as long as a long-derive trace, in a generic direction, on the
@@ -765,7 +782,7 @@ def test_crossing_events_equal_the_per_piece_reference(n):
     traj = trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta, max_crossings=3000)
     assert len(traj.crossings) == 3000
     edges = carried_primed(s, -normalize_direction(s, theta).steps)
-    assert crossing_events(s, traj, edges) == _reference_events(s, traj, edges)
+    assert interleaved_events(traj, crossing_events(s, traj, edges)) == _reference_events(s, traj, edges)
 
 
 class _ColumnsOnly(Trajectory):
@@ -827,8 +844,8 @@ def test_tracing_scanning_and_deriving_build_no_crossing_record(n, monkeypatch):
         guarded = _columns_only(trace_from_edge(s, k, u, theta, max_crossings=300))
         carried = carried_primed(s, -normalize_direction(s, theta).steps)
         got = (
-            crossing_events(s, guarded, aux_and_primed),
-            crossing_events(s, guarded, carried),
+            interleaved_events(guarded, crossing_events(s, guarded, aux_and_primed)),
+            interleaved_events(guarded, crossing_events(s, guarded, carried)),
             derive_geometric(s, guarded),
             [guarded.segment(i, s) for i in range(len(guarded.indices) - (not guarded.periodic))],
             guarded.letters,
@@ -893,7 +910,8 @@ def test_traces_alternate_polygon_and_close_after_an_even_period(n, edge, u, the
 def test_the_event_scan_works_out_each_cell_once(n, monkeypatch):
     # over the diagram build's sample plan, one crossing_events call asks
     # line_crossings at most once per cell of its piece-end tables, however
-    # many segments read the cell, and its tokens are bare (kind, name) pairs
+    # many segments read the cell; every segment in a cell gets that one
+    # tuple, and its tokens are bare (kind, name) pairs
     s = build_surface(n)
     edges = {p: s.aux_for(p) + s.primed_for(p) for p in (UPPER, LOWER)}
     calls = []
@@ -911,10 +929,13 @@ def test_the_event_scan_works_out_each_cell_once(n, monkeypatch):
         except CornerHit:
             continue
         calls.clear()
-        events = crossing_events(s, traj, edges)
+        read = crossing_events(s, traj, edges)
         assert len(set(calls)) == len(calls), (k, u, theta)
-        assert all(type(token) is tuple and list(map(type, token)) == [str, str] for token in events), (k, u, theta)
-        segments += len(traj.crossings) - 1 + traj.periodic
+        assert len({id(cell) for cell in read if cell}) <= len(calls), (k, u, theta)
+        tokens = [token for cell in read for token in cell]
+        assert all(type(token) is tuple and list(map(type, token)) == [str, str] for token in tokens), (k, u, theta)
+        assert len(read) == len(traj.indices) - 1 + traj.periodic, (k, u, theta)
+        segments += len(read)
         cells += len(calls)
     assert 0 < cells < segments
 
@@ -1007,11 +1028,11 @@ def test_exit_chains_pick_every_exit_and_piece_tables_prune(n, monkeypatch):
         aim = vsub(v, s.edge_seg(UPPER, k).point_at(u))
         for delta in (0.0, 1e-16, -1e-13):
             _check_against_reference(s, k, u, math.atan2(aim[1], aim[0]) + delta, 10)
-    assert any(kind != ORIGINAL for *_, traj in traced for kind, _ in crossing_events(s, traj, edges))
+    assert any(any(crossing_events(s, traj, edges)) for *_, traj in traced)
     monkeypatch.setattr(flow, "line_crossings", lambda d, s, rows: [])
     for k, u, theta, traj in traced:
         assert trace_from_edge(s, k, u, theta, 100).crossings == traj.crossings
-        assert all(kind == ORIGINAL for kind, _ in crossing_events(s, traj, edges))
+        assert not any(crossing_events(s, traj, edges))
 
 
 def test_a_line_through_a_piece_end_reads_the_cell_above():
