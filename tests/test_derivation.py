@@ -31,7 +31,7 @@ from oddgon.derivation import (
 )
 from oddgon.flow import CornerHit, crossing_events, trace_from_edge
 from oddgon.geometry import EPS, ray_segment_hit
-from oddgon.surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, build_surface, index_for_letter, letter_for_index
+from oddgon.surface import AUXILIARY, LOWER, PRIMED, UPPER, build_surface, index_for_letter, letter_for_index
 from test_flow import interleaved_events
 
 words = st.text(alphabet="ABCDE", min_size=0, max_size=40)
