@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         type=str,
         default="moduli,reassembly",
-        help=f"comma-separated subset of: {', '.join(sorted(_CHECKS))}",
+        help=f"comma-separated subset of: {', '.join(sorted(_CHECKS))}; identities and torus do not read --n",
     )
     p.set_defaults(func=_cmd_verify)
 

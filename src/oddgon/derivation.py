@@ -17,13 +17,14 @@ then the (kind, name) tokens met before the next one, a traced segment's
 cell (`flow.crossing_events`) or, in a walk, the auxiliary names of the
 letter's arrow to the next letter.
 A step is a pure function of the reader's state and the segment's tokens,
-so the sampled scan keeps each step it takes within a trace, keyed by the
-state, the edge index and the cell object the trace's list shares among
-the segments of one cell, and the walk keeps its steps per pipeline, keyed
-by the state and the letter pair. Equal keys mean equal tokens, so a kept
-step gives what taking it again would; the first time a key occurs the
-step is taken in full, so every check of the build fires on the same input
-as it would reading every token.
+so the sampled scan keeps each step it takes for the whole build, keyed by
+the state, the edge index and the cell's tokens, and looks it up first
+within a trace by the cell object the trace's list shares among the
+segments of one cell; the walk keeps its steps per pipeline, keyed by the
+state and the letter pair. Equal keys mean equal tokens, so a kept step
+gives what taking it again would; the first time a key occurs the step is
+taken in full, so every check of the build fires on the same input as it
+would reading every token, and none twice on one input.
 
 `sandwich_equivalence_check` compares the two routes on enumerated cyclic
 walks and sampled windows.
@@ -41,6 +42,7 @@ from .geometry import (
     Vec,
     clip_polygon_halfplane,
     line_crossings,
+    line_spans,
     point_in_polygon,
     polygon_area,
     polygon_centroid,
@@ -174,7 +176,7 @@ def _arrow_chords(surface: Surface, x: int, y: int) -> tuple[str, list[tuple[Vec
 
 def _aux_sequence_for_chord(surface: Surface, polygon: str, a, b) -> tuple[str, ...]:
     d = (b[0] - a[0], b[1] - a[1])
-    rows = line_crossings(d, d[0] * a[1] - d[1] * a[0], [e.row for e in surface.aux_for(polygon)])
+    rows = line_crossings(d, d[0] * a[1] - d[1] * a[0], line_spans(d, [e.row for e in surface.aux_for(polygon)]))
     return tuple(label for *_, (_, label) in rows)
 
 
@@ -348,44 +350,56 @@ def _scan_sampled_transitions(
     `_dual_step` reads each sample segment by segment: it checks that the
     auxiliary names between consecutive original letters equal the
     clipping-derived augmented labels, and the transitions it completes fill
-    the table. Within one trace a step is taken once per distinct (state,
-    edge index, cell) and kept: `crossing_events` gives every segment in a
-    cell the one tuple object, which the trace's list holds to its end, so
-    the cell's id names its tokens there. A kept step gives the same state
-    and transitions; those were recorded and checked when it was first
-    taken, in the same sample.
+    the table. A step depends on the reader's state, the edge index and the
+    cell's tokens alone, so it is taken in full once per distinct (state,
+    edge index, tokens) in the whole build and kept in a build-wide memo.
+    Within one trace a step is also kept per (state, edge index, cell
+    object): `crossing_events` gives every segment in a cell the one tuple,
+    which the trace's list holds to its end, so the cell's id names its
+    tokens there, and the trace reads the build-wide memo, which hashes the
+    tokens, only when that lookup misses. A kept step gives the same state
+    and transitions as taking it again would; its transitions were recorded
+    and checked when it was first taken, in this sample or an earlier one,
+    so every check fires on the input it would fire on reading every token,
+    none runs twice on one input, and `first_seen` stays each transition's
+    earliest sample.
     Also returns, per transition, the 1-based sample that first realized it.
     """
     edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
     nodes, letters = surface.node_letters, surface.letters
     observed: dict[tuple[str, str, str], str] = {}
     first_seen: dict[tuple[str, str, str], int] = {}
+    taken: dict[tuple, tuple] = {}  # (state, edge index, cell tokens) -> step, over the whole build
     for sample, (edge, u, theta) in enumerate(_sector_sample_plan(surface), 1):
         try:
             traj = trace_from_edge(surface, edge, u, theta, max_crossings=PLAN_CROSSINGS)
         except CornerHit:
             continue
         cells = crossing_events(surface, traj, edges)
-        steps: dict[tuple, tuple] = {}
+        steps: dict[tuple, tuple] = {}  # (state, edge index, id(cell)) -> step, within this trace
         state = _START
         # an open trajectory's last crossing starts no segment: it reads no cell
         for k, cell in zip_longest(traj.indices, cells, fillvalue=()):
             key = (state, k, id(cell))
             step = steps.get(key)
             if step is None:
-                step = steps[key] = _dual_step(state, letters[k - 1], cell, nodes, aux_of)
-                for d1, d2, originals, primeds in step[1]:
-                    if d1 is None:
-                        continue
-                    key = (d1, d2, originals)
-                    seen = observed.get(key)
-                    if seen is None:
-                        observed[key] = primeds
-                        first_seen[key] = sample
-                    elif seen != primeds:
-                        raise AssertionError(
-                            f"primed content of dual transition {key} is not well defined: {seen!r} vs {primeds!r}"
-                        )
+                step = taken.get((state, k, cell))
+                if step is None:
+                    step = taken[state, k, cell] = _dual_step(state, letters[k - 1], cell, nodes, aux_of)
+                    for d1, d2, originals, primeds in step[1]:
+                        if d1 is None:
+                            continue
+                        transition = (d1, d2, originals)
+                        seen = observed.get(transition)
+                        if seen is None:
+                            observed[transition] = primeds
+                            first_seen[transition] = sample
+                        elif seen != primeds:
+                            raise AssertionError(
+                                f"primed content of dual transition {transition} is not well defined: "
+                                f"{seen!r} vs {primeds!r}"
+                            )
+                steps[key] = step
             state = step[0]
     return observed, first_seen
 
@@ -479,12 +493,15 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
     walked = word * 3 if cyclic else word
     lo, hi = (L, 2 * L) if cyclic else (0, L)
     alphabet = pipeline.stages["arrows"].nodes
-    for ch in walked:
-        if ch not in alphabet:
-            raise InvalidPath(f"letter {ch!r} is not in the alphabet {''.join(alphabet)}")
-    for pair in zip(walked, walked[1:]):
-        if pair not in pipeline.aux_of:
-            raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
+    # two containments test the whole word; only a word that fails one is
+    # walked letter by letter, to name its first bad letter or pair
+    if not (set(walked).issubset(alphabet) and pipeline.aux_of.keys() >= set(zip(walked, walked[1:]))):
+        for ch in walked:
+            if ch not in alphabet:
+                raise InvalidPath(f"letter {ch!r} is not in the alphabet {''.join(alphabet)}")
+        for pair in zip(walked, walked[1:]):
+            if pair not in pipeline.aux_of:
+                raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
     last = len(walked) - 1
     nodes, steps = pipeline.node_letters, pipeline._walk_steps
     out: list[str] = []
@@ -525,7 +542,13 @@ class EquivalenceReport:
 
 
 def _cyclic_walks(pipeline: DiagramPipeline, max_len: int) -> set[str]:
-    """All distinct cyclic walks (as normal forms) up to the given length."""
+    """All distinct cyclic walks (as normal forms) up to the given length.
+
+    A cyclic word's normal form begins at its least letter, so each one is
+    found as a closed walk from that letter through letters no less than it:
+    a walk from `start` goes on only through letters >= `start`, passing
+    `start` again if it may.
+    """
     succ = _successors(pipeline.aux_of)
     words: set[str] = set()
     for start in sorted(succ):
@@ -535,7 +558,7 @@ def _cyclic_walks(pipeline: DiagramPipeline, max_len: int) -> set[str]:
             for y in succ.get(path[-1], ()):
                 if y == start:
                     words.add(cyclic_normal_form(path))
-                if len(path) < max_len:
+                if len(path) < max_len and y >= start:
                     paths.append(path + y)
     return words
 

@@ -24,20 +24,21 @@ pieces: per segment, its cell, the tuple of untimed (kind, name) tokens of
 the pieces it crosses, one object shared by every segment in the cell; the
 original crossings are the trajectory's own `indices`. The geometric
 derivation feeds it the primed edges carried onto the trajectory's charts,
-so a trajectory is traced once in any direction. Every piece scan asks
-`geometry.line_crossings` which pieces a line crosses; the event scan sorts
-the pieces' ends in s = dx*y - dy*x once per polygon and direction, and each
-segment does one bisect of its s and appends its cell, worked out once per
-cell. The tracer walks on s alike, as an interval exchange: s is
-constant along a chart segment, and a ray leaves a convex polygon through
-the one edge facing its direction whose span of s holds its own. So each
-step bisects its polygon's chain of facing edges (`_chains`, worked out once
-per direction), compares s with the ends of that one row's span for a
-corner, and moves the exit by the row's `Surface.offset`, which shifts
-s by the offset's cross product with the direction. Both walk a trajectory
-in one flat loop that builds no object per crossing: the tracer appends an
-index and two floats to the columns, the scan reads them back. Both read a
-segment's s from its entry point by the same expression.
+kept by the surface per rotation, so a trajectory is traced once in any
+direction. Every piece scan asks `geometry.line_crossings` which pieces a
+line crosses; the event scan sorts the pieces' ends in s = dx*y - dy*x and
+works out their spans (`geometry.line_spans`) once per polygon and
+direction, and each segment does one bisect of its s and appends its cell,
+worked out once per cell. The tracer walks on s alike, as an interval
+exchange: s is constant along a chart segment, and a ray leaves a convex
+polygon through the one edge facing its direction whose span of s holds its
+own. So each step bisects its polygon's chain of facing edges (`_chains`,
+worked out once per direction), compares s with the ends of that one row's
+span for a corner, and moves the exit by the row's `Surface.offset`, which
+shifts s by the offset's cross product with the direction. Both walk a
+trajectory in one flat loop that builds no object per crossing: the tracer
+appends an index and two floats to the columns, the scan reads them back.
+Both read a segment's s from its entry point by the same expression.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import cycle, zip_longest
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .geometry import (
     CORNER_DELTA,
@@ -56,6 +57,7 @@ from .geometry import (
     Segment,
     Vec,
     line_crossings,
+    line_spans,
     ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
     rotation,
     round_sig,
@@ -377,7 +379,7 @@ class GeometricDerivation:
 
 
 def crossing_events(
-    surface: Surface, traj: Trajectory, edges: dict[str, list[Edge]]
+    surface: Surface, traj: Trajectory, edges: dict[str, Sequence[Edge]]
 ) -> list[tuple[tuple[str, str], ...]]:
     """The cells of a traced trajectory's segments, in order along it: one per segment.
 
@@ -393,9 +395,12 @@ def crossing_events(
     Every segment is a full chord of its polygon, and no two pieces cross
     inside one, so which pieces a segment crosses, and in what order, is
     fixed between consecutive piece ends in s = dx*y - dy*x. Per polygon the
-    piece ends are sorted once; a segment does one bisect of its s + SNAP
-    and gets its cell, the tags of `line_crossings` at the cell's midpoint,
-    worked out once, when a segment first reads the cell. Every segment in
+    piece ends are sorted, and the pieces' spans worked out (`line_spans`),
+    once per trajectory; the ends include those of the pieces parallel to
+    the line within PARALLEL, which `line_spans` drops. A segment
+    does one bisect of its s + SNAP and gets its cell, the tags of
+    `line_crossings` over those spans at the cell's midpoint, worked out
+    once, when a segment first reads the cell. Every segment in
     a cell gets that one tuple object, so a reader can key a cell's work on
     it. A segment's s is read at its entry point, crossing i's, off the
     trajectory's columns by the expression `trace` bisects its chain with,
@@ -413,11 +418,11 @@ def crossing_events(
         rows, ends = [e.row for e in pieces], set()
         for ax, ay, ex, ey, _, _ in rows:
             s0 = dx * ay - dy * ax
-            ends.update((s0, s0 + (dx * ey - dy * ex)))  # line_crossings' span ends
+            ends.update((s0, s0 + (dx * ey - dy * ex)))  # the span ends, parallel rows' included
         ends = sorted(ends)
         # cell i holds the s in [ends[i - 1], ends[i]), filled when a segment
         # first reads it; the first and last cross nothing
-        tables[polygon] = rows, ends, [()] + [None] * (len(ends) - 1) + [()]
+        tables[polygon] = line_spans(d, rows), ends, [()] + [None] * (len(ends) - 1) + [()]
     read: list[tuple[tuple[str, str], ...]] = []
     append = read.append
     m = len(traj.indices)
@@ -431,25 +436,35 @@ def crossing_events(
             lx, ly = qx, qy
         xs.append(lx)
         ys.append(ly)
-    for (rows, ends, cells), x, y in zip(cycle([tables[traj.polygon(0)], tables[traj.polygon(1)]]), xs, ys):
+    for (spans, ends, cells), x, y in zip(cycle([tables[traj.polygon(0)], tables[traj.polygon(1)]]), xs, ys):
         i = bisect_right(ends, dx * y - dy * x + SNAP)
         cell = cells[i]
         if cell is None:
-            cell = cells[i] = tuple(row[5] for row in line_crossings(d, 0.5 * (ends[i - 1] + ends[i]), rows))
+            cell = cells[i] = tuple(row[5] for row in line_crossings(d, 0.5 * (ends[i - 1] + ends[i]), spans))
         append(cell)
     return read
 
 
-def carried_primed(surface: Surface, steps: int) -> dict[str, list[Edge]]:
+def carried_primed(surface: Surface, steps: int) -> dict[str, tuple[Edge, ...]]:
     """The standard primed pieces moved by rotation_isometry(surface, steps), per target
-    polygon: images of upper pieces before lower ones, each in primed_for order."""
-    move = rotation_isometry(surface, steps)
-    primed: dict[str, list[Edge]] = {UPPER: [], LOWER: []}
-    for polygon in (UPPER, LOWER):
-        for piece in surface.primed_for(polygon):
-            target, p0 = move(polygon, piece.seg.p0)
-            _, p1 = move(polygon, piece.seg.p1)
-            primed[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
+    polygon: images of upper pieces before lower ones, each in primed_for order.
+
+    The isometry depends on steps mod 2n alone, so the surface keeps each
+    set (`Surface.carried`), built on its first use, and the pieces keep
+    their `Edge.row`: a derivation in a direction already derived in moves
+    no piece and works out no row.
+    """
+    j = steps % (2 * surface.n)
+    primed = surface.carried.get(j)
+    if primed is None:
+        move = rotation_isometry(surface, j)
+        carried: dict[str, list[Edge]] = {UPPER: [], LOWER: []}
+        for polygon in (UPPER, LOWER):
+            for piece in surface.primed_for(polygon):
+                target, p0 = move(polygon, piece.seg.p0)
+                _, p1 = move(polygon, piece.seg.p1)
+                carried[target].append(Edge(piece.label, PRIMED, target, piece.index, Segment(p0, p1)))
+        primed = surface.carried[j] = {polygon: tuple(pieces) for polygon, pieces in carried.items()}
     return primed
 
 

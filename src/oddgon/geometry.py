@@ -20,8 +20,10 @@ Vec = tuple[float, float]
 # a chart segment is a full chord and no two pieces cross inside a chart, so
 # a line crosses a piece exactly when its s = dx*y - dy*x lies strictly
 # inside the piece's span of s, and an s equal to a piece end reads the cell
-# above it (spans are half-open, [lo, hi)). The tracer reads the edges by s
-# too, with no window: it bisects its chain of exit rows (`flow._chains`).
+# above it (spans are half-open, [lo, hi)). The spans, and which pieces are
+# parallel to the line within PARALLEL, depend on the direction alone:
+# `line_spans` works them out once per direction. The tracer reads the edges
+# by s too, with no window: it bisects its chain of exit rows (`flow._chains`).
 # Segment parameters, containment, clipped areas, chord windows, guide
 # snapping and the periodic return: closer than this counts as on.
 EPS = 1e-9
@@ -161,17 +163,20 @@ def segment_row(seg: Segment, tag) -> Row:
     return (ax, ay, ex, ey, PARALLEL * max(1.0, math.hypot(ex, ey)), tag)
 
 
-def line_crossings(d: Vec, s: float, rows: Sequence[Row]) -> list[Row]:
-    """The rows a line of direction d and value s = dx*y - dy*x crosses, in order along d.
+Span = tuple[float, float, float, float, float, float, float, float, Row]
+
+
+def line_spans(d: Vec, rows: Sequence[Row]) -> list[Span]:
+    """The spans in s = dx*y - dy*x of the rows, for lines of direction d, in row order.
 
     Along a row s runs from s0 = dx*ay - dy*ax to s0 + denom, denom = dx*ey -
-    dy*ex. The line crosses the row when s lies in that span, half-open as
-    the tolerance policy above says, at the row's parameter u = (s - s0) /
-    denom, and the crossings are sorted by their position along d. Rows
-    within the PARALLEL guard are skipped.
+    dy*ex; its span (lo, hi, s0, denom, ax, ay, ex, ey, row) holds the ends
+    lo <= hi of that run. Rows within the PARALLEL guard are dropped. Work
+    out the spans once per direction and give them to `line_crossings` for
+    every line of it.
     """
     dx, dy = d
-    hits = []
+    spans = []
     for row in rows:
         ax, ay, ex, ey, guard, _ = row
         denom = dx * ey - dy * ex
@@ -179,7 +184,24 @@ def line_crossings(d: Vec, s: float, rows: Sequence[Row]) -> list[Row]:
             continue
         s0 = dx * ay - dy * ax
         s1 = s0 + denom
-        if s0 <= s < s1 if denom > 0.0 else s1 <= s < s0:
+        lo, hi = (s0, s1) if denom > 0.0 else (s1, s0)
+        spans.append((lo, hi, s0, denom, ax, ay, ex, ey, row))
+    return spans
+
+
+def line_crossings(d: Vec, s: float, spans: Sequence[Span]) -> list[Row]:
+    """The rows a line of direction d and value s = dx*y - dy*x crosses, in order along d.
+
+    `spans` are `line_spans(d, rows)`. The line crosses a row when s lies in
+    its span, half-open as the tolerance policy above says, at the row's
+    parameter u = (s - s0) / denom, and the crossings are sorted by their
+    position along d; the sort is stable, so rows at one position keep their
+    order.
+    """
+    dx, dy = d
+    hits = []
+    for lo, hi, s0, denom, ax, ay, ex, ey, row in spans:
+        if lo <= s < hi:
             u = (s - s0) / denom
             hits.append((dx * (ax + ex * u) + dy * (ay + ey * u), row))
     hits.sort(key=itemgetter(0))

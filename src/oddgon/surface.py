@@ -138,6 +138,8 @@ class Surface:
             polygon: tuple(segment_row(seg, k) for k, seg in enumerate(segs, start=1))
             for polygon, segs in self.edge_segs.items()
         }
+        # steps mod 2n -> `flow.carried_primed(self, steps)`, each entry built on its first use
+        self.carried: dict[int, dict[str, tuple[Edge, ...]]] = {}
 
     # ---- basic geometry -------------------------------------------------
 

@@ -342,10 +342,10 @@ def test_sampled_scan_equals_the_per_token_reference(pipelines, n):
 
 @pytest.mark.parametrize("n", [5, 25])
 def test_the_sampled_scan_steps_once_per_distinct_segment(pipelines, n, monkeypatch):
-    # within a trace the reader's step is kept per (state, edge index, cell),
-    # so over the plan it runs far fewer times than segments are read (about
-    # 5% of them at n = 5 and 14% at n = 25), with the same table
-    s = build_surface(n)
+    # the reader's step is kept for the whole build per (state, edge index,
+    # cell tokens), so over the plan it never runs twice on one input, and
+    # far fewer times than segments are read, with the same table
+    s, pipe = build_surface(n), pipelines[n]  # built before the step is counted
     step, calls, read = derivation._dual_step, [], []
 
     def counted(state, letter, cell, nodes, aux_of=None):
@@ -359,8 +359,9 @@ def test_the_sampled_scan_steps_once_per_distinct_segment(pipelines, n, monkeypa
 
     monkeypatch.setattr(derivation, "_dual_step", counted)
     monkeypatch.setattr(derivation, "trace_from_edge", traced)
-    observed, _ = _scan_sampled_transitions(s, pipelines[n].aux_of)
-    assert observed == pipelines[n].transitions
+    observed, _ = _scan_sampled_transitions(s, pipe.aux_of)
+    assert observed == pipe.transitions
+    assert len(set(calls)) == len(calls)
     assert 0 < 4 * len(calls) < sum(read)
 
 
@@ -410,6 +411,14 @@ def test_pipeline_build_reports_unpredicted_transitions(pentagon, monkeypatch):
     monkeypatch.setattr(derivation, "_enumerate_dual_transitions", one_dropped)
     with pytest.raises(AssertionError, match="not predicted by the chain graph"):
         build_pipeline_diagrams(pentagon)
+
+
+def test_dual_enumeration_rejects_a_node_free_cycle(pentagon):
+    # B and C lead only to each other, so a walk from the node letter A
+    # never reaches a dual node
+    aux_of = {("A", "B"): (), ("B", "C"): (), ("C", "B"): ()}
+    with pytest.raises(AssertionError, match="walk exceeded bound; node-free cycle in diagrams"):
+        derivation._enumerate_dual_transitions(pentagon, aux_of)
 
 
 def test_pipeline_build_reports_unrealized_transitions(pentagon, monkeypatch):
@@ -513,6 +522,29 @@ def test_derive_via_diagrams_rejects_letters_outside_the_alphabet(pipelines, wor
         derive_via_diagrams(pipelines[5], word)
     with pytest.raises(InvalidPath, match=repr(bad)):
         derive_via_diagrams(pipelines[5], word, cyclic=True)
+
+
+def _unpruned_cyclic_walks(pipeline, max_len):
+    """Every closed walk from every letter, through any letters, as normal forms."""
+    succ = derivation._successors(pipeline.aux_of)
+    words, paths = set(), list(succ)
+    while paths:
+        path = paths.pop()
+        for y in succ.get(path[-1], ()):
+            if y == path[0]:
+                words.add(cyclic_normal_form(path))
+            if len(path) < max_len:
+                paths.append(path + y)
+    return words
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_cyclic_walks_equal_the_unpruned_enumeration(pipelines, n):
+    # a walk from a letter goes on only through letters no less than it,
+    # which finds every normal form, since one begins at its least letter
+    words = derivation._cyclic_walks(pipelines[n], derivation.MAX_CYCLE_LEN)
+    assert words == _unpruned_cyclic_walks(pipelines[n], derivation.MAX_CYCLE_LEN)
+    assert all(cyclic_normal_form(w) == w for w in words)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])

@@ -38,6 +38,7 @@ from oddgon.geometry import (
     STEP_MIN,
     Segment,
     line_crossings,
+    line_spans,
     point_in_polygon,
     ray_segment_hit,
     segment_row,
@@ -416,6 +417,46 @@ def test_rotation_isometry_maps_surface_to_itself(pentagon):
                 q_polygon, q = iso(polygon, v)
                 vs = pentagon.vertices(q_polygon)
                 assert min(math.dist(q, w) for w in vs) < 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 25])
+def test_carried_primed_is_built_once_per_rotation(n, monkeypatch):
+    # the surface keeps one set of carried primed pieces per steps mod 2n,
+    # built on first use, each piece a fresh rotation_isometry image of its
+    # standard piece, segment for segment; deriving in any direction then
+    # moves no piece again and keeps the pieces' rows
+    s = build_surface(n)
+    isometry, built = flow.rotation_isometry, []
+
+    def counted(surface, steps):
+        built.append(steps)
+        return isometry(surface, steps)
+
+    monkeypatch.setattr(flow, "rotation_isometry", counted)
+    for steps in range(-2 * n, 4 * n):
+        carried = carried_primed(s, steps)
+        assert carried_primed(s, steps + 2 * n) is carried
+        move, want = isometry(s, steps), {UPPER: [], LOWER: []}
+        for polygon in (UPPER, LOWER):
+            for piece in s.primed_for(polygon):
+                target, p0 = move(polygon, piece.seg.p0)
+                _, p1 = move(polygon, piece.seg.p1)
+                want[target].append((piece.label, PRIMED, piece.index, Segment(p0, p1)))
+        for polygon, pieces in carried.items():
+            assert [(e.label, e.kind, e.index, e.seg) for e in pieces] == want[polygon]
+            assert all(e.polygon == polygon for e in pieces)
+    assert sorted(built) == list(range(2 * n))
+    rows = {j: {p: [e.row for e in pieces] for p, pieces in carried.items()} for j, carried in s.carried.items()}
+    rng = random.Random(3100 + n)
+    for _ in range(6):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        try:
+            derive_geometric(s, trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta, 200))
+        except CornerHit:
+            continue
+    assert len(built) == 2 * n
+    for j, carried in s.carried.items():
+        assert all(e.row is row for p, pieces in carried.items() for e, row in zip(pieces, rows[j][p]))
 
 
 def _matched_edge_permutation(s, steps):
@@ -917,9 +958,9 @@ def test_the_event_scan_works_out_each_cell_once(n, monkeypatch):
     calls = []
     scan = flow.line_crossings
 
-    def recorded(d, at, rows):
-        calls.append((id(rows), at))
-        return scan(d, at, rows)
+    def recorded(d, at, spans):
+        calls.append((id(spans), at))
+        return scan(d, at, spans)
 
     monkeypatch.setattr(flow, "line_crossings", recorded)
     segments = cells = 0
@@ -1029,7 +1070,7 @@ def test_exit_chains_pick_every_exit_and_piece_tables_prune(n, monkeypatch):
         for delta in (0.0, 1e-16, -1e-13):
             _check_against_reference(s, k, u, math.atan2(aim[1], aim[0]) + delta, 10)
     assert any(any(crossing_events(s, traj, edges)) for *_, traj in traced)
-    monkeypatch.setattr(flow, "line_crossings", lambda d, s, rows: [])
+    monkeypatch.setattr(flow, "line_crossings", lambda d, s, spans: [])
     for k, u, theta, traj in traced:
         assert trace_from_edge(s, k, u, theta, 100).crossings == traj.crossings
         assert not any(crossing_events(s, traj, edges))
@@ -1042,8 +1083,10 @@ def test_a_line_through_a_piece_end_reads_the_cell_above():
     rows = [segment_row(Segment(p0, p1), (PRIMED, name)) for name, p0, p1 in pieces]
 
     def names(d, s):
-        return "".join(name for *_, (_, name) in line_crossings(d, s, rows))
+        return "".join(name for *_, (_, name) in line_crossings(d, s, line_spans(d, rows)))
 
+    # the spans keep the rows' order and drop the parallel one
+    assert [row[5][1] for *_, row in line_spans((1.0, 0.0), rows)] == ["B", "A"]
     assert names((1.0, 0.0), 0.0) == "AB"  # a lower end: the cell above crosses both
     assert names((1.0, 0.0), 0.5) == "AB"  # in line order, C skipped
     assert names((1.0, 0.0), math.nextafter(1.0, 0.0)) == "AB"
