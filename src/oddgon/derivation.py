@@ -10,6 +10,15 @@ Two independent routes produce derived sequences:
   reads the primed labels off the trajectories of one fixed, deterministic
   sample plan (`_sector_sample_plan`), so it takes no seed.
 
+`closed_form_tables` states what the build must find, from n alone: the
+arrows diagram is a path with the two node letters at its ends, each inner
+step crosses one auxiliary diagonal, and a dual transition passes one inner
+letter, entering by one of its two steps and leaving by one. The primed
+diagram is the sandwich rule: on a path, a letter's two neighbours agree
+exactly when the walk turns back at it, and that is when the transition
+over it carries its primed copy. The build raises unless the geometry
+gives exactly these tables.
+
 The build and the walk split what they read into dual transitions (from one
 auxiliary crossing or direction-fixed letter to the next) with one reader,
 `_dual_step`, stepped once per segment: a segment is an original letter and
@@ -17,14 +26,13 @@ then the (kind, name) tokens met before the next one, a traced segment's
 cell (`flow.crossing_events`) or, in a walk, the auxiliary names of the
 letter's arrow to the next letter.
 A step is a pure function of the reader's state and the segment's tokens,
-so the sampled scan keeps each step it takes for the whole build, keyed by
-the state, the edge index and the cell's tokens, and looks it up first
-within a trace by the cell object the trace's list shares among the
-segments of one cell; the walk keeps its steps per pipeline, keyed by the
-state and the letter pair. Equal keys mean equal tokens, so a kept step
-gives what taking it again would; the first time a key occurs the step is
-taken in full, so every check of the build fires on the same input as it
-would reading every token, and none twice on one input.
+so the sampled scan keeps each step it takes for the whole build in one
+memo, keyed by the state, the edge index and the cell's tokens; the walk
+keeps its steps per pipeline, keyed by the state and the letter pair. Equal
+keys mean equal tokens, so a kept step gives what taking it again would;
+the first time a key occurs the step is taken in full, so every check of
+the build fires on the same input as it would reading every token, and none
+twice on one input.
 
 `sandwich_equivalence_check` compares the two routes on enumerated cyclic
 walks and sampled windows.
@@ -49,7 +57,7 @@ from .geometry import (
     ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
     vlerp,
 )
-from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface
+from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface, check_n, letter_for_index
 
 import math
 
@@ -227,45 +235,42 @@ def _successors(aux_of: dict[tuple[str, str], tuple[str, ...]]) -> dict[str, lis
     return succ
 
 
-def _enumerate_dual_transitions(
-    surface: Surface, aux_of: dict[tuple[str, str], tuple[str, ...]]
-) -> set[tuple[str, str, str]]:
-    """All (from, to, letters-between) triples linking consecutive dual nodes.
+def closed_form_tables(
+    n: int,
+) -> tuple[dict[tuple[str, str], tuple[str, ...]], dict[tuple[str, str, str], str]]:
+    """The augmented labels and the primed content of every dual transition, from n alone.
 
-    Dual nodes are auxiliary edges plus the two direction-fixed original
-    letters. Walks that fail to reach a dual node within a generous bound
-    would mean a node-free cycle, which the geometry rules out.
+    The arrows diagram is the path 1 - 2 - n - 3 - (n-1) - ... - (n+3)/2 of
+    edge indices (x -> y iff x != y and x + y = 2 or 3 mod n), with the
+    node letters at its ends. Step j = 1..n-1 joins path letters j-1 and j.
+    An inner step, 2 <= j <= n-2, crosses auxiliary diagonal j-1: its lower
+    copy walking away from A when j is even and its upper copy when j is
+    odd, the other copy walking back. The two end steps cross none.
+
+    Returns aux_of, as `build_augmented_diagram` does, and (from, to,
+    originals) -> primed letters for the 4n - 8 dual transitions. Each
+    passes one inner path letter, entering by one of its two steps and
+    leaving by one, from and to the dual node on each step: its auxiliary
+    name, or on an end step the node letter at its far end. Its primed
+    content is that letter exactly when the walk turns back there.
     """
-    nodes = surface.node_letters
-    succ = _successors(aux_of)
-    found: set[tuple[str, str, str]] = set()
-    bound = 4 * surface.n
-    # walks (from, at letter, letters so far, depth) still to extend
-    walks: list[tuple[str, str, str, int]] = []
-    # transitions starting at an auxiliary token
-    for (x, y), aux in aux_of.items():
-        for i, name in enumerate(aux):
-            if i + 1 < len(aux):
-                found.add((name, aux[i + 1], ""))
-            elif y in nodes:
-                found.add((name, y, ""))
-            else:
-                walks.append((name, y, y, 0))
-    # transitions starting at a node letter
-    walks += [(letter, letter, "", 0) for letter in nodes]
-    while walks:
-        d0, letter, acc, depth = walks.pop()
-        if depth > bound:
-            raise AssertionError("walk exceeded bound; node-free cycle in diagrams")
-        for y in succ.get(letter, ()):
-            aux = aux_of[(letter, y)]
-            if aux:
-                found.add((d0, aux[0], acc))
-            elif y in nodes:
-                found.add((d0, y, acc))
-            else:
-                walks.append((d0, y, acc + y, depth + 1))
-    return found
+    check_n(n)
+    # path letter i: 1 for i = 0, then 2, 3, ... at odd i and n, n-1, ... at even i
+    path = [letter_for_index((i + 3) // 2 if i % 2 else (n - i // 2) % n + 1) for i in range(n)]
+    aux_of: dict[tuple[str, str], tuple[str, ...]] = {}
+    for j in range(1, n):
+        away, back = ("l", "u") if j % 2 == 0 else ("u", "l")
+        inner = 2 <= j <= n - 2
+        aux_of[path[j - 1], path[j]] = (f"{away}{j - 1}",) if inner else ()
+        aux_of[path[j], path[j - 1]] = (f"{back}{j - 1}",) if inner else ()
+    transitions: dict[tuple[str, str, str], str] = {}
+    for i in range(1, n - 1):
+        letter, sides = path[i], (path[i - 1], path[i + 1])
+        for a in sides:
+            for b in sides:
+                d1, d2 = (aux_of[a, letter] or (a,))[0], (aux_of[letter, b] or (b,))[0]
+                transitions[d1, d2, letter] = letter if a == b else ""
+    return aux_of, transitions
 
 
 # The dual-transition reader's state before its first segment: no dual node
@@ -352,17 +357,12 @@ def _scan_sampled_transitions(
     clipping-derived augmented labels, and the transitions it completes fill
     the table. A step depends on the reader's state, the edge index and the
     cell's tokens alone, so it is taken in full once per distinct (state,
-    edge index, tokens) in the whole build and kept in a build-wide memo.
-    Within one trace a step is also kept per (state, edge index, cell
-    object): `crossing_events` gives every segment in a cell the one tuple,
-    which the trace's list holds to its end, so the cell's id names its
-    tokens there, and the trace reads the build-wide memo, which hashes the
-    tokens, only when that lookup misses. A kept step gives the same state
-    and transitions as taking it again would; its transitions were recorded
-    and checked when it was first taken, in this sample or an earlier one,
-    so every check fires on the input it would fire on reading every token,
-    none runs twice on one input, and `first_seen` stays each transition's
-    earliest sample.
+    edge index, tokens) in the whole build and kept in one memo. A kept step
+    gives the same state and transitions as taking it again would; its
+    transitions were recorded and checked when it was first taken, in this
+    sample or an earlier one, so every check fires on the input it would
+    fire on reading every token, none runs twice on one input, and
+    `first_seen` stays each transition's earliest sample.
     Also returns, per transition, the 1-based sample that first realized it.
     """
     edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
@@ -376,30 +376,25 @@ def _scan_sampled_transitions(
         except CornerHit:
             continue
         cells = crossing_events(surface, traj, edges)
-        steps: dict[tuple, tuple] = {}  # (state, edge index, id(cell)) -> step, within this trace
         state = _START
         # an open trajectory's last crossing starts no segment: it reads no cell
         for k, cell in zip_longest(traj.indices, cells, fillvalue=()):
-            key = (state, k, id(cell))
-            step = steps.get(key)
+            step = taken.get((state, k, cell))
             if step is None:
-                step = taken.get((state, k, cell))
-                if step is None:
-                    step = taken[state, k, cell] = _dual_step(state, letters[k - 1], cell, nodes, aux_of)
-                    for d1, d2, originals, primeds in step[1]:
-                        if d1 is None:
-                            continue
-                        transition = (d1, d2, originals)
-                        seen = observed.get(transition)
-                        if seen is None:
-                            observed[transition] = primeds
-                            first_seen[transition] = sample
-                        elif seen != primeds:
-                            raise AssertionError(
-                                f"primed content of dual transition {transition} is not well defined: "
-                                f"{seen!r} vs {primeds!r}"
-                            )
-                steps[key] = step
+                step = taken[state, k, cell] = _dual_step(state, letters[k - 1], cell, nodes, aux_of)
+                for d1, d2, originals, primeds in step[1]:
+                    if d1 is None:
+                        continue
+                    transition = (d1, d2, originals)
+                    seen = observed.get(transition)
+                    if seen is None:
+                        observed[transition] = primeds
+                        first_seen[transition] = sample
+                    elif seen != primeds:
+                        raise AssertionError(
+                            f"primed content of dual transition {transition} is not well defined: "
+                            f"{seen!r} vs {primeds!r}"
+                        )
             state = step[0]
     return observed, first_seen
 
@@ -420,35 +415,35 @@ class DiagramPipeline:
 def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
     """Build arrows, augmented, dual, and primed diagrams for one surface.
 
-    Dual arrows are enumerated combinatorially from the augmented diagram;
-    their primed labels are read off the traced trajectories of the fixed
-    sample plan, all of which run, and the two views must agree exactly
-    (every enumerated transition realized, every sampled transition
-    predicted).
+    The arrows and their augmented labels are clipped from sector chords,
+    and the dual transitions and their primed content are read off the
+    traced trajectories of the fixed sample plan, all of which run. Each
+    must equal `closed_form_tables(n)`: the clipped labels its aux_of, the
+    sampled transitions its transitions (every one predicted, every
+    predicted one realized), and each transition's primed content its own.
     """
     augmented, aux_of = build_augmented_diagram(surface)
-    arrows = _unlabeled(augmented)
     nodes = surface.node_letters
-
-    # the two direction-fixed letters must occur in a unique reversible context
-    for letter in nodes:
-        ins = [a.source for a in arrows.arrows if a.target == letter]
-        outs = [a.target for a in arrows.arrows if a.source == letter]
-        if len(ins) != 1 or len(outs) != 1 or ins != outs:
-            raise AssertionError(f"direction-fixed letter {letter} lacks a unique sandwich context")
-
-    predicted = _enumerate_dual_transitions(surface, aux_of)
+    closed_aux, predicted = closed_form_tables(surface.n)
+    if aux_of != closed_aux:
+        raise AssertionError(
+            f"clipped augmented labels differ from the closed form: {sorted(aux_of.items() ^ closed_aux.items())}"
+        )
     observed, first_seen = _scan_sampled_transitions(surface, aux_of)
 
-    extra = set(observed) - predicted
+    extra = observed.keys() - predicted.keys()
     if extra:
         raise AssertionError(f"sampled dual transitions not predicted by the chain graph: {sorted(extra)}")
-    missing = predicted - set(observed)
+    missing = predicted.keys() - observed.keys()
     if missing:
         raise AssertionError(
             f"dual transitions never realized by the {PLAN_SAMPLES}-sample plan: {sorted(missing)}; "
             "the fixed sample plan is at fault: it must cover every supported n"
         )
+    # (transition, sampled, predicted) for each transition primed otherwise than predicted
+    wrong = sorted((key, observed[key], primeds) for key, primeds in predicted.items() if observed[key] != primeds)
+    if wrong:
+        raise AssertionError(f"sampled primed content differs from the closed form: {wrong}")
 
     aux_names = sorted({name for seq in aux_of.values() for name in seq})
     dual_nodes = tuple(sorted(nodes) + aux_names)
@@ -460,7 +455,7 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
         primed_arrows.append(Arrow(d1, d2, "".join(ch + "'" for ch in primeds) or None))
 
     stages = {
-        "arrows": arrows,
+        "arrows": _unlabeled(augmented),
         "augmented": augmented,
         "dual": TransitionDiagram("dual", dual_nodes, tuple(dual_arrows)),
         "primed": TransitionDiagram("primed", dual_nodes, tuple(primed_arrows)),

@@ -400,10 +400,10 @@ def crossing_events(
     the line within PARALLEL, which `line_spans` drops. A segment
     does one bisect of its s + SNAP and gets its cell, the tags of
     `line_crossings` over those spans at the cell's midpoint, worked out
-    once, when a segment first reads the cell. Every segment in
-    a cell gets that one tuple object, so a reader can key a cell's work on
-    it. A segment's s is read at its entry point, crossing i's, off the
-    trajectory's columns by the expression `trace` bisects its chain with,
+    once, when a segment first reads the cell; every segment in the cell
+    gets that one tuple object. A segment's s is read at its entry point,
+    crossing i's, off the trajectory's columns by the expression `trace`
+    bisects its chain with,
     so both read the same float; segments alternate polygon, so the scan
     reads the two polygons' tables in turn and builds no `Crossing`. A
     periodic orbit's closing segment is read on the line of its end,

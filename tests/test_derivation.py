@@ -21,6 +21,7 @@ from oddgon.derivation import (
     build_arrows_diagram,
     build_augmented_diagram,
     build_pipeline_diagrams,
+    closed_form_tables,
     cyclic_normal_form,
     derive_via_diagrams,
     diagram_dot,
@@ -376,11 +377,10 @@ def test_sampled_scan_checks_the_augmented_labels(pentagon, monkeypatch):
 
 
 def test_sampled_scan_checks_the_primed_content(pentagon, monkeypatch):
-    # the last sample reads one primed hit under another name: one segment
-    # gets a fresh tuple for its cell, which no earlier step of the trace was
-    # kept for, while the other segments of that cell keep the shared one;
-    # every dual transition it meets was realized earlier in the plan
-    # (covered_at is 5)
+    # the last sample reads one primed hit under another name: one segment's
+    # cell gets new tokens, so its step is taken in full, while the other
+    # segments of that cell keep the unchanged tuple; every dual transition
+    # it meets was realized earlier in the plan (covered_at is 5)
     scan, calls = derivation.crossing_events, []
 
     def renamed(surface, traj, edges):
@@ -402,23 +402,45 @@ def test_sampled_scan_checks_the_primed_content(pentagon, monkeypatch):
 
 
 def test_pipeline_build_reports_unpredicted_transitions(pentagon, monkeypatch):
-    enumerate_dual = derivation._enumerate_dual_transitions
+    closed_form = derivation.closed_form_tables
 
-    def one_dropped(surface, aux_of):
-        predicted = enumerate_dual(surface, aux_of)
-        return predicted - {min(predicted)}
+    def one_dropped(n):
+        aux_of, transitions = closed_form(n)
+        del transitions[min(transitions)]
+        return aux_of, transitions
 
-    monkeypatch.setattr(derivation, "_enumerate_dual_transitions", one_dropped)
+    monkeypatch.setattr(derivation, "closed_form_tables", one_dropped)
     with pytest.raises(AssertionError, match="not predicted by the chain graph"):
         build_pipeline_diagrams(pentagon)
 
 
-def test_dual_enumeration_rejects_a_node_free_cycle(pentagon):
-    # B and C lead only to each other, so a walk from the node letter A
-    # never reaches a dual node
-    aux_of = {("A", "B"): (), ("B", "C"): (), ("C", "B"): ()}
-    with pytest.raises(AssertionError, match="walk exceeded bound; node-free cycle in diagrams"):
-        derivation._enumerate_dual_transitions(pentagon, aux_of)
+def test_pipeline_build_checks_the_augmented_labels_against_the_closed_form(pentagon, monkeypatch):
+    # B -> E crosses l1 and E -> B crosses u1; with the copies swapped on
+    # B -> E alone, the clipped labels no longer fit the path
+    build = derivation.build_augmented_diagram
+
+    def swapped(surface):
+        augmented, aux_of = build(surface)
+        assert aux_of[("B", "E")] == ("l1",)
+        return augmented, {**aux_of, ("B", "E"): ("u1",)}
+
+    monkeypatch.setattr(derivation, "build_augmented_diagram", swapped)
+    with pytest.raises(AssertionError, match=r"clipped augmented labels differ from the closed form.*'u1'"):
+        build_pipeline_diagrams(pentagon)
+
+
+def test_pipeline_build_checks_the_primed_content_against_the_closed_form(pentagon, monkeypatch):
+    closed_form = derivation.closed_form_tables
+
+    def flipped(n):
+        aux_of, transitions = closed_form(n)
+        assert transitions[("A", "A", "B")] == "B"
+        transitions[("A", "A", "B")] = ""
+        return aux_of, transitions
+
+    monkeypatch.setattr(derivation, "closed_form_tables", flipped)
+    with pytest.raises(AssertionError, match=r"differs from the closed form: \[\(\('A', 'A', 'B'\), 'B', ''\)\]"):
+        build_pipeline_diagrams(pentagon)
 
 
 def test_pipeline_build_reports_unrealized_transitions(pentagon, monkeypatch):
@@ -454,28 +476,44 @@ def test_fixed_plan_covers_every_transition_in_half_the_plan(pipelines, n):
 @pytest.mark.parametrize("n", range(5, 27, 2))
 def test_the_geometric_build_has_the_closed_form(pipelines, n):
     # the arrows diagram is the path x -> y, x != y, x + y = 2 or 3 (mod n);
-    # it has 4n - 8 dual transitions, each over at most one original letter,
-    # whose primed content is that letter exactly where the walk turns back:
-    # from a node letter to itself, or between the two copies l j and u j of
-    # one auxiliary diagonal; elsewhere it is empty
-    pipe = pipelines[n]
-    arrows = {(a.source, a.target) for a in pipe.stages["arrows"].arrows}
-    assert arrows == {
+    # it has 4n - 8 dual transitions, each over one original letter, whose
+    # primed content is that letter exactly where the walk turns back: from
+    # a node letter to itself, or between the two copies l j and u j of one
+    # auxiliary diagonal; elsewhere it is empty
+    aux_of, transitions = closed_form_tables(n)
+    assert set(aux_of) == {
         (letter_for_index(x), letter_for_index(y))
         for x in range(1, n + 1)
         for y in range(1, n + 1)
         if x != y and (x + y) % n in (2, 3)
     }
-    assert len(pipe.transitions) == len(pipe.stages["dual"].arrows) == 4 * n - 8
-    nodes = pipe.node_letters
-    for (d1, d2, originals), primeds in pipe.transitions.items():
-        assert len(originals) <= 1, (d1, d2, originals)
+    assert len(transitions) == 4 * n - 8
+    nodes = build_surface(n).node_letters
+    for (d1, d2, originals), primeds in transitions.items():
+        assert len(originals) == 1 and originals not in nodes, (d1, d2, originals)
         if d1 in nodes or d2 in nodes:
             turns = d1 == d2
         else:
             turns = d1[1:] == d2[1:] and {d1[0], d2[0]} == {"l", "u"}
         assert primeds == (originals if turns else ""), (d1, d2, originals, primeds)
-        assert len(primeds) == turns, (d1, d2, originals, primeds)
+    # the geometric build raises unless it finds these tables; the session's
+    # pipelines, which the half-plan coverage test shares, hold them
+    assert (pipelines[n].aux_of, pipelines[n].transitions) == (aux_of, transitions)
+
+
+def test_the_closed_form_is_the_pentagon_fixtures():
+    aux_of, transitions = closed_form_tables(5)
+    assert set(aux_of) == PENTAGON_ARROWS
+    assert {k: v for k, v in aux_of.items() if v} == PENTAGON_AUX
+    assert set(transitions) == PENTAGON_DUAL
+    primed = {(d1, d2): primeds + "'" if primeds else None for (d1, d2, _), primeds in transitions.items()}
+    assert primed == PENTAGON_PRIMED
+
+
+@pytest.mark.parametrize("n", [4, 6, 27])
+def test_the_closed_form_rejects_a_bad_n(n):
+    with pytest.raises(ValueError, match="odd integer from 5 to 25"):
+        closed_form_tables(n)
 
 
 def test_building_and_checking_leaves_no_reference_cycle():
