@@ -17,7 +17,8 @@ letter, entering by one of its two steps and leaving by one. The primed
 diagram is the sandwich rule: on a path, a letter's two neighbours agree
 exactly when the walk turns back at it, and that is when the transition
 over it carries its primed copy. The build raises unless the geometry
-gives exactly these tables.
+gives exactly these tables; `build_augmented_diagram` checks the labels as
+it clips them, so the arrows and augmented stages are checked too.
 
 The build and the walk split what they read into dual transitions (from one
 auxiliary crossing or direction-fixed letter to the next) with one reader,
@@ -195,7 +196,10 @@ def build_augmented_diagram(surface: Surface) -> tuple[TransitionDiagram, dict]:
 
     Each ordered letter pair is clipped once: x -> y is an arrow when
     `_arrow_chords` finds sector chords from edge x to edge y, and all of
-    those chords must cross one auxiliary sequence.
+    those chords must cross one auxiliary sequence. The clipped labels must
+    equal `closed_form_tables(n)`'s aux_of. This is the one place they are
+    compared, and every stage is built through it: the arrows diagram is
+    this one unlabeled, and the pipeline builds on it.
     """
     letters = surface.letters
     aux_of: dict[tuple[str, str], tuple[str, ...]] = {}
@@ -211,6 +215,11 @@ def build_augmented_diagram(surface: Surface) -> tuple[TransitionDiagram, dict]:
                 raise AssertionError(f"the {pair[0]}->{pair[1]} chords do not cross one auxiliary sequence: {seqs}")
             aux_of[pair] = seq = seqs.pop()
             arrows.append(Arrow(*pair, ",".join(seq) or None))
+    closed_aux = closed_form_tables(surface.n)[0]
+    if aux_of != closed_aux:
+        raise AssertionError(
+            f"clipped augmented labels differ from the closed form: {sorted(aux_of.items() ^ closed_aux.items())}"
+        )
     return TransitionDiagram("augmented", letters, tuple(arrows)), aux_of
 
 
@@ -418,17 +427,14 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
     The arrows and their augmented labels are clipped from sector chords,
     and the dual transitions and their primed content are read off the
     traced trajectories of the fixed sample plan, all of which run. Each
-    must equal `closed_form_tables(n)`: the clipped labels its aux_of, the
-    sampled transitions its transitions (every one predicted, every
-    predicted one realized), and each transition's primed content its own.
+    must equal `closed_form_tables(n)`: the clipped labels its aux_of
+    (checked by `build_augmented_diagram`), the sampled transitions its
+    transitions (every one predicted, every predicted one realized), and
+    each transition's primed content its own.
     """
-    augmented, aux_of = build_augmented_diagram(surface)
+    augmented, aux_of = build_augmented_diagram(surface)  # raises unless its labels are the closed form's
     nodes = surface.node_letters
-    closed_aux, predicted = closed_form_tables(surface.n)
-    if aux_of != closed_aux:
-        raise AssertionError(
-            f"clipped augmented labels differ from the closed form: {sorted(aux_of.items() ^ closed_aux.items())}"
-        )
+    predicted = closed_form_tables(surface.n)[1]
     observed, first_seen = _scan_sampled_transitions(surface, aux_of)
 
     extra = observed.keys() - predicted.keys()

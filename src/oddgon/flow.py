@@ -25,7 +25,9 @@ the pieces it crosses, one object shared by every segment in the cell; the
 original crossings are the trajectory's own `indices`. The geometric
 derivation feeds it the primed edges carried onto the trajectory's charts,
 kept by the surface per rotation, so a trajectory is traced once in any
-direction. Every piece scan asks `geometry.line_crossings` which pieces a
+direction. It joins its word from the names as it reads them and builds no
+record per hit: it keeps the cells, and its `primed_hits` is a view, built
+only when read. Every piece scan asks `geometry.line_crossings` which pieces a
 line crosses; the event scan sorts the pieces' ends in s = dx*y - dy*x and
 works out their spans (`geometry.line_spans`) once per polygon and
 direction, and each segment does one bisect of its s and appends its cell,
@@ -45,8 +47,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import cycle, zip_longest
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .geometry import (
@@ -369,13 +371,45 @@ def normalize_direction(surface: Surface, theta: float) -> NormalizedDirection:
 # ---- geometric derivation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricDerivation:
     letters: str
     cyclic: bool
     normalized_theta: float
     rotation_steps: int
-    primed_hits: tuple[tuple[int, str], ...]  # (i, derived letter): crossing i's node letter or a primed hit of segment i
+    # what `primed_hits` is read from: the trajectory's indices, its
+    # segments' cells (`crossing_events`), shared tuples, and the node letter
+    # of each edge index in the normalized direction, None for the others
+    _indices: Sequence[int] = field(repr=False)
+    _cells: Sequence[tuple[tuple[str, str], ...]] = field(repr=False)
+    _node_of: Sequence[Optional[str]] = field(repr=False)
+
+    @cached_property
+    def primed_hits(self) -> tuple[tuple[int, str], ...]:
+        """(i, derived letter) per letter of the normalized word: crossing i's
+        node letter or a primed hit of segment i. A view, built once, on the
+        first read; the derivation itself builds no record per hit."""
+        hits = []
+        add = hits.append
+        for segment, (k, cell) in enumerate(zip_longest(self._indices, self._cells, fillvalue=())):
+            name = self._node_of[k]
+            if name is not None:
+                add((segment, name))
+            for _, name in cell:
+                add((segment, name))
+        return tuple(hits)
+
+    def _key(self) -> tuple:
+        return self.letters, self.cyclic, self.normalized_theta, self.rotation_steps
+
+    def __eq__(self, other: object) -> bool:
+        """Equal letters, flags and hits."""
+        if not isinstance(other, GeometricDerivation):
+            return NotImplemented
+        return self._key() == other._key() and self.primed_hits == other.primed_hits
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def crossing_events(
@@ -476,31 +510,29 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
     in the sector); the two direction-fixed ones fire at the crossings whose
     normalized letter is a node letter. Each crossing gives its node letter,
     if any, then the names of the cell of the segment it starts
-    (`crossing_events`). The normalized word is mapped back through the
-    inverse letter permutation. Nothing is traced again, so CornerHit cannot
-    arise here.
+    (`crossing_events`), appended to one list of names and joined. The
+    normalized word is mapped back through the inverse letter permutation.
+    The result keeps the cells, the trajectory's indices and the node
+    letters, and reads its `primed_hits` off them only when asked. Nothing
+    is traced again, so CornerHit cannot arise here.
     """
     norm = normalize_direction(surface, traj.theta)
     # edge index -> the node letter it normalizes to, None for the others
     node_of = [None] + [
         name if name in surface.node_letters else None for name in map(norm.letter_map.get, surface.letters)
     ]
-    hits = []
-    add = hits.append
+    names = []
+    add = names.append
     cells = crossing_events(surface, traj, carried_primed(surface, -norm.steps))
     # an open trajectory's last crossing starts no segment: it reads no cell
-    for segment, (k, cell) in enumerate(zip_longest(traj.indices, cells, fillvalue=())):
+    for k, cell in zip_longest(traj.indices, cells, fillvalue=()):
         name = node_of[k]
         if name is not None:
-            add((segment, name))
+            add(name)
         for _, name in cell:
-            add((segment, name))
+            add(name)
     return GeometricDerivation(
-        letters=norm.invert("".join(map(itemgetter(1), hits))),
-        cyclic=traj.periodic,
-        normalized_theta=norm.theta,
-        rotation_steps=norm.steps,
-        primed_hits=tuple(hits),
+        norm.invert("".join(names)), traj.periodic, norm.theta, norm.steps, traj.indices, cells, node_of
     )
 
 

@@ -124,6 +124,20 @@ def test_arrows_and_augmented_stages_trace_no_sample(capsys, monkeypatch):
         main(["diagram", "--n", "11", "--stage", "dual"])
 
 
+def test_every_diagram_stage_raises_on_a_mislabeled_augmented_arrow(capsys, monkeypatch):
+    # B -> E clipped as crossing u1, E -> B's copy of the diagonal, not l1
+    clipped = derivation._aux_sequence_for_chord
+
+    def swapped(surface, polygon, a, b):
+        return tuple("u1" if name == "l1" else name for name in clipped(surface, polygon, a, b))
+
+    monkeypatch.setattr(derivation, "_aux_sequence_for_chord", swapped)
+    for stage in ("arrows", "augmented", "dual", "primed"):
+        with pytest.raises(AssertionError, match="clipped augmented labels differ from the closed form"):
+            main(["diagram", "--n", "5", "--stage", stage, "--format", "dot"])
+    assert capsys.readouterr().out == ""
+
+
 def test_guide_point_count(capsys):
     code, data = run_json(capsys, "guide", "--n", "9")
     assert code == 0

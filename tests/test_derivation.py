@@ -414,19 +414,20 @@ def test_pipeline_build_reports_unpredicted_transitions(pentagon, monkeypatch):
         build_pipeline_diagrams(pentagon)
 
 
-def test_pipeline_build_checks_the_augmented_labels_against_the_closed_form(pentagon, monkeypatch):
+def test_every_build_checks_the_augmented_labels_against_the_closed_form(pentagon, monkeypatch):
     # B -> E crosses l1 and E -> B crosses u1; with the copies swapped on
-    # B -> E alone, the clipped labels no longer fit the path
-    build = derivation.build_augmented_diagram
+    # B -> E alone, the clipped labels no longer fit the path, and each
+    # stage's build raises, by the one check where the labels are clipped
+    assert build_augmented_diagram(pentagon)[1][("B", "E")] == ("l1",)
+    clipped = derivation._aux_sequence_for_chord
 
-    def swapped(surface):
-        augmented, aux_of = build(surface)
-        assert aux_of[("B", "E")] == ("l1",)
-        return augmented, {**aux_of, ("B", "E"): ("u1",)}
+    def swapped(surface, polygon, a, b):
+        return tuple("u1" if name == "l1" else name for name in clipped(surface, polygon, a, b))
 
-    monkeypatch.setattr(derivation, "build_augmented_diagram", swapped)
-    with pytest.raises(AssertionError, match=r"clipped augmented labels differ from the closed form.*'u1'"):
-        build_pipeline_diagrams(pentagon)
+    monkeypatch.setattr(derivation, "_aux_sequence_for_chord", swapped)
+    for build in (build_arrows_diagram, build_augmented_diagram, build_pipeline_diagrams):
+        with pytest.raises(AssertionError, match=r"clipped augmented labels differ from the closed form.*'u1'"):
+            build(pentagon)
 
 
 def test_pipeline_build_checks_the_primed_content_against_the_closed_form(pentagon, monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -1119,6 +1120,68 @@ def test_a_crossing_where_the_primed_halves_meet_counts_once(n):
             assert all(i in range(traj.period) for i, _ in derived.primed_hits), (k, theta)
             checked += 1
     assert checked >= 1.5 * n * n
+
+
+def _eager_primed_hits(surface, traj):
+    """The hits as the derivation stored them before they became a view: per
+    segment i, crossing i's normalized letter if it is a node letter, then
+    the names of segment i's cell."""
+    norm = normalize_direction(surface, traj.theta)
+    cells = crossing_events(surface, traj, carried_primed(surface, -norm.steps))
+    hits = []
+    for i, k in enumerate(traj.indices):
+        letter = norm.letter_map[letter_for_index(k)]
+        if letter in surface.node_letters:
+            hits.append((i, letter))
+        if i < len(cells):  # an open trajectory's last crossing starts no segment
+            hits.extend((i, name) for _, name in cells[i])
+    return tuple(hits)
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_primed_hits_view_equals_the_eager_hits(n):
+    # open traces in random directions, periodic ones perpendicular to an
+    # edge, orbits through an edge midpoint and starts next to a vertex
+    s, rng = build_surface(n), random.Random(3300 + n)
+    inputs = [(rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(6)]
+    inputs += [(k, rng.uniform(0.05, 0.95), (2 * rng.randrange(2 * n) + 1) * math.pi / (2 * n)) for k in (1, n)]
+    inputs += [(k, 0.5, (rng.randrange(2 * n) + 0.5) * math.pi / n) for k in (1, 2, n)]
+    inputs += _near_vertex_inputs(s, rng)
+    kinds = set()
+    for k, u, theta in inputs:
+        try:
+            traj = trace_from_edge(s, k, u, theta, max_crossings=300)
+        except CornerHit:
+            continue
+        derived = derive_geometric(s, traj)
+        derived.letters
+        assert "primed_hits" not in vars(derived)  # reading the word builds no view
+        hits = derived.primed_hits
+        assert hits == _eager_primed_hits(s, traj), (k, u, theta)
+        assert derived.primed_hits is hits  # built once
+        assert derived.letters == normalize_direction(s, theta).invert("".join(name for _, name in hits))
+        kinds.add((traj.periodic, u == 0.5))
+    assert kinds == {(False, False), (True, False), (True, True)}
+
+
+def test_a_derivation_keeps_under_16_bytes_a_crossing():
+    # the word is joined from the names as they are read and the hits are a
+    # view, so a derivation keeps its letters and one cell reference a
+    # segment; it peaked at 104 and kept 86 bytes a crossing when it stored
+    # every hit as a (segment, name) tuple
+    s, m = build_surface(9), 20_000
+    traj = trace_from_edge(s, 3, 0.37, 0.7, max_crossings=m)
+    assert len(traj.indices) == m and not traj.periodic
+    derive_geometric(s, trace_from_edge(s, 3, 0.37, 0.7, max_crossings=10))  # carries this rotation's primed pieces
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        derived = derive_geometric(s, traj)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "primed_hits" not in vars(derived)
+    assert (kept - base) / m < 16 and (peak - base) / m < 40, ((kept - base) / m, (peak - base) / m)
 
 
 def _window_match(got: str, want: str) -> bool:
