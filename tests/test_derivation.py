@@ -414,7 +414,7 @@ def test_pipeline_build_reports_unpredicted_transitions(pentagon, monkeypatch):
         build_pipeline_diagrams(pentagon)
 
 
-def test_every_build_checks_the_augmented_labels_against_the_closed_form(pentagon, monkeypatch):
+def test_pipeline_build_checks_the_augmented_labels_against_the_closed_form(pentagon, monkeypatch):
     # B -> E crosses l1 and E -> B crosses u1; with the copies swapped on
     # B -> E alone, the clipped labels no longer fit the path, and each
     # stage's build raises, by the one check where the labels are clipped

@@ -1167,8 +1167,7 @@ def test_primed_hits_view_equals_the_eager_hits(n):
 def test_a_derivation_keeps_under_16_bytes_a_crossing():
     # the word is joined from the names as they are read and the hits are a
     # view, so a derivation keeps its letters and one cell reference a
-    # segment; it peaked at 104 and kept 86 bytes a crossing when it stored
-    # every hit as a (segment, name) tuple
+    # segment; the rest of its peak is the scan's copies of the columns
     s, m = build_surface(9), 20_000
     traj = trace_from_edge(s, 3, 0.37, 0.7, max_crossings=m)
     assert len(traj.indices) == m and not traj.periodic
