@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 verification or computation failure, 2 usage error
 (argparse's convention). All output is deterministic; `verify`'s for a fixed --seed.
+`highprec`, which loads mpmath, and `render` are imported where they are read,
+so a call that neither verifies nor renders loads neither.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import json
 import math
 import sys
 
-from . import highprec
 from .derivation import (
     InvalidPath,
     build_arrows_diagram,
@@ -27,7 +28,6 @@ from .derivation import (
 )
 from .flow import CornerHit, derive_geometric, trace_from_edge, trajectory_json
 from .geometry import round_sig
-from .render import render_guide_svg, render_surface_svg
 from .shear import (
     build_vertex_guide,
     decompose_cylinders,
@@ -179,6 +179,8 @@ def _cmd_guide(args) -> int:
 
 
 def _check_moduli(args, surface) -> dict:
+    from . import highprec
+
     ref = float(highprec.shear_coefficient(args.n))
     devs = [abs(c.modulus - ref) for c in decompose_cylinders(surface)]
     return {"pass": max(devs) <= args.tol, "max_dev": round_sig(max(devs), 3)}
@@ -265,6 +267,8 @@ _CHECKS = {
 
 
 def _cmd_verify(args) -> int:
+    from . import highprec
+
     s = build_surface(args.n)
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
     available = f"available: {', '.join(sorted(_CHECKS))}"
@@ -332,6 +336,8 @@ def _cmd_torus(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_guide_svg, render_surface_svg
+
     s = build_surface(args.n)
     if args.what == "guide":
         _reject_unread(args, ("edge", "t", "theta", "crossings", "aux", "primed", "guide"), "render --what guide")

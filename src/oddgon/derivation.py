@@ -36,14 +36,15 @@ the build fires on the same input as it would reading every token, and none
 twice on one input.
 
 `sandwich_equivalence_check` compares the two routes on enumerated cyclic
-walks and sampled windows.
+walks and sampled windows. Diagrams and arrows are NamedTuples; a
+`DiagramPipeline`, which keeps the walk's steps, and an `EquivalenceReport`,
+which fills as the check runs, are plain classes.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .flow import CornerHit, crossing_events, trace_from_edge
 from .geometry import (
@@ -97,15 +98,13 @@ def cyclic_normal_form(word: str) -> str:
 # ---- diagram data model -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: str
     target: str
     label: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class TransitionDiagram:
+class TransitionDiagram(NamedTuple):
     stage: str
     nodes: tuple[str, ...]
     arrows: tuple[Arrow, ...]
@@ -408,17 +407,18 @@ def _scan_sampled_transitions(
     return observed, first_seen
 
 
-@dataclass
 class DiagramPipeline:
     """The four transition diagrams plus the lookup tables used to walk them."""
 
-    stages: dict[str, TransitionDiagram]
-    aux_of: dict[tuple[str, str], tuple[str, ...]]
-    transitions: dict[tuple[str, str, str], str]  # (from, to, originals) -> primed letters
-    node_letters: frozenset[str]
-    covered_at: int  # 1-based plan sample at which every predicted transition had been seen
-    # the walk's `_dual_step` results, kept per (state, letter, next letter)
-    _walk_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self, stages: dict[str, TransitionDiagram], aux_of: dict[tuple[str, str], tuple[str, ...]],
+        transitions: dict[tuple[str, str, str], str], node_letters: frozenset[str], covered_at: int,
+    ):
+        self.stages, self.aux_of, self.node_letters = stages, aux_of, node_letters
+        self.transitions = transitions  # (from, to, originals) -> primed letters
+        self.covered_at = covered_at  # 1-based plan sample at which every predicted transition had been seen
+        # the walk's `_dual_step` results, kept per (state, letter, next letter)
+        self._walk_steps: dict = {}
 
 
 def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
@@ -531,11 +531,10 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
 # ---- equivalence of the two routes ------------------------------------------
 
 
-@dataclass
 class EquivalenceReport:
-    cycles_checked: int
-    windows_checked: int
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, cycles_checked: int, windows_checked: int):
+        self.cycles_checked, self.windows_checked = cycles_checked, windows_checked
+        self.failures: list[tuple[str, str, str]] = []
 
     @property
     def passed(self) -> bool:

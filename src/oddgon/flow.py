@@ -15,7 +15,8 @@ A traced trajectory is three columns, each crossing's edge index and the
 two coordinates of its entry point, plus the polygon crossing 0 enters:
 every gluing joins the two polygons, so crossing i enters that one when i
 is even and the other when i is odd, and a letter is a function of its
-index. Its `Crossing` records are a view, built only when read. It owns
+index. Its `Crossing` records are a view, built only when read. A plain
+class, it compares by its fields and cannot be hashed. It owns
 its segments (`Trajectory.segment`, the one place a segment's end is
 carried back across its gluing) and, with the torus tracer, its letters
 (`CuttingSequence`: a periodic trajectory is one period).
@@ -46,9 +47,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import cycle, zip_longest
+from itertools import chain, cycle, islice, zip_longest
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .geometry import (
@@ -121,23 +121,26 @@ class CuttingSequence:
         return self.letters if self.periodic else None
 
 
-@dataclass
 class Trajectory(CuttingSequence):
-    """A traced trajectory: crossing i is edge pair `indices[i]`, entered at
-    (`xs[i]`, `ys[i]`) in the chart of `first_polygon` when i is even and of
-    the other polygon when i is odd (`polygon(i)`)."""
+    """A traced trajectory: crossing i is edge pair `indices[i]` (1..n),
+    entered at (`xs[i]`, `ys[i]`) in the chart of `first_polygon` when i is
+    even and of the other polygon when i is odd (`polygon(i)`). Two compare
+    equal when their fields are equal."""
 
-    start_polygon: str
-    start_point: Vec
-    theta: float
-    first_polygon: str  # polygon entered at crossing 0
-    indices: list[int]  # original edge index 1..n of each crossing
-    xs: list[float]  # entry point of each crossing, in its polygon's chart
-    ys: list[float]
-    start_edge: int
-    periodic: bool = False
-    start_param: Optional[float] = None
-    _crossings: Optional[list[Crossing]] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self, start_polygon: str, start_point: Vec, theta: float, first_polygon: str, indices: list[int], xs: list[float],
+        ys: list[float], start_edge: int, periodic: bool = False, start_param: Optional[float] = None,
+    ):
+        self.start_polygon, self.start_point, self.theta, self.first_polygon = start_polygon, start_point, theta, first_polygon
+        self.indices, self.xs, self.ys, self.start_edge = indices, xs, ys, start_edge
+        self.periodic, self.start_param = periodic, start_param
+        self._crossings: Optional[list[Crossing]] = None
+
+    def __eq__(self, other: object) -> bool:
+        """Equal fields; the `Crossing` view is not compared. Unhashable, as mutable."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return {**vars(self), "_crossings": None} == {**vars(other), "_crossings": None}
 
     def polygon(self, i: int) -> str:
         """The polygon crossing i enters."""
@@ -296,8 +299,7 @@ def trace_from_edge(
 # ---- direction normalization ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizedDirection:
+class NormalizedDirection(NamedTuple):
     theta: float
     steps: int  # rotation by -steps * pi/n was applied
     letter_map: dict[str, str]  # original letter -> normalized letter
@@ -371,18 +373,19 @@ def normalize_direction(surface: Surface, theta: float) -> NormalizedDirection:
 # ---- geometric derivation ---------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class GeometricDerivation:
-    letters: str
-    cyclic: bool
-    normalized_theta: float
-    rotation_steps: int
-    # what `primed_hits` is read from: the trajectory's indices, its
-    # segments' cells (`crossing_events`), shared tuples, and the node letter
-    # of each edge index in the normalized direction, None for the others
-    _indices: Sequence[int] = field(repr=False)
-    _cells: Sequence[tuple[tuple[str, str], ...]] = field(repr=False)
-    _node_of: Sequence[Optional[str]] = field(repr=False)
+    """A derived word, whether it is cyclic, and the direction and rotation
+    steps of its normalization; `primed_hits` is a view."""
+
+    def __init__(
+        self, letters: str, cyclic: bool, normalized_theta: float, rotation_steps: int,
+        indices: Sequence[int], cells: Sequence[tuple[tuple[str, str], ...]], node_of: Sequence[Optional[str]],
+    ):
+        self.letters, self.cyclic, self.normalized_theta, self.rotation_steps = letters, cyclic, normalized_theta, rotation_steps
+        # what `primed_hits` is read from: the trajectory's indices, its
+        # segments' cells (`crossing_events`), shared tuples, and the node letter
+        # of each edge index in the normalized direction, None for the others
+        self._indices, self._cells, self._node_of = indices, cells, node_of
 
     @cached_property
     def primed_hits(self) -> tuple[tuple[int, str], ...]:
@@ -410,6 +413,9 @@ class GeometricDerivation:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "GeometricDerivation(letters={!r}, cyclic={!r}, normalized_theta={!r}, rotation_steps={!r})".format(*self._key())
 
 
 def crossing_events(
@@ -460,17 +466,17 @@ def crossing_events(
     read: list[tuple[tuple[str, str], ...]] = []
     append = read.append
     m = len(traj.indices)
-    # an open trajectory's last crossing starts no segment
-    xs, ys = traj.xs[:-1], traj.ys[:-1]
+    # each segment's table and start, the columns read in place: an open
+    # trajectory's last crossing starts no segment
+    starts = islice(zip(cycle([tables[traj.polygon(0)], tables[traj.polygon(1)]]), traj.xs, traj.ys), m - 1)
     if traj.periodic:
         # the closing segment ends at crossing 0, carried into its chart: it
         # is read on that point's line if its own lies within SNAP a crossing
         _, (lx, ly), (qx, qy) = traj.segment(m - 1, surface)
         if abs((dx * qy - dy * qx) - (dx * ly - dy * lx)) <= m * SNAP:
             lx, ly = qx, qy
-        xs.append(lx)
-        ys.append(ly)
-    for (spans, ends, cells), x, y in zip(cycle([tables[traj.polygon(0)], tables[traj.polygon(1)]]), xs, ys):
+        starts = chain(starts, [(tables[traj.polygon(m - 1)], lx, ly)])
+    for (spans, ends, cells), x, y in starts:
         i = bisect_right(ends, dx * y - dy * x + SNAP)
         cell = cells[i]
         if cell is None:

@@ -1,6 +1,7 @@
 """Small exact-ish planar geometry kit: 2-vectors, segments, 2x2 matrices.
 
-Everything works on plain float tuples. The block below is the package's
+Everything works on plain float tuples; `Mat2`, `Segment` and `Hit` are
+NamedTuples, compared by their fields. The block below is the package's
 tolerance policy: every comparison that decides on, inside or at a corner
 reads one of its names, and no caller passes its own. The values are
 absolute; every polygon has unit sides, whatever n.
@@ -8,9 +9,8 @@ absolute; every polygon has unit sides, whatever n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Vec = tuple[float, float]
 
@@ -80,8 +80,7 @@ def unit(theta: float) -> Vec:
     return (math.cos(theta), math.sin(theta))
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """Row-major 2x2 matrix."""
 
     a: float
@@ -99,8 +98,7 @@ def rotation(theta: float) -> Mat2:
     return Mat2(c, -s, s, c)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     p0: Vec
     p1: Vec
 
@@ -117,8 +115,7 @@ class Segment:
         return Segment(vadd(self.p0, off), vadd(self.p1, off))
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(NamedTuple):
     """Intersection of a parametric line p+t*d with a segment (param u in [0,1])."""
 
     t: float

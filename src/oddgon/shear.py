@@ -11,7 +11,7 @@ cosine-polynomial closed form of the sheared x-coordinates lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import EPS, PARALLEL, Vec, vadd
 from .surface import LOWER, UPPER, Surface, shear_matrix
@@ -49,8 +49,7 @@ def identity_sum(alpha: float, k: int) -> tuple[float, float]:
 # ---- cylinders ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     index: int
     width: float
     height: float
@@ -123,8 +122,7 @@ def side_vertex(surface: Surface, polygon: str, side: str, k: int) -> Vec:
 # ---- vertex generator guide ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GuidePoint:
+class GuidePoint(NamedTuple):
     polygon: str  # upper | lower
     side: str  # left | right
     level: int
@@ -179,8 +177,7 @@ def build_vertex_guide(surface: Surface) -> tuple[GuidePoint, ...]:
 # ---- reassembly check ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReassemblyReport:
+class ReassemblyReport(NamedTuple):
     max_residual: float
     passed: bool
     worst: tuple[str, str, int]

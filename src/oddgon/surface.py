@@ -6,8 +6,9 @@ midpoint of the upper polygon's last edge. Opposite (parallel) edges are
 identified by translation. A `Surface` owns its alphabet (`letters`), its
 two direction-fixed ("node") edges (`node_indices`, `node_letters`) and the
 signed translation of every gluing out of either chart (`offset`), and
-every edge piece owns its flat scan row (`Edge.row`). On top of the n
-original edge pairs the model carries:
+every edge piece (`Edge`, a plain class) owns its flat scan row
+(`Edge.row`), worked out when the piece is made. On top of the n original
+edge pairs the model carries:
 
   * auxiliary diagonals (horizontal and pi/n-slanted chords, n-3 per
     polygon) that stratify each polygon into cylinder bands, and
@@ -18,7 +19,6 @@ original edge pairs the model carries:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import (
@@ -70,19 +70,14 @@ def index_for_letter(label: str) -> int:
     raise ValueError(f"cannot parse edge label {label!r}")
 
 
-@dataclass(frozen=True)
 class Edge:
-    label: str
-    kind: str  # original | auxiliary | primed
-    polygon: str  # upper | lower
-    index: int
-    seg: Segment
+    """An edge piece of kind original, auxiliary or primed, in polygon upper or
+    lower. `row`, stored once, is its `segment_row` tagged (kind, label without
+    its prime): a primed piece is named by the letter it is the image of."""
 
-    @cached_property
-    def row(self) -> Row:
-        """The piece's `segment_row`, tagged (kind, label without its prime): a
-        primed piece is named by the letter it is the image of."""
-        return segment_row(self.seg, (self.kind, self.label.rstrip("'")))
+    def __init__(self, label: str, kind: str, polygon: str, index: int, seg: Segment):
+        self.label, self.kind, self.polygon, self.index, self.seg = label, kind, polygon, index, seg
+        self.row: Row = segment_row(seg, (kind, label.rstrip("'")))
 
 
 def shear_matrix(n: int) -> Mat2:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .flow import CornerHit, CuttingSequence
@@ -26,12 +25,9 @@ class TorusCrossing(NamedTuple):
     point: tuple[float, float]
 
 
-@dataclass
 class TorusTrajectory(CuttingSequence):
-    start: tuple[float, float]
-    theta: float
-    crossings: list[TorusCrossing]
-    periodic: bool = False
+    def __init__(self, start: tuple[float, float], theta: float, crossings: list[TorusCrossing], periodic: bool = False):
+        self.start, self.theta, self.crossings, self.periodic = start, theta, crossings, periodic
 
     @property
     def letters(self) -> str:

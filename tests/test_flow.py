@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -836,7 +835,10 @@ class _ColumnsOnly(Trajectory):
 
 
 def _columns_only(traj):
-    return _ColumnsOnly(**{f.name: getattr(traj, f.name) for f in dataclasses.fields(Trajectory) if f.init})
+    return _ColumnsOnly(
+        traj.start_polygon, traj.start_point, traj.theta, traj.first_polygon, traj.indices, traj.xs, traj.ys,
+        traj.start_edge, traj.periodic, traj.start_param,
+    )
 
 
 def _no_record(*fields):

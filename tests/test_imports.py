@@ -1,7 +1,8 @@
 """Every name a library module imports is read somewhere in that module,
 every public function, class or constant it defines is read by the library or
-a script, every private one is read in its own module, and importing the
-package loads none of its modules."""
+a script, every private one is read in its own module, importing the
+package loads none of its modules, and the surface and the CLI start
+without `dataclasses` or `mpmath`."""
 import ast
 import os
 import subprocess
@@ -115,3 +116,27 @@ def test_importing_the_package_loads_none_of_its_modules():
     code = "import oddgon, sys; print(sorted(m for m in sys.modules if m.startswith('oddgon.')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+
+@pytest.mark.parametrize("module", ["oddgon.surface", "oddgon.cli"])
+def test_the_surface_and_the_cli_load_neither_dataclasses_nor_mpmath(module):
+    # every CLI call imports oddgon.cli and every benchmark set-up
+    # oddgon.surface; `dataclasses` (with `inspect`) and `mpmath` each cost
+    # more to import than the package's own modules. The CLI imports
+    # `highprec` (mpmath) in `verify` and `render` in `render`, where read
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = f"import {module}, sys; print(sorted(m for m in ('dataclasses', 'mpmath', 'oddgon.render') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    importers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    )
+    assert importers == []
