@@ -122,18 +122,19 @@ class CuttingSequence:
 
 
 class Trajectory(CuttingSequence):
-    """A traced trajectory: crossing i is edge pair `indices[i]` (1..n),
-    entered at (`xs[i]`, `ys[i]`) in the chart of `first_polygon` when i is
-    even and of the other polygon when i is odd (`polygon(i)`). Two compare
-    equal when their fields are equal."""
+    """A traced trajectory: crossing i is edge pair `indices[i]`, entered at
+    (`xs[i]`, `ys[i]`) in the chart of `first_polygon` when i is even and of
+    the other polygon when i is odd (`polygon(i)`)."""
 
     def __init__(
         self, start_polygon: str, start_point: Vec, theta: float, first_polygon: str, indices: list[int], xs: list[float],
         ys: list[float], start_edge: int, periodic: bool = False, start_param: Optional[float] = None,
     ):
-        self.start_polygon, self.start_point, self.theta, self.first_polygon = start_polygon, start_point, theta, first_polygon
-        self.indices, self.xs, self.ys, self.start_edge = indices, xs, ys, start_edge
-        self.periodic, self.start_param = periodic, start_param
+        self.start_polygon, self.start_point, self.theta = start_polygon, start_point, theta
+        self.first_polygon = first_polygon  # polygon entered at crossing 0
+        self.indices = indices  # original edge index 1..n of each crossing
+        self.xs, self.ys = xs, ys  # entry point of each crossing, in its polygon's chart
+        self.start_edge, self.periodic, self.start_param = start_edge, periodic, start_param
         self._crossings: Optional[list[Crossing]] = None
 
     def __eq__(self, other: object) -> bool:
@@ -381,7 +382,8 @@ class GeometricDerivation:
         self, letters: str, cyclic: bool, normalized_theta: float, rotation_steps: int,
         indices: Sequence[int], cells: Sequence[tuple[tuple[str, str], ...]], node_of: Sequence[Optional[str]],
     ):
-        self.letters, self.cyclic, self.normalized_theta, self.rotation_steps = letters, cyclic, normalized_theta, rotation_steps
+        self.letters, self.cyclic = letters, cyclic
+        self.normalized_theta, self.rotation_steps = normalized_theta, rotation_steps
         # what `primed_hits` is read from: the trajectory's indices, its
         # segments' cells (`crossing_events`), shared tuples, and the node letter
         # of each edge index in the normalized direction, None for the others
@@ -415,7 +417,8 @@ class GeometricDerivation:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return "GeometricDerivation(letters={!r}, cyclic={!r}, normalized_theta={!r}, rotation_steps={!r})".format(*self._key())
+        fields = "letters={!r}, cyclic={!r}, normalized_theta={!r}, rotation_steps={!r}".format(*self._key())
+        return f"GeometricDerivation({fields})"
 
 
 def crossing_events(
