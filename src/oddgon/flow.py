@@ -143,6 +143,10 @@ class Trajectory(CuttingSequence):
             return NotImplemented
         return {**vars(self), "_crossings": None} == {**vars(other), "_crossings": None}
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items() if name != "_crossings")
+        return f"{type(self).__qualname__}({fields})"
+
     def polygon(self, i: int) -> str:
         """The polygon crossing i enters."""
         return self.first_polygon if i % 2 == 0 else other_polygon(self.first_polygon)

@@ -1,10 +1,11 @@
 """The immutable records are `typing.NamedTuple`s: equal fields give equal
 objects with equal hashes, no attribute can be assigned, and each prints as
-`Name(field=value, ...)`."""
+`Name(field=value, ...)`. `Trajectory` and `GeometricDerivation`, plain
+classes that compare by their fields, print alike."""
 import pytest
 
 from oddgon.derivation import Arrow, TransitionDiagram
-from oddgon.flow import NormalizedDirection
+from oddgon.flow import GeometricDerivation, NormalizedDirection, Trajectory
 from oddgon.geometry import Hit, Mat2, Segment
 from oddgon.shear import Cylinder, GuidePoint, ReassemblyReport
 
@@ -39,7 +40,10 @@ RECORDS = [
 def test_a_record_compares_by_fields_is_immutable_and_keeps_its_repr(build, text):
     record, twin = build(), build()
     assert isinstance(record, tuple) and record == twin and record is not twin
-    if not isinstance(record, NormalizedDirection):  # its letter_map is a dict, so it has no hash
+    if isinstance(record, NormalizedDirection):  # its letter_map is a dict, so it has no hash
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
         assert hash(record) == hash(twin)
     with pytest.raises(AttributeError):
         setattr(record, text[text.index("(") + 1 : text.index("=")], None)  # its first field
@@ -54,11 +58,18 @@ def test_a_segment_is_a_set_member_and_a_dict_key_by_its_ends():
     assert Segment((0.0, 0.0), (0.0, 1.0)) not in {a}
 
 
-def test_a_normalized_direction_has_no_hash():
-    with pytest.raises(TypeError):
-        hash(NormalizedDirection(0.25, 3, {"A": "C"}))
-
-
 def test_cylinder_index_is_the_field():
     # the field shadows tuple.index, which nothing calls on a Cylinder
     assert Cylinder(2, 3.0, 0.5, 6.0, (0.5, 1.0)).index == 2
+
+
+def test_a_trajectory_and_a_derivation_keep_their_repr():
+    # both compare by their fields, so an assertion on them prints them
+    traj = Trajectory("upper", (0.5, 0.0), 0.25, "lower", [1, 3], [0.5, 0.25], [0.0, 1.0], 1, False, 0.5)
+    traj.crossings  # the view is neither compared nor printed
+    assert repr(traj) == (
+        "Trajectory(start_polygon='upper', start_point=(0.5, 0.0), theta=0.25, first_polygon='lower',"
+        " indices=[1, 3], xs=[0.5, 0.25], ys=[0.0, 1.0], start_edge=1, periodic=False, start_param=0.5)"
+    )
+    derived = GeometricDerivation("BC", True, 0.25, 3, [2, 5], [(), ()], [None] * 6)
+    assert repr(derived) == "GeometricDerivation(letters='BC', cyclic=True, normalized_theta=0.25, rotation_steps=3)"
