@@ -118,13 +118,12 @@ def test_importing_the_package_loads_none_of_its_modules():
     assert proc.stdout.strip() == "[]"
 
 
-
 @pytest.mark.parametrize("module", ["oddgon.surface", "oddgon.cli"])
 def test_the_surface_and_the_cli_load_neither_dataclasses_nor_mpmath(module):
     # every CLI call imports oddgon.cli and every benchmark set-up
-    # oddgon.surface; `dataclasses` (with `inspect`) and `mpmath` each cost
-    # more to import than the package's own modules. The CLI imports
-    # `highprec` (mpmath) in `verify` and `render` in `render`, where read
+    # oddgon.surface; `mpmath` alone costs more to import than the package's
+    # own modules, and `dataclasses` (with `inspect`) nearly as much. The CLI
+    # imports `highprec` (mpmath) in `verify` and `render` in `render`
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     code = f"import {module}, sys; print(sorted(m for m in ('dataclasses', 'mpmath', 'oddgon.render') if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
