@@ -3,7 +3,9 @@
 
 In a completely periodic direction (pi/10 on the pentagon, say) every start
 parameter lies on a periodic orbit; the scan reports one representative per
-distinct cyclic word found along each edge.
+distinct cyclic word found along each edge. A word is flagged MISMATCH when
+its rule and geometric derivations differ, or when, normalized into
+[0, pi/n), it is not a closed walk of the arrows diagram (`fits`).
 
 Usage: python3 scripts/find_periodic_orbits.py [--n 5] [--theta-frac 0.5]
        (--theta-frac t scans direction t * pi/n)
@@ -11,8 +13,8 @@ Usage: python3 scripts/find_periodic_orbits.py [--n 5] [--theta-frac 0.5]
 import argparse
 import math
 
-from oddgon.derivation import cyclic_normal_form, ksl_cyclic
-from oddgon.flow import CornerHit, derive_geometric, trace_from_edge
+from oddgon.derivation import cyclic_normal_form, fits, ksl_cyclic
+from oddgon.flow import CornerHit, derive_geometric, normalize_direction, trace_from_edge
 from oddgon.surface import build_surface
 
 
@@ -27,6 +29,7 @@ def main() -> int:
     s = build_surface(args.n)
     theta = args.theta_frac * s.sector
     print(f"n={args.n}  theta={theta:.6f} rad ({args.theta_frac} * pi/{args.n})")
+    normalized = normalize_direction(s, theta)
     seen: dict[str, tuple[int, float, int]] = {}
     for k in range(1, args.n + 1):
         for i in range(1, args.grid):
@@ -48,7 +51,8 @@ def main() -> int:
         traj = trace_from_edge(s, k, u, theta, max_crossings=args.max_crossings)
         geo = cyclic_normal_form(derive_geometric(s, traj).letters)
         rule = cyclic_normal_form(ksl_cyclic(word))
-        flag = "" if geo == rule else "  <-- MISMATCH"
+        walk = normalized.apply(word)
+        flag = "" if geo == rule and fits(walk + walk[:1], args.n) else "  <-- MISMATCH"
         print(f"{period:>6}  S{k:<3}  {u:>6.3f}  {word:<24} {rule:<12} {geo:<12}{flag}")
     return 0
 

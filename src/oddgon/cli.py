@@ -26,7 +26,7 @@ from .derivation import (
     ksl_window,
     sandwich_equivalence_check,
 )
-from .flow import CornerHit, derive_geometric, trace_from_edge, trajectory_json
+from .flow import MAX_CROSSINGS, CornerHit, derive_geometric, trace_from_edge, trajectory_json
 from .geometry import round_sig
 from .shear import (
     build_vertex_guide,
@@ -213,7 +213,7 @@ def _check_identities(args, surface) -> dict:
 
 def _check_equivalence(args, surface) -> dict:
     pipeline = build_pipeline_diagrams(surface)
-    rep = sandwich_equivalence_check(pipeline, seed=args.seed)
+    rep = sandwich_equivalence_check(pipeline)
     return {
         "pass": rep.passed,
         "cycles_checked": rep.cycles_checked,
@@ -315,7 +315,10 @@ def _cmd_torus(args) -> int:
         start = tuple(float(v) for v in start_txt.split(","))
     except ValueError:
         raise ValueError(f"--start must be two finite numbers x,y, got {start_txt!r}") from None
-    traj = torus_trace(start, theta, max_crossings=100 if args.crossings is None else args.crossings)
+    crossings = 100 if args.crossings is None else args.crossings
+    if crossings > MAX_CROSSINGS:  # torus_trace itself takes any bound: its own derivation stops at t_max
+        raise ValueError(f"--crossings must be at most MAX_CROSSINGS = {MAX_CROSSINGS}, got {crossings}")
+    traj = torus_trace(start, theta, max_crossings=crossings)
     if args.action == "trace":
         _emit_json(
             {
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run numeric verification checks")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="random seed of the identities, equivalence windows and torus checks")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the identities and torus checks")
     p.add_argument("--tol", type=float, default=1e-9, help="pass bound of the moduli and reassembly checks")
     p.add_argument(
         "--checks",

@@ -77,6 +77,21 @@ from .surface import (
     other_polygon,
 )
 
+# The most crossings one trace may be asked for: `trace` rejects more with a
+# ValueError, and the CLI's `--crossings`, the torus tracer's included, with
+# exit 2. It keeps a trace and its derivation, the torus's too, under the
+# 1 GB address space that CI's README step runs under. Measured (CPython
+# 3.11, 64-bit Linux, whole process `ru_maxrss`): an open n = 9 trace plus
+# `derive_geometric` peaks at 115 MB at 10**6 crossings and 217 MB at
+# 2 * 10**6, about 101 bytes a crossing, which alone would allow about
+# 9 * 10**6; an open torus trace plus `torus_derive_geometric` keeps a
+# record per crossing and peaks at 808 MB at 2 * 10**6, about 400 bytes a
+# crossing, which allows about 2.4 * 10**6. The cap is the smaller, rounded
+# down. `render` keeps about 1 KB a crossing (an SVG line and dot each), so
+# it passes 1 GB from about 9 * 10**5 crossings; the cap only bounds it.
+MAX_CROSSINGS = 2 * 10**6
+
+
 class CornerHit(Exception):
     """Raised when a ray passes within CORNER_DELTA of a polygon vertex.
 
@@ -241,8 +256,8 @@ def trace(
         raise ValueError(f"edge index {start_edge} out of range for n={surface.n}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be a finite direction in radians, got {theta}")
-    if max_crossings < 1:
-        raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
+    if not 1 <= max_crossings <= MAX_CROSSINGS:
+        raise ValueError(f"max_crossings must be from 1 to MAX_CROSSINGS = {MAX_CROSSINGS}, got {max_crossings}")
     d = unit(theta)
     dx, dy = d
     chains = _chains(surface, d)

@@ -8,6 +8,7 @@ import pytest
 
 from oddgon import cli, derivation, surface
 from oddgon.cli import main
+from oddgon.flow import MAX_CROSSINGS, trace_from_edge
 from oddgon.geometry import vsub
 from oddgon.shear import build_vertex_guide
 from oddgon.surface import UPPER, build_surface
@@ -243,6 +244,12 @@ def test_verify_unknown_check_is_usage_error(capsys):
         # the corner-hit and invalid-path error JSON go to --out too
         (["trace", "--edge", "S2", "--t", "0.5", "--theta", "2.1225616175277833", "--out", MISSING_OUT], "cannot write --out"),
         (["derive", "--seq", "ACAC", "--cyclic", "--method", "diagram", "--out", MISSING_OUT], "cannot write --out"),
+        # more crossings than MAX_CROSSINGS: rejected before anything is traced
+        (["trace", "--edge", "S2", "--t", "0.5", "--theta", "0.3", "--crossings", "10000000000"], "MAX_CROSSINGS = 2000000"),
+        (["derive-geometric", "--edge", "S2", "--t", "0.5", "--theta", "0.3", "--crossings", "2000001"], "MAX_CROSSINGS"),
+        (["render", "--theta", "0.3", "--crossings", "10000000000"], "MAX_CROSSINGS"),
+        (["torus", "trace", "--theta", "0.5", "--crossings", "10000000000"], "MAX_CROSSINGS = 2000000"),
+        (["torus", "derive", "--theta", "0.5", "--crossings", "2000001"], "MAX_CROSSINGS"),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv, named):
@@ -291,6 +298,27 @@ def test_render_draws_every_segment_of_a_trajectory(capsys):
     # an open 60-crossing trace has one segment fewer than crossings
     code, svg = run_cli(capsys, "render", "--n", "5", "--theta", "0.31")
     assert code == 0 and svg.count("<line") == 59
+
+
+def test_the_crossing_cap_is_inclusive(capsys, pentagon):
+    # a periodic orbit stops at its first return, so asking for the cap costs nothing
+    assert MAX_CROSSINGS == 2 * 10**6
+    assert trace_from_edge(pentagon, 2, 0.55, math.pi / 10, max_crossings=MAX_CROSSINGS).period == 4
+    with pytest.raises(ValueError, match="MAX_CROSSINGS"):
+        trace_from_edge(pentagon, 2, 0.55, math.pi / 10, max_crossings=MAX_CROSSINGS + 1)
+    code, data = run_json(capsys, "torus", "trace", "--slope", "1/3", "--crossings", str(MAX_CROSSINGS))
+    assert code == 0 and data["period"] == 4
+
+
+@pytest.mark.parametrize("n", [5, 9, 25])
+def test_the_equivalence_check_reads_no_seed(capsys, n):
+    outs = []
+    for seed in (0, 7):
+        assert main(["verify", "--n", str(n), "--checks", "equivalence", "--seed", str(seed)]) == 0
+        outs.append(capsys.readouterr().out)
+    # the report echoes --seed; every other byte is the same
+    assert f'\n  "seed": 0,\n' in outs[0]
+    assert outs[0].replace('"seed": 0,', '"seed": 7,', 1) == outs[1]
 
 
 def test_render_guide_overlay_adds_one_dot_per_guide_point(capsys):

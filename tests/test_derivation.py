@@ -1,5 +1,7 @@
 import gc
 import math
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from oddgon import derivation
 from oddgon.derivation import (
     PLAN_CROSSINGS,
     PLAN_SAMPLES,
-    WINDOWS,
+    WALK_LEN,
     Arrow,
+    DiagramPipeline,
     InvalidPath,
     _arrow_chords,
     _aux_sequence_for_chord,
@@ -18,6 +21,7 @@ from oddgon.derivation import (
     _dual_step,
     _scan_sampled_transitions,
     _sector_sample_plan,
+    arrows_path,
     build_arrows_diagram,
     build_augmented_diagram,
     build_pipeline_diagrams,
@@ -26,11 +30,12 @@ from oddgon.derivation import (
     derive_via_diagrams,
     diagram_dot,
     diagram_json,
+    fits,
     ksl_cyclic,
     ksl_window,
     sandwich_equivalence_check,
 )
-from oddgon.flow import CornerHit, crossing_events, trace_from_edge
+from oddgon.flow import CornerHit, crossing_events, normalize_direction, trace_from_edge
 from oddgon.geometry import EPS, ray_segment_hit
 from oddgon.surface import AUXILIARY, LOWER, PRIMED, UPPER, build_surface, index_for_letter, letter_for_index
 from test_flow import interleaved_events
@@ -525,7 +530,7 @@ def test_building_and_checking_leaves_no_reference_cycle():
     try:
         for n in (5, 9):
             pipe = build_pipeline_diagrams(build_surface(n))
-            assert sandwich_equivalence_check(pipe, seed=3).passed
+            assert sandwich_equivalence_check(pipe).passed
         del pipe
         assert gc.collect() == 0
     finally:
@@ -588,10 +593,124 @@ def test_cyclic_walks_equal_the_unpruned_enumeration(pipelines, n):
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_equivalence_check_passes(pipelines, n):
-    report = sandwich_equivalence_check(pipelines[n], seed=1)
+    cycles, walks = {5: (48, 14), 7: (82, 22), 9: (116, 30)}[n]
+    report = sandwich_equivalence_check(pipelines[n])
     assert report.passed, report.failures[:3]
-    assert report.cycles_checked > 0
-    assert report.windows_checked == WINDOWS
+    assert report.cycles_checked == cycles
+    # every arrows walk of WALK_LEN letters, each once: 4n - 6 of them
+    assert report.windows_checked == walks == 4 * n - 6
+    letters = build_surface(n).letters
+    assert walks == sum(fits("".join(w), n) for w in product(letters, repeat=WALK_LEN))
+
+
+@pytest.mark.parametrize("n", [5, 9, 15])
+def test_the_walk_check_fails_on_every_flipped_transition(pipelines, n):
+    # each of the 4n - 8 dual transitions is the middle of one WALK_LEN
+    # walk, so flipping its primed content (empty to its letter, or its
+    # letter to empty) in a copy of the tables fails the walk half of the check
+    pipe = pipelines[n]
+    assert len(pipe.transitions) == 4 * n - 8
+    for key, primeds in pipe.transitions.items():
+        flipped = {**pipe.transitions, key: "" if primeds else key[2]}
+        mutant = DiagramPipeline(pipe.stages, pipe.aux_of, flipped, pipe.node_letters, pipe.covered_at)
+        report = sandwich_equivalence_check(mutant)
+        assert any(label.startswith("window ") for label, _, _ in report.failures), key
+
+
+def _walk_on_path(path: str, i: int, moves: list[bool]) -> str:
+    """The walk from path letter i that steps right on True and left on
+    False, but always inward from an end of the path."""
+    word = path[i]
+    for right in moves:
+        i = i + 1 if i == 0 or (right and i < len(path) - 1) else i - 1
+        word += path[i]
+    return word
+
+
+def arrows_walks(n: int, min_size: int, max_size: int):
+    """Walks of the n-gon's arrows diagram with min_size to max_size letters, every one reachable."""
+    path = arrows_path(n)
+    walks = st.builds(
+        _walk_on_path,
+        st.just(path),
+        st.integers(min_value=0, max_value=n - 1),
+        st.lists(st.booleans(), min_size=max(min_size - 1, 0), max_size=max_size - 1),
+    )
+    return st.one_of(st.just(""), walks) if min_size == 0 else walks
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("n", range(5, 27, 2))
+@given(data=st.data())
+def test_derivation_is_local_to_three_letter_windows(pipelines, n, data):
+    # the locality argument behind WALK_LEN: both routes derive a walk as
+    # the concatenation of what they derive from its 3-letter windows, so
+    # agreement on every 3-letter walk is agreement on every walk
+    word = data.draw(arrows_walks(n, 3, 60))
+    windows = [word[i - 1 : i + 2] for i in range(1, len(word) - 1)]
+    assert derive_via_diagrams(pipelines[n], word) == "".join(derive_via_diagrams(pipelines[n], w) for w in windows)
+    assert ksl_window(word) == "".join(ksl_window(w) for w in windows)
+
+
+# ---- the arrows path and the words that fit it ------------------------------
+
+
+def test_arrows_path_fixtures():
+    assert arrows_path(5) == "ABECD"
+    assert arrows_path(9) == "ABICHDGEF"
+    assert fits("", 5) and fits("A", 5) and fits("ABEBECD", 5)
+    assert not fits("AC", 5)  # no arrow
+    assert not fits("AA", 5)  # 1 + 1 = 2 mod n, but x = y
+    assert not fits("ABZ", 5)  # Z is no pentagon letter
+    with pytest.raises(ValueError, match="odd integer from 5 to 25"):
+        fits("AB", 4)
+    with pytest.raises(ValueError, match="odd integer from 5 to 25"):
+        arrows_path(27)
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_arrows_path_is_the_closed_form_path(n):
+    path, s = arrows_path(n), build_surface(n)
+    assert sorted(path) == list(s.letters)
+    assert {path[0], path[-1]} == s.node_letters
+    assert set(closed_form_tables(n)[0]) == {pair for a, b in zip(path, path[1:]) for pair in ((a, b), (b, a))}
+
+
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("n", [5, 9, 25])
+@given(data=st.data())
+def test_fits_is_what_the_diagram_walk_accepts(pipelines, n, data):
+    # a walk with up to two letters replaced by any of the n-gon's, so that
+    # words that fit and words that do not are both drawn
+    letters = build_surface(n).letters
+    word = list(data.draw(arrows_walks(n, 0, 12)))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2)) if word else 0):
+        word[data.draw(st.integers(min_value=0, max_value=len(word) - 1))] = data.draw(st.sampled_from(letters))
+    word = "".join(word)
+    for cyclic, walked in ((False, word), (True, word + word[:1])):
+        try:
+            derive_via_diagrams(pipelines[n], word, cyclic=cyclic)
+        except InvalidPath:
+            assert not fits(walked, n), (word, cyclic)
+        else:
+            assert fits(walked, n), (word, cyclic)
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_traced_words_fit_their_sector_diagram(n):
+    # every length-2 factor of a traced word, and of a periodic word's wrap,
+    # is an arrow of its sector's diagram once normalized into [0, pi/n)
+    s, rng, traced = build_surface(n), random.Random(5100 + n), 0
+    for _ in range(20):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        try:
+            traj = trace_from_edge(s, rng.randrange(1, n + 1), rng.uniform(0.05, 0.95), theta, max_crossings=300)
+        except CornerHit:
+            continue
+        traced += 1
+        word = normalize_direction(s, theta).apply(traj.letters)
+        assert fits(word + word[0] if traj.periodic else word, n), (theta, word)
+    assert traced >= 15
 
 
 # ---- serialization -------------------------------------------------------------
