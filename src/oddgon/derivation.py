@@ -37,15 +37,17 @@ the first time a key occurs the step is taken in full, so every check of
 the build fires on the same input as it would reading every token, and none
 twice on one input.
 
-`sandwich_equivalence_check` compares the two routes on every cyclic walk
-of up to `MAX_CYCLE_LEN` letters and on every arrows walk of `WALK_LEN` = 3
-letters, read as windows. It reads no seed: each derived letter is decided
-by its letter and its two neighbours (the locality argument in its
-docstring), so agreement on those walks is agreement on every word the
-arrows diagram accepts, and the check decides the theorem for its n rather
-than sampling it. Diagrams and arrows are NamedTuples; a
-`DiagramPipeline`, which keeps the walk's steps, and an `EquivalenceReport`,
-which fills as the check runs, are plain classes.
+`sandwich_equivalence_check` compares the two routes on every arrows walk
+of `WALK_LEN` = 3 letters, read as windows, and on every closed walk of 2
+and `WALK_LEN` + 1 letters, read as cyclic words. It reads no seed: each
+derived letter is decided by its letter and its two neighbours (the
+locality argument in its docstring), and those walks hold every 3-letter
+walk as a window and as a cyclic window, so agreement on them is agreement
+on every word and every cyclic word the arrows diagram accepts, and the
+check decides the theorem for its n rather than sampling it. Diagrams and
+arrows are NamedTuples; a `DiagramPipeline`, which keeps the walk's steps,
+and an `EquivalenceReport`, which fills as the check runs, are plain
+classes.
 """
 from __future__ import annotations
 
@@ -239,14 +241,6 @@ def build_arrows_diagram(surface: Surface) -> TransitionDiagram:
 
 
 # ---- stages 3 and 4: dual and primed ---------------------------------------
-
-
-def _successors(aux_of: dict[tuple[str, str], tuple[str, ...]]) -> dict[str, list[str]]:
-    """Letter -> the letters an arrow leads to, both in sorted order."""
-    succ: dict[str, list[str]] = {}
-    for x, y in sorted(aux_of):
-        succ.setdefault(x, []).append(y)
-    return succ
 
 
 def arrows_path(n: int) -> str:
@@ -560,8 +554,8 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
 
 
 class EquivalenceReport:
-    def __init__(self, cycles_checked: int, windows_checked: int):
-        self.cycles_checked, self.windows_checked = cycles_checked, windows_checked
+    def __init__(self):
+        self.cycles_checked = self.windows_checked = 0
         self.failures: list[tuple[str, str, str]] = []
 
     @property
@@ -569,52 +563,30 @@ class EquivalenceReport:
         return not self.failures
 
 
-def _cyclic_walks(pipeline: DiagramPipeline, max_len: int) -> set[str]:
-    """All distinct cyclic walks (as normal forms) up to the given length.
-
-    A cyclic word's normal form begins at its least letter, so each one is
-    found as a closed walk from that letter through letters no less than it:
-    a walk from `start` goes on only through letters >= `start`, passing
-    `start` again if it may.
-    """
-    succ = _successors(pipeline.aux_of)
-    words: set[str] = set()
-    for start in sorted(succ):
-        paths = [start]  # walks from start still to extend
-        while paths:
-            path = paths.pop()
-            for y in succ.get(path[-1], ()):
-                if y == start:
-                    words.add(cyclic_normal_form(path))
-                if len(path) < max_len and y >= start:
-                    paths.append(path + y)
-    return words
-
-
 def _walks(pipeline: DiagramPipeline, length: int) -> list[str]:
     """Every walk of the arrows diagram with `length` letters, in sorted order."""
-    succ = _successors(pipeline.aux_of)
+    succ: dict[str, list[str]] = {}
+    for x, y in sorted(pipeline.aux_of):
+        succ.setdefault(x, []).append(y)
     walks = sorted(succ)
     for _ in range(length - 1):
         walks = [w + y for w in walks for y in succ[w[-1]]]
     return walks
 
 
-# The equivalence check's fixed extent: every cyclic walk of up to
-# MAX_CYCLE_LEN letters, then every walk of WALK_LEN letters, read as a
-# window; 3 letters decide every window (see sandwich_equivalence_check).
-MAX_CYCLE_LEN, WALK_LEN = 8, 3
+# The equivalence check's fixed extent: every walk of WALK_LEN letters, read
+# as a window, and every closed walk of 2 and WALK_LEN + 1 letters, read as a
+# cyclic word; these decide every word (see sandwich_equivalence_check).
+WALK_LEN = 3
 
 
 def sandwich_equivalence_check(pipeline: DiagramPipeline) -> EquivalenceReport:
     """Compare diagram derivation with the sandwich rule on both word types.
 
-    Cyclic words: every cyclic walk of up to MAX_CYCLE_LEN letters, which
-    tests the tripled walk's cyclic semantics. Windows: every arrows walk of
-    WALK_LEN = 3 letters, 4n - 6 of them (`windows_checked`): each of the
-    4n - 8 dual transitions is the middle of one, and each node letter lies
-    between two copies of its one neighbour. Three letters suffice, by
-    locality:
+    Windows: every arrows walk of WALK_LEN = 3 letters, 4n - 6 of them
+    (`windows_checked`): each of the 4n - 8 dual transitions is the middle
+    of one, and each node letter lies between two copies of its one
+    neighbour. Three letters suffice, by locality:
 
     * every inner step of the arrows path crosses one auxiliary diagonal,
       and the two end steps lead to the node letters, themselves dual
@@ -632,10 +604,29 @@ def sandwich_equivalence_check(pipeline: DiagramPipeline) -> EquivalenceReport:
 
     Agreement on every 3-letter walk is therefore agreement on every word
     the arrows diagram accepts, and the check reads no seed.
-    """
-    report = EquivalenceReport(cycles_checked=0, windows_checked=0)
 
-    for w in sorted(_cyclic_walks(pipeline, MAX_CYCLE_LEN)):
+    Cyclic words: every closed walk w of 2 and WALK_LEN + 1 = 4 letters,
+    one with w[-1] -> w[0] an arrow, once per cyclic normal form: 3n - 4
+    of them (`cycles_checked`). By the same locality, both routes derive a
+    cyclic word as the concatenation, in cyclic order, of its cyclic
+    3-letter windows' outputs (pinned on closed walks of up to 60 letters
+    in the same tests), so a cyclic word is decided by its cyclic windows.
+    The arrows diagram is a path, so a closed walk has even length, and
+    every 3-letter walk xyz is a cyclic window of the closed walk xy when
+    x = z and of xyzy when x != z. Agreement on the closed walks of 2 and 4
+    letters, which the tripled cyclic walk reads window by window across
+    its wrap, is therefore agreement on every cyclic word the arrows
+    diagram accepts.
+    """
+    report = EquivalenceReport()
+
+    closed = {
+        cyclic_normal_form(w)
+        for length in (2, WALK_LEN + 1)
+        for w in _walks(pipeline, length)
+        if (w[-1], w[0]) in pipeline.aux_of
+    }
+    for w in sorted(closed):
         expected = cyclic_normal_form(ksl_cyclic(w))
         got = cyclic_normal_form(derive_via_diagrams(pipeline, w, cyclic=True))
         report.cycles_checked += 1

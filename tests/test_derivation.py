@@ -568,46 +568,26 @@ def test_derive_via_diagrams_rejects_letters_outside_the_alphabet(pipelines, wor
         derive_via_diagrams(pipelines[5], word, cyclic=True)
 
 
-def _unpruned_cyclic_walks(pipeline, max_len):
-    """Every closed walk from every letter, through any letters, as normal forms."""
-    succ = derivation._successors(pipeline.aux_of)
-    words, paths = set(), list(succ)
-    while paths:
-        path = paths.pop()
-        for y in succ.get(path[-1], ()):
-            if y == path[0]:
-                words.add(cyclic_normal_form(path))
-            if len(path) < max_len:
-                paths.append(path + y)
-    return words
-
-
 @pytest.mark.parametrize("n", range(5, 27, 2))
-def test_cyclic_walks_equal_the_unpruned_enumeration(pipelines, n):
-    # a walk from a letter goes on only through letters no less than it,
-    # which finds every normal form, since one begins at its least letter
-    words = derivation._cyclic_walks(pipelines[n], derivation.MAX_CYCLE_LEN)
-    assert words == _unpruned_cyclic_walks(pipelines[n], derivation.MAX_CYCLE_LEN)
-    assert all(cyclic_normal_form(w) == w for w in words)
-
-
-@pytest.mark.parametrize("n", [5, 7, 9])
 def test_equivalence_check_passes(pipelines, n):
-    cycles, walks = {5: (48, 14), 7: (82, 22), 9: (116, 30)}[n]
     report = sandwich_equivalence_check(pipelines[n])
     assert report.passed, report.failures[:3]
-    assert report.cycles_checked == cycles
+    # the closed walks of 2 and WALK_LEN + 1 letters, one per cyclic normal
+    # form: xy and xyxy per arrows step, and xyzy per inner letter y
+    assert report.cycles_checked == 3 * n - 4
     # every arrows walk of WALK_LEN letters, each once: 4n - 6 of them
-    assert report.windows_checked == walks == 4 * n - 6
+    assert report.windows_checked == 4 * n - 6
     letters = build_surface(n).letters
-    assert walks == sum(fits("".join(w), n) for w in product(letters, repeat=WALK_LEN))
+    assert report.windows_checked == sum(fits("".join(w), n) for w in product(letters, repeat=WALK_LEN))
 
 
 @pytest.mark.parametrize("n", [5, 9, 15])
 def test_the_walk_check_fails_on_every_flipped_transition(pipelines, n):
     # each of the 4n - 8 dual transitions is the middle of one WALK_LEN
-    # walk, so flipping its primed content (empty to its letter, or its
-    # letter to empty) in a copy of the tables fails the walk half of the check
+    # walk, and that walk is a cyclic window of a closed walk of 2 or
+    # WALK_LEN + 1 letters, so flipping its primed content (empty to its
+    # letter, or its letter to empty) in a copy of the tables fails both
+    # the window half and the cyclic half of the check
     pipe = pipelines[n]
     assert len(pipe.transitions) == 4 * n - 8
     for key, primeds in pipe.transitions.items():
@@ -615,6 +595,7 @@ def test_the_walk_check_fails_on_every_flipped_transition(pipelines, n):
         mutant = DiagramPipeline(pipe.stages, pipe.aux_of, flipped, pipe.node_letters, pipe.covered_at)
         report = sandwich_equivalence_check(mutant)
         assert any(label.startswith("window ") for label, _, _ in report.failures), key
+        assert any(label.startswith("cyclic ") for label, _, _ in report.failures), key
 
 
 def _walk_on_path(path: str, i: int, moves: list[bool]) -> str:
@@ -639,6 +620,17 @@ def arrows_walks(n: int, min_size: int, max_size: int):
     return st.one_of(st.just(""), walks) if min_size == 0 else walks
 
 
+def _closed(path: str, word: str) -> str:
+    """`word`, a walk on `path`, walked on toward its first letter until its
+    last letter is next to it: a closed walk, `word` itself if it is one."""
+    at = {letter: i for i, letter in enumerate(path)}
+    i, first = at[word[-1]], at[word[0]]
+    while abs(i - first) != 1:
+        i = i + 1 if i < first or i == 0 else i - 1
+        word += path[i]
+    return word
+
+
 @settings(max_examples=40, deadline=None)
 @pytest.mark.parametrize("n", range(5, 27, 2))
 @given(data=st.data())
@@ -650,6 +642,17 @@ def test_derivation_is_local_to_three_letter_windows(pipelines, n, data):
     windows = [word[i - 1 : i + 2] for i in range(1, len(word) - 1)]
     assert derive_via_diagrams(pipelines[n], word) == "".join(derive_via_diagrams(pipelines[n], w) for w in windows)
     assert ksl_window(word) == "".join(ksl_window(w) for w in windows)
+    # and behind the cyclic half's closed walks of 2 and WALK_LEN + 1
+    # letters: both derive a closed walk as the concatenation, in cyclic
+    # order, of what they derive from its cyclic 3-letter windows. A drawn
+    # walk of up to 36 letters closes in at most n - 2 more, so every
+    # closed walk of 2 to 36 letters can be drawn
+    word = _closed(arrows_path(n), data.draw(arrows_walks(n, 1, 36)))
+    assert 2 <= len(word) <= 60 and len(word) % 2 == 0 and fits(word + word[0], n)
+    windows = [word[i - 1] + word[i] + word[(i + 1) % len(word)] for i in range(len(word))]
+    got = derive_via_diagrams(pipelines[n], word, cyclic=True)
+    assert cyclic_normal_form(got) == cyclic_normal_form("".join(derive_via_diagrams(pipelines[n], w) for w in windows))
+    assert cyclic_normal_form(ksl_cyclic(word)) == cyclic_normal_form("".join(ksl_window(w) for w in windows))
 
 
 # ---- the arrows path and the words that fit it ------------------------------

@@ -44,10 +44,11 @@ GOLDEN = [
     ),
     ("diagram --n 9 --stage arrows", 0, "94249bc7012f6647e5d4bc840f65ce6b96e219ac07997cb6274653572b0b2324"),
     ("guide --n 9", 0, "29ecdf5f547c36482ccc79baa909749a005c8893bb85ca7bd87c9046eb8076a5"),
-    (  # windows_checked is the 14 arrows walks of WALK_LEN = 3 letters
+    (  # cycles_checked is the 11 closed walks of 2 and WALK_LEN + 1 = 4
+        # letters, windows_checked the 14 arrows walks of WALK_LEN = 3 letters
         "verify --n 5 --checks identities,moduli,reassembly,equivalence,torus --seed 3",
         0,
-        "f4b9f336e9aedf048598d8ecc47fe1c6e91f4c41c7520c29b055088062db5edc",
+        "799d577fb6bfb396c474d14df8af8e3754d20142995f35bd5f72a18ca553478f",
     ),
     ("torus derive --slope 1/3", 0, "fcfa33c6324fa176a3b6d68d0d914e0d2880b31dda7da469d105a159c243f70c"),
     ("torus trace --slope 2/5", 0, "9a59319e5a29b2864fd4a456bf41cad8d58581bfff21ce13a80c5c51758606ed"),
