@@ -339,7 +339,7 @@ def _cmd_torus(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .render import render_guide_svg, render_surface_svg
+    from .render import MAX_DRAWN_CROSSINGS, render_guide_svg, render_surface_svg
 
     s = build_surface(args.n)
     if args.what == "guide":
@@ -353,6 +353,11 @@ def _cmd_render(args) -> int:
             k = index_for_letter("S2" if args.edge is None else args.edge)
             t = 0.55 if args.t is None else args.t
             crossings = 60 if args.crossings is None else args.crossings
+            if crossings > MAX_DRAWN_CROSSINGS:
+                raise ValueError(
+                    f"render --crossings must be at most MAX_DRAWN_CROSSINGS = {MAX_DRAWN_CROSSINGS}"
+                    f" (a trace alone may have MAX_CROSSINGS = {MAX_CROSSINGS}), got {crossings}"
+                )
             traj = trace_from_edge(s, k, t, args.theta, max_crossings=crossings)
         guide = build_vertex_guide(s) if args.guide else None
         svg = render_surface_svg(

@@ -28,14 +28,16 @@ auxiliary crossing or direction-fixed letter to the next) with one reader,
 then the (kind, name) tokens met before the next one, a traced segment's
 cell (`flow.crossing_events`) or, in a walk, the auxiliary names of the
 letter's arrow to the next letter.
-A step is a pure function of the reader's state and the segment's tokens,
-so the sampled scan keeps each step it takes for the whole build in one
-memo, keyed by the state, the edge index and the cell's tokens; the walk
-keeps its steps per pipeline, keyed by the state and the letter pair. Equal
-keys mean equal tokens, so a kept step gives what taking it again would;
-the first time a key occurs the step is taken in full, so every check of
-the build fires on the same input as it would reading every token, and none
-twice on one input.
+A step is a pure function of the reader's state and the segment's tokens.
+The sampled scan numbers each state once per build and keeps each step it
+takes for the whole build in one memo, from (state number, edge index,
+cell tokens) to the next state's number, so no state is hashed per
+crossing; the walk keeps its steps per pipeline, keyed by the state and the
+letter pair. Equal keys mean equal states and tokens, so a kept step gives
+what taking it again would; the first time a key occurs the step is taken
+in full and its transitions recorded, so every check of the build fires on
+the same input as it would reading every token, and none twice on one
+input.
 
 `sandwich_equivalence_check` compares the two routes on every arrows walk
 of `WALK_LEN` = 3 letters, read as windows, and on every closed walk of 2
@@ -387,7 +389,8 @@ def _scan_sampled_transitions(
     clipping-derived augmented labels, and the transitions it completes fill
     the table. A step depends on the reader's state, the edge index and the
     cell's tokens alone, so it is taken in full once per distinct (state,
-    edge index, tokens) in the whole build and kept in one memo. A kept step
+    edge index, tokens) in the whole build, and one memo maps (the state's
+    number, edge index, tokens) to the next state's number. A kept step
     gives the same state and transitions as taking it again would; its
     transitions were recorded and checked when it was first taken, in this
     sample or an earlier one, so every check fires on the input it would
@@ -399,20 +402,28 @@ def _scan_sampled_transitions(
     nodes, letters = surface.node_letters, surface.letters
     observed: dict[tuple[str, str, str], str] = {}
     first_seen: dict[tuple[str, str, str], int] = {}
-    taken: dict[tuple, tuple] = {}  # (state, edge index, cell tokens) -> step, over the whole build
+    # each state read gets a number once per build: the memo maps (state
+    # number, edge index, cell tokens) to the next state's number
+    states, number = [_START], {_START: 0}
+    taken: dict[tuple, int] = {}
     for sample, (edge, u, theta) in enumerate(_sector_sample_plan(surface), 1):
         try:
             traj = trace_from_edge(surface, edge, u, theta, max_crossings=PLAN_CROSSINGS)
         except CornerHit:
             continue
         cells = crossing_events(surface, traj, edges)
-        state = _START
+        at = 0
         # an open trajectory's last crossing starts no segment: it reads no cell
         for k, cell in zip_longest(traj.indices, cells, fillvalue=()):
-            step = taken.get((state, k, cell))
-            if step is None:
-                step = taken[state, k, cell] = _dual_step(state, letters[k - 1], cell, nodes, aux_of)
-                for d1, d2, originals, primeds in step[1]:
+            to = taken.get((at, k, cell))
+            if to is None:
+                state, done = _dual_step(states[at], letters[k - 1], cell, nodes, aux_of)
+                to = number.get(state)
+                if to is None:
+                    to = number[state] = len(states)
+                    states.append(state)
+                taken[at, k, cell] = to
+                for d1, d2, originals, primeds in done:
                     if d1 is None:
                         continue
                     transition = (d1, d2, originals)
@@ -425,7 +436,7 @@ def _scan_sampled_transitions(
                             f"primed content of dual transition {transition} is not well defined: "
                             f"{seen!r} vs {primeds!r}"
                         )
-            state = step[0]
+            at = to
     return observed, first_seen
 
 

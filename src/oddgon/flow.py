@@ -84,11 +84,14 @@ from .surface import (
 # 3.11, 64-bit Linux, whole process `ru_maxrss`): an open n = 9 trace plus
 # `derive_geometric` peaks at 115 MB at 10**6 crossings and 217 MB at
 # 2 * 10**6, about 101 bytes a crossing, which alone would allow about
-# 9 * 10**6; an open torus trace plus `torus_derive_geometric` keeps a
-# record per crossing and peaks at 808 MB at 2 * 10**6, about 400 bytes a
-# crossing, which allows about 2.4 * 10**6. The cap is the smaller, rounded
-# down. `render` keeps about 1 KB a crossing (an SVG line and dot each), so
-# it passes 1 GB from about 9 * 10**5 crossings; the cap only bounds it.
+# 9 * 10**6; an open torus trace plus `torus_derive_geometric` keeps two
+# columns, a time and a letter a crossing, and peaks at 87 MB at 10**6 and
+# 160 MB at 2 * 10**6, about 73 bytes a crossing (the CLI's `torus trace`,
+# which prints the letters as a JSON list, 264 MB). The cap was set when the
+# torus kept a record per crossing (about 400 bytes, 757 MB at 2 * 10**6);
+# raising it is left to a change that measures 10**7 crossings. `render`
+# keeps about 1 KB a crossing and has its own lower cap,
+# `render.MAX_DRAWN_CROSSINGS`.
 MAX_CROSSINGS = 2 * 10**6
 
 

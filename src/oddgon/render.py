@@ -10,6 +10,16 @@ from .surface import LOWER, UPPER, Surface
 # Every figure is WIDTH pixels wide with a MARGIN-pixel border; its height follows the drawing.
 WIDTH, MARGIN = 720, 24.0
 
+# The most crossings `render` draws; the CLI rejects more with exit 2 before
+# it traces. A drawn crossing keeps about 1 KB (a tracked line and dot, then
+# its SVG text), against about 100 bytes for a trace alone, so this is below
+# `flow.MAX_CROSSINGS`. Measured (CPython 3.11, 64-bit Linux, whole process
+# `ru_maxrss`): `render --n 9 --edge S3 --t 0.37 --theta 0.7` peaks at
+# 508 MB at 5 * 10**5 crossings and 706 MB at 7 * 10**5, and from about
+# 9 * 10**5 it passes the 1 GB address space that CI's README step runs
+# under. The cap leaves about half of that 1 GB as margin.
+MAX_DRAWN_CROSSINGS = 5 * 10**5
+
 
 def _fmt(v: float) -> str:
     s = f"{v:.4f}".rstrip("0").rstrip(".")

@@ -5,13 +5,14 @@ vertical edges (lines x in Z) is the sanity case: its derivation rule
 ("between every two A's, remove a B") is NOT the sandwich rule, and the tests
 pin that contrast. The shear here is M = (1 1; 0 1); derivation applies the
 inverse (1 -1; 0 1) to the whole line and re-reads the cutting sequence.
+A traced trajectory is two columns, the time and the letter of each
+crossing; crossing i lies at start + times[i] * (cos theta, sin theta).
 The tracer, like `flow.trace`, ends a periodic orbit at its first return.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Optional
 
 from .flow import CornerHit, CuttingSequence
 from .geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
@@ -19,49 +20,29 @@ from .geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
 HORIZONTAL, VERTICAL = "A", "B"
 
 
-class TorusCrossing(NamedTuple):
-    t: float
-    letter: str
-    point: tuple[float, float]
-
-
 class TorusTrajectory(CuttingSequence):
-    def __init__(self, start: tuple[float, float], theta: float, crossings: list[TorusCrossing], periodic: bool = False):
-        self.start, self.theta, self.crossings, self.periodic = start, theta, crossings, periodic
+    """Crossing i is `letters[i]` at time `times[i]` from the (reduced) `start`."""
 
-    @property
-    def letters(self) -> str:
-        return "".join(c.letter for c in self.crossings)
+    def __init__(self, start: tuple[float, float], theta: float, times: list[float], letters: str, periodic: bool = False):
+        self.start, self.theta, self.times, self.letters, self.periodic = start, theta, times, letters, periodic
 
 
-def _line_crossings(p0: float, d: float) -> Iterator[float]:
-    """Times t > 0, in increasing order, at which p0 + t*d crosses an integer."""
+def _first_line(p0: float, d: float, at_start: bool) -> tuple[float, float, int, float]:
+    """(t, j, step, d') of the first crossing of p0 + t*d with an integer:
+    the line j at t = (j - p0) / d', or the line it starts on at t = 0 if
+    `at_start`; the next is j + step. A start within STEP_MIN of a line is
+    on it. A family parallel to the line (abs(d) < PARALLEL) is crossed at
+    no t > 0: j = inf and d' = 1.0 make every later t inf."""
     if abs(d) < PARALLEL:
-        return iter(())
+        return (0.0 if at_start else math.inf), math.inf, 1, 1.0
     step = 1 if d > 0 else -1
-    k = math.floor(p0) + 1 if d > 0 else math.ceil(p0) - 1
     if abs(p0 - round(p0)) < STEP_MIN:
-        k = round(p0) + step
-    return ((j - p0) / d for j in itertools.count(k, step))
-
-
-def _lattice_crossings(x0: float, y0: float, dx: float, dy: float) -> Iterator[tuple[float, str]]:
-    """(t, letter) of each lattice line the line crosses, in time order with an
-    A before a B at the same time; a start on a lattice line is crossed at t = 0."""
-    # distances to the nearest lattice line are abs(x - round(x)) throughout
-    if abs(y0 - round(y0)) < STEP_MIN:
-        yield 0.0, HORIZONTAL
-    elif abs(x0 - round(x0)) < STEP_MIN:
-        yield 0.0, VERTICAL
-    horizontal, vertical = _line_crossings(y0, dy), _line_crossings(x0, dx)
-    ta, tb = next(horizontal, math.inf), next(vertical, math.inf)
-    while True:
-        if ta <= tb:
-            yield ta, HORIZONTAL
-            ta = next(horizontal, math.inf)
-        else:
-            yield tb, VERTICAL
-            tb = next(vertical, math.inf)
+        if at_start:
+            return 0.0, round(p0), step, d
+        j = round(p0) + step
+    else:
+        j = math.floor(p0) + 1 if d > 0 else math.ceil(p0) - 1
+    return (j - p0) / d, j, step, d
 
 
 def torus_trace(
@@ -72,9 +53,11 @@ def torus_trace(
 ) -> TorusTrajectory:
     """Cutting sequence of the line start + t*(cos theta, sin theta).
 
-    A start on a lattice line emits that crossing at t = 0. The walk stops
-    after `max_crossings`, past `t_max`, or at the first return; CornerHit
-    when a crossing before that passes within CORNER_DELTA of a lattice point.
+    One loop walks the two families of lattice lines in time order, an A
+    before a B at the same time. A start on a lattice line emits that
+    crossing at t = 0, an A if it is on both. The walk stops after
+    `max_crossings`, past `t_max`, or at the first return; CornerHit when a
+    crossing before that passes within CORNER_DELTA of a lattice point.
     The walk starts from `start` reduced by math.fmod(., 1.0), which is
     exact; far from the unit square, x0 + t*dx would round the start's
     fraction away. The trajectory holds the reduced start, a CornerHit the
@@ -88,24 +71,41 @@ def torus_trace(
         raise ValueError(f"max_crossings must be at least 1, got {max_crossings}")
     dx, dy = math.cos(theta), math.sin(theta)
     x0, y0 = math.fmod(start[0], 1.0), math.fmod(start[1], 1.0)
+    # distances to the nearest lattice line are abs(x - round(x)) throughout
+    on_a = abs(y0 - round(y0)) < STEP_MIN
+    ta, ja, sa, da = _first_line(y0, dy, on_a)
+    tb, jb, sb, db = _first_line(x0, dx, not on_a and abs(x0 - round(x0)) < STEP_MIN)
+    t_end = math.inf if t_max is None else t_max
+    times: list[float] = []
+    letters: list[str] = []
+    periodic = False
     # each crossing is checked for a corner; the first return to crossing 0's
     # letter and point modulo the lattice ends one period
-    crossings: list[TorusCrossing] = []
-    for t, letter in itertools.islice(_lattice_crossings(x0, y0, dx, dy), max_crossings):
-        if t_max is not None and t > t_max:
+    for i in range(max_crossings):
+        if ta <= tb:
+            t, letter = ta, HORIZONTAL
+            ja += sa
+            ta = (ja - y0) / da
+        else:
+            t, letter = tb, VERTICAL
+            jb += sb
+            tb = (jb - x0) / db
+        if t > t_end:
             break
         px, py = x0 + t * dx, y0 + t * dy
         other = px if letter == HORIZONTAL else py
         if abs(other - round(other)) < CORNER_DELTA:
-            raise CornerHit("torus", (px, py), len(crossings), theta, "torus", start)
-        if not crossings:
+            raise CornerHit("torus", (px, py), i, theta, "torus", start)
+        if not i:
             letter0, fx, fy = letter, px, py
         elif letter == letter0:
             rx, ry = px - fx, py - fy
             if abs(rx - round(rx)) < EPS and abs(ry - round(ry)) < EPS:
-                return TorusTrajectory((x0, y0), theta, crossings, periodic=True)
-        crossings.append(TorusCrossing(t, letter, (px, py)))
-    return TorusTrajectory((x0, y0), theta, crossings)
+                periodic = True
+                break
+        times.append(t)
+        letters.append(letter)
+    return TorusTrajectory((x0, y0), theta, times, "".join(letters), periodic)
 
 
 def torus_derive_rule(word: str, cyclic: bool = False) -> str:
@@ -137,12 +137,12 @@ def torus_derive_geometric(traj: TorusTrajectory) -> str:
     itheta = math.atan2(idy, idx)
     iscale = math.hypot(idx, idy)
     if traj.periodic:
-        image = torus_trace((ix, iy), itheta, max_crossings=4 * len(traj.crossings) + 8)
+        image = torus_trace((ix, iy), itheta, max_crossings=4 * len(traj.letters) + 8)
         if not image.periodic:
             raise AssertionError("image of a periodic torus orbit failed to close up")
         return image.period_word
-    if not traj.crossings:
+    if not traj.times:
         return ""
-    t_end = traj.crossings[-1].t * iscale + STEP_MIN
+    t_end = traj.times[-1] * iscale + STEP_MIN
     image = torus_trace((ix, iy), itheta, max_crossings=10 ** 9, t_max=t_end)
     return image.letters

@@ -1,7 +1,23 @@
+import warnings
+
 import pytest
 
 from oddgon.derivation import build_pipeline_diagrams
 from oddgon.surface import build_surface
+
+
+@pytest.hookimpl(tryfirst=True, hookwrapper=True)
+def pytest_runtest_makereport():
+    """Let a failing Hypothesis test report under `-W error`. The hypothesis
+    plugin's own makereport hook raises `DeprecationWarning: mypy_extensions.
+    TypedDict is deprecated` while it reports a failure, and as an error that
+    ends the session with INTERNALERROR before the falsifying example is
+    shown. Only that warning, and only while a report is made, is ignored; an
+    ini `filterwarnings` entry cannot do it, as `-W error` is applied after
+    it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+        yield
 
 
 @pytest.fixture(scope="session")

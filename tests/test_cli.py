@@ -10,6 +10,7 @@ from oddgon import cli, derivation, surface
 from oddgon.cli import main
 from oddgon.flow import MAX_CROSSINGS, trace_from_edge
 from oddgon.geometry import vsub
+from oddgon.render import MAX_DRAWN_CROSSINGS
 from oddgon.shear import build_vertex_guide
 from oddgon.surface import UPPER, build_surface
 
@@ -298,6 +299,19 @@ def test_render_draws_every_segment_of_a_trajectory(capsys):
     # an open 60-crossing trace has one segment fewer than crossings
     code, svg = run_cli(capsys, "render", "--n", "5", "--theta", "0.31")
     assert code == 0 and svg.count("<line") == 59
+
+
+def test_render_rejects_more_crossings_than_it_can_draw(capsys, monkeypatch):
+    traced = []
+    monkeypatch.setattr(cli, "trace_from_edge", lambda *args, **kwargs: traced.append(kwargs["max_crossings"]))
+    assert MAX_DRAWN_CROSSINGS == 5 * 10**5
+    assert main(["render", "--theta", "0.3", "--crossings", str(MAX_DRAWN_CROSSINGS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"MAX_DRAWN_CROSSINGS = {MAX_DRAWN_CROSSINGS}" in captured.err
+    assert traced == []  # rejected before anything is traced
+    # the bound is inclusive: at it, render traces (here a stub: no trajectory drawn)
+    code, svg = run_cli(capsys, "render", "--theta", "0.3", "--crossings", str(MAX_DRAWN_CROSSINGS))
+    assert code == 0 and svg.startswith("<svg") and traced == [MAX_DRAWN_CROSSINGS]
 
 
 def test_the_crossing_cap_is_inclusive(capsys, pentagon):

@@ -13,7 +13,6 @@ from oddgon.derivation import cyclic_normal_form, ksl_cyclic
 from oddgon.flow import CornerHit
 from oddgon.geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
 from oddgon.torus import (
-    TorusCrossing,
     TorusTrajectory,
     torus_derive_geometric,
     torus_derive_rule,
@@ -93,7 +92,7 @@ def test_periodic_torus_trace_holds_one_period():
             continue
         if traj.periodic:
             periodic += 1
-            assert len(traj.crossings) == traj.period
+            assert len(traj.times) == len(traj.letters) == traj.period
             assert traj.period_word == traj.letters
     assert periodic >= 30
 
@@ -144,8 +143,8 @@ def test_trace_rejects_fewer_than_one_crossing(max_crossings):
 
 def test_start_on_lattice_line_emits_first_crossing():
     traj = torus_trace((0.0, 0.25), math.atan2(1.0, 2.0), max_crossings=5)
-    assert traj.crossings[0].t == 0.0
-    assert traj.crossings[0].letter == "B"
+    assert traj.times[0] == 0.0
+    assert traj.letters[0] == "B"
 
 
 @pytest.mark.parametrize("start", [(1e17, 0.61), (1e15 + 0.23, 0.61), (-3e15 - 0.5, 2e15 + 0.75)])
@@ -157,9 +156,16 @@ def test_a_start_far_from_the_unit_square_traces_like_its_reduction(start):
     assert all(-1.0 < v < 1.0 for v in reduced)
     far, near = torus_trace(start, theta), torus_trace(reduced, theta)
     assert far.start == near.start == reduced
-    assert repr(far.crossings) == repr(near.crossings) and far.periodic == near.periodic
+    assert _columns(far) == _columns(near)
     assert far.periodic and far.period == 7
     assert torus_derive_geometric(far) == torus_derive_geometric(near)
+
+
+def _columns(traj: TorusTrajectory):
+    """What a trace holds, exactly: each crossing's time (by repr, so -0.0 is
+    not 0.0) and letter, the periodic flag and the period; with the reduced
+    start, the times fix each crossing's point."""
+    return repr(traj.times), traj.letters, traj.periodic, traj.period
 
 
 def _letters_or_corner(start, theta):
@@ -261,22 +267,23 @@ def _reference_trace(start, theta, max_crossings=100, t_max: Optional[float] = N
     events += [(t, "B") for t in _reference_line_crossings(x0, dx, horizon)]
     events.sort()
     events = events[:max_crossings] if t_max is None else events
-    crossings, period = [], None
+    times, letters, period = [], [], None
     for t, letter in events:
         px, py = x0 + t * dx, y0 + t * dy
         other = px if letter == "A" else py
         if abs(other - round(other)) < CORNER_DELTA:
-            raise CornerHit("torus", (px, py), len(crossings), theta, "torus", start)
-        if not crossings:
+            raise CornerHit("torus", (px, py), len(times), theta, "torus", start)
+        if not times:
             letter0, fx, fy = letter, px, py
         elif period is None and letter == letter0:
             rx, ry = px - fx, py - fy
             if abs(rx - round(rx)) < EPS and abs(ry - round(ry)) < EPS:
-                period = len(crossings)
-        crossings.append(TorusCrossing(t, letter, (px, py)))
+                period = len(times)
+        times.append(t)
+        letters.append(letter)
     if period is None:
-        return TorusTrajectory((x0, y0), theta, crossings)
-    return TorusTrajectory((x0, y0), theta, crossings[:period], periodic=True)
+        return TorusTrajectory((x0, y0), theta, times, "".join(letters))
+    return TorusTrajectory((x0, y0), theta, times[:period], "".join(letters[:period]), periodic=True)
 
 
 def _walk_cases(count: int, seed: int):
@@ -311,7 +318,7 @@ def _outcome(start, theta, max_crossings):
         word = torus.torus_derive_geometric(traj)
     except (CornerHit, AssertionError) as err:
         word = repr(err)
-    return repr(traj.crossings), traj.periodic, traj.period, word
+    return _columns(traj), traj.start, word
 
 
 def test_walk_matches_the_horizon_and_sort_reference(monkeypatch):
@@ -321,7 +328,7 @@ def test_walk_matches_the_horizon_and_sort_reference(monkeypatch):
     monkeypatch.setattr(torus, "torus_trace", _reference_trace)
     for case, outcome in zip(cases, got):
         assert outcome == _outcome(*case), case
-    kinds = [o[0] if o[0] == "corner" else o[1] for o in got]
+    kinds = [o[0] if o[0] == "corner" else o[0][2] for o in got]
     # every kind of outcome is well represented
     assert min(kinds.count(kind) for kind in ("corner", True, False)) >= 500
 
@@ -336,7 +343,7 @@ def test_walk_stops_at_the_first_return_under_a_huge_bound():
     finally:
         tracemalloc.stop()
     assert small.periodic and big.periodic and big.period == 4
-    assert repr(big.crossings) == repr(small.crossings)
+    assert _columns(big) == _columns(small)
     assert peak < 1_000_000
 
 
@@ -344,6 +351,21 @@ def test_t_max_and_max_crossings_both_bound_the_walk():
     theta = 0.5  # open: no return to stop the walk
     by_count = torus_trace((0.25, 0.4), theta, max_crossings=5, t_max=100.0)
     by_time = torus_trace((0.25, 0.4), theta, max_crossings=1000, t_max=3.0)
-    assert len(by_count.crossings) == 5
-    assert by_time.crossings and by_time.crossings[-1].t <= 3.0
-    assert repr(by_time.crossings) == repr(torus_trace((0.25, 0.4), theta, max_crossings=len(by_time.crossings)).crossings)
+    assert len(by_count.times) == len(by_count.letters) == 5
+    assert by_time.times and by_time.times[-1] <= 3.0
+    retraced = torus_trace((0.25, 0.4), theta, max_crossings=len(by_time.times))
+    assert _columns(by_time) == _columns(retraced)
+
+
+def test_an_open_trace_keeps_two_columns():
+    # a crossing is one time slot and float (32 B) and one byte of letters
+    theta, m = 0.7 + math.sqrt(2) * 1e-3, 10**5
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = torus_trace((0.23, 0.61), theta, max_crossings=m)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert not traj.periodic and len(traj.times) == len(traj.letters) == m
+    assert kept <= 48 * m
