@@ -39,20 +39,23 @@ from .surface import build_surface, index_for_letter, surface_json
 from .torus import torus_derive_geometric, torus_derive_rule, torus_trace
 
 
-def _emit(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+def _emit(chunks, out: str | None) -> None:
+    """Write the strings `chunks` and then a newline, which no output ends with, to stdout or to `out`."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+            fh.write("\n")
     except OSError as e:
         raise ValueError(f"cannot write --out {out}: {e.strerror}") from e
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2), out)
+    # written chunk by chunk as the encoder makes them: a long trace's JSON is never one string
+    _emit(json.JSONEncoder(indent=2).iterencode(obj), out)
 
 
 def _emit_derived(word: str, cyclic: bool, method: str, derived: str, out: str | None) -> None:
@@ -121,7 +124,7 @@ def _cmd_derive(args) -> int:
     if args.format == "json":
         _emit_derived(word, args.cyclic, args.method, derived, args.out)
     else:
-        _emit(derived, args.out)
+        _emit([derived], args.out)
     return 0
 
 
@@ -156,7 +159,7 @@ def _cmd_diagram(args) -> int:
     else:
         diagram = build_pipeline_diagrams(s).stages[args.stage]
     if args.format == "dot":
-        _emit(diagram_dot(diagram), args.out)
+        _emit([diagram_dot(diagram)], args.out)
     else:
         _emit_json(diagram_json(diagram), args.out)
     return 0
@@ -363,7 +366,7 @@ def _cmd_render(args) -> int:
         svg = render_surface_svg(
             s, trajectory=traj, guide=guide, show_aux=bool(args.aux), show_primed=bool(args.primed)
         )
-    _emit(svg, args.out)
+    _emit([svg], args.out)
     return 0
 
 

@@ -22,34 +22,38 @@ it clips them, so the arrows and augmented stages are checked too.
 `arrows_path(n)` is that path as letters, and `fits(word, n)` says whether
 a word walks it: every adjacent pair is an arrow.
 
-The build and the walk split what they read into dual transitions (from one
+The build splits what its samples cross into dual transitions (from one
 auxiliary crossing or direction-fixed letter to the next) with one reader,
 `_dual_step`, stepped once per segment: a segment is an original letter and
-then the (kind, name) tokens met before the next one, a traced segment's
-cell (`flow.crossing_events`) or, in a walk, the auxiliary names of the
-letter's arrow to the next letter.
+then the (kind, name) tokens of its cell (`flow.crossing_events`), met
+before the next one.
 A step is a pure function of the reader's state and the segment's tokens.
 The sampled scan numbers each state once per build and keeps each step it
 takes for the whole build in one memo, from (state number, edge index,
 cell tokens) to the next state's number, so no state is hashed per
-crossing; the walk keeps its steps per pipeline, keyed by the state and the
-letter pair. Equal keys mean equal states and tokens, so a kept step gives
+crossing. Equal keys mean equal states and tokens, so a kept step gives
 what taking it again would; the first time a key occurs the step is taken
 in full and its transitions recorded, so every check of the build fires on
 the same input as it would reading every token, and none twice on one
 input.
 
+A diagram walk needs no reader. The arrows diagram is a path whose inner
+steps each cross one auxiliary diagonal, so a letter x between neighbours
+a and b is passed by exactly one dual transition, from the dual node on
+step a-x to the one on step x-b (`_transition_over`, the key
+`closed_form_tables` builds), and `derive_via_diagrams` reads a word's
+letter triples once each and keeps no state.
+
 `sandwich_equivalence_check` compares the two routes on every arrows walk
 of `WALK_LEN` = 3 letters, read as windows, and on every closed walk of 2
 and `WALK_LEN` + 1 letters, read as cyclic words. It reads no seed: each
-derived letter is decided by its letter and its two neighbours (the
-locality argument in its docstring), and those walks hold every 3-letter
-walk as a window and as a cyclic window, so agreement on them is agreement
-on every word and every cyclic word the arrows diagram accepts, and the
-check decides the theorem for its n rather than sampling it. Diagrams and
-arrows are NamedTuples; a `DiagramPipeline`, which keeps the walk's steps,
-and an `EquivalenceReport`, which fills as the check runs, are plain
-classes.
+derived letter is decided by its letter and its two neighbours, in the
+diagram route by its one lookup per letter, and those walks hold every
+3-letter walk as a window and as a cyclic window, so agreement on them is
+agreement on every word and every cyclic word the arrows diagram accepts,
+and the check decides the theorem for its n rather than sampling it.
+Diagrams, arrows and the `DiagramPipeline` are NamedTuples; an
+`EquivalenceReport`, which fills as the check runs, is a plain class.
 """
 from __future__ import annotations
 
@@ -300,9 +304,18 @@ def closed_form_tables(
         letter, sides = path[i], (path[i - 1], path[i + 1])
         for a in sides:
             for b in sides:
-                d1, d2 = (aux_of[a, letter] or (a,))[0], (aux_of[letter, b] or (b,))[0]
-                transitions[d1, d2, letter] = letter if a == b else ""
+                transitions[_transition_over(aux_of, a, letter, b)] = letter if a == b else ""
     return aux_of, transitions
+
+
+def _transition_over(
+    aux_of: dict[tuple[str, str], tuple[str, ...]], a: str, x: str, b: str
+) -> tuple[str, str, str]:
+    """The dual transition that passes inner letter x between its arrows
+    neighbours a and b, as (from, to, originals): from the dual node on step
+    a -> x to the one on step x -> b, each the step's auxiliary name or, on
+    an end step, which crosses none, the node letter at its far end."""
+    return (aux_of[a, x] or (a,))[0], (aux_of[x, b] or (b,))[0], x
 
 
 # The dual-transition reader's state before its first segment: no dual node
@@ -316,9 +329,9 @@ def _dual_step(
     letter: str,
     cell: tuple[tuple[str, str], ...],
     nodes: frozenset[str],
-    aux_of: Optional[dict[tuple[str, str], tuple[str, ...]]] = None,
+    aux_of: dict[tuple[str, str], tuple[str, ...]],
 ) -> tuple[tuple, tuple[tuple[Optional[str], str, str, str], ...]]:
-    """One segment of the dual-transition reader: its original `letter`, then its `cell`'s (kind, name) tokens.
+    """One segment of the sampled scan's reader: its original `letter`, then its `cell`'s (kind, name) tokens.
 
     A dual node is an auxiliary token or an original one named by a node
     letter; a dual transition runs from one to the next. `state` is (node,
@@ -327,11 +340,9 @@ def _dual_step(
     original letter with the auxiliary names read since it. Returns the
     state after the segment and the transitions the segment completes, each
     (from, to, originals, primeds) in reading order; the first one read has
-    from None and holds what came before the first dual node. Given
-    `aux_of`, it raises AssertionError unless the auxiliary names between
-    each two consecutive original letters x, y are the augmented label
-    aux_of[(x, y)]; the sampled scan passes it, while a diagram walk, whose
-    segments are built from aux_of, does not.
+    from None and holds what came before the first dual node. It raises
+    AssertionError unless the auxiliary names between each two consecutive
+    original letters x, y are the augmented label aux_of[(x, y)].
 
     The result depends on the arguments alone, so a reader may keep it and
     reuse it for an equal state and equal tokens.
@@ -342,18 +353,17 @@ def _dual_step(
         if kind == PRIMED:
             primeds += name
             continue
-        if aux_of is not None:
-            if kind == AUXILIARY:
-                between += (name,)
-            else:
-                if x is not None and between != aux_of.get((x, name)):
-                    if (x, name) not in aux_of:
-                        raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
-                    raise AssertionError(
-                        f"sampled aux crossings {between} for {x}->{name} differ from "
-                        f"region label {aux_of[(x, name)]}"
-                    )
-                x, between = name, ()
+        if kind == AUXILIARY:
+            between += (name,)
+        else:
+            if x is not None and between != aux_of.get((x, name)):
+                if (x, name) not in aux_of:
+                    raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
+                raise AssertionError(
+                    f"sampled aux crossings {between} for {x}->{name} differ from "
+                    f"region label {aux_of[(x, name)]}"
+                )
+            x, between = name, ()
         if kind == AUXILIARY or name in nodes:
             done.append((node, name, originals, primeds))
             node, originals, primeds = name, "", ""
@@ -440,18 +450,14 @@ def _scan_sampled_transitions(
     return observed, first_seen
 
 
-class DiagramPipeline:
+class DiagramPipeline(NamedTuple):
     """The four transition diagrams plus the lookup tables used to walk them."""
 
-    def __init__(
-        self, stages: dict[str, TransitionDiagram], aux_of: dict[tuple[str, str], tuple[str, ...]],
-        transitions: dict[tuple[str, str, str], str], node_letters: frozenset[str], covered_at: int,
-    ):
-        self.stages, self.aux_of, self.node_letters = stages, aux_of, node_letters
-        self.transitions = transitions  # (from, to, originals) -> primed letters
-        self.covered_at = covered_at  # 1-based plan sample at which every predicted transition had been seen
-        # the walk's `_dual_step` results, kept per (state, letter, next letter)
-        self._walk_steps: dict = {}
+    stages: dict[str, TransitionDiagram]
+    aux_of: dict[tuple[str, str], tuple[str, ...]]
+    transitions: dict[tuple[str, str, str], str]  # (from, to, originals) -> primed letters
+    node_letters: frozenset[str]
+    covered_at: int  # 1-based plan sample at which every predicted transition had been seen
 
 
 def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
@@ -514,19 +520,20 @@ def build_pipeline_diagrams(surface: Surface) -> DiagramPipeline:
 def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = False) -> str:
     """Derived word of a diagram walk, read off the primed labels.
 
-    The walk is read by `_dual_step`, one segment per letter: the letter,
-    then the auxiliary names of its arrow to the next letter. The derived
-    word takes, dual node by dual node, the node letter if it is one and
-    the primed content of the transition leaving it.
+    Each letter with two neighbours derives on its own: a node letter, a
+    dual node itself, to itself, and an inner letter x between a and b to
+    the primed content of the one dual transition that passes it,
+    `_transition_over(aux_of, a, x, b)`. `build_pipeline_diagrams` raises
+    unless it realized every transition `closed_form_tables` predicts, and
+    those are every such (a, x, b) of the path, so the lookup cannot miss.
 
     Window semantics match ksl_window: the first and last letters carry no
-    verdict. Cyclic words are walked on a tripled copy and the transitions
-    leaving the dual nodes of the middle copy make up one full period.
+    verdict. A cyclic word's neighbours wrap, and it is read from its first
+    letter if that is a node letter and from its second otherwise, so that
+    its first letter's output comes last.
     """
-    L = len(word)
-    walked = word * 3 if cyclic else word
-    lo, hi = (L, 2 * L) if cyclic else (0, L)
     alphabet = pipeline.stages["arrows"].nodes
+    walked = word + word[:1] if cyclic else word
     # two containments test the whole word; only a word that fails one is
     # walked letter by letter, to name its first bad letter or pair
     if not (set(walked).issubset(alphabet) and pipeline.aux_of.keys() >= set(zip(walked, walked[1:]))):
@@ -536,29 +543,15 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
         for pair in zip(walked, walked[1:]):
             if pair not in pipeline.aux_of:
                 raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
-    last = len(walked) - 1
-    nodes, steps = pipeline.node_letters, pipeline._walk_steps
-    out: list[str] = []
-    # anchor: the index of the letter the last dual node read is or follows
-    state, anchor = _START, None
-    for i, (letter, after) in enumerate(zip_longest(walked, walked[1:])):
-        key = (state, letter, after)
-        step = steps.get(key)
-        if step is None:
-            cell = tuple((AUXILIARY, name) for name in pipeline.aux_of[(letter, after)]) if after else ()
-            step = steps[key] = _dual_step(state, letter, cell, nodes)
-        state, done = step
-        for d1, d2, originals, _ in done:
-            if d1 is not None and lo <= anchor < hi:
-                if (d1, d2, originals) not in pipeline.transitions:
-                    raise InvalidPath(f"no dual transition {d1}->{d2} via {originals!r}")
-                out.append(pipeline.transitions[(d1, d2, originals)])
-            anchor = i
-            if d2 in nodes and lo <= i < hi and 0 < i < last:
-                out.append(d2)
-    if cyclic and anchor is not None and lo <= anchor < hi:
-        raise AssertionError("tripled walk ended before its transitions completed")
-    return "".join(out)
+    aux_of, transitions, nodes = pipeline.aux_of, pipeline.transitions, pipeline.node_letters
+    if cyclic and word:
+        if word[0] not in nodes:
+            word = word[1:] + word[0]
+        word = word[-1] + word + word[0]
+    return "".join(
+        x if x in nodes else transitions[_transition_over(aux_of, a, x, b)]
+        for a, x, b in zip(word, word[1:], word[2:])
+    )
 
 
 # ---- equivalence of the two routes ------------------------------------------
@@ -597,37 +590,24 @@ def sandwich_equivalence_check(pipeline: DiagramPipeline) -> EquivalenceReport:
     Windows: every arrows walk of WALK_LEN = 3 letters, 4n - 6 of them
     (`windows_checked`): each of the 4n - 8 dual transitions is the middle
     of one, and each node letter lies between two copies of its one
-    neighbour. Three letters suffice, by locality:
-
-    * every inner step of the arrows path crosses one auxiliary diagonal,
-      and the two end steps lead to the node letters, themselves dual
-      nodes; so at most one original letter lies between two consecutive
-      dual nodes, and the transition over an inner letter runs from the
-      dual node on its step in to the one on its step out;
-    * so each derived letter is decided by its own letter and its two
-      neighbours, exactly as in `ksl_window`: the transition's primed
-      content by the two steps, and a node letter, derived as itself,
-      wherever it has both neighbours;
-    * so the diagram route's output on any window is the concatenation, in
-      order, of its 3-letter windows' outputs, as the rule's is
-      (`tests/test_derivation.py` pins this on walks of up to 60 letters at
-      every n), and a shorter window derives to the empty word both ways.
-
+    neighbour. Three letters suffice: `derive_via_diagrams` derives each
+    inner letter of a window from it and its two neighbours alone, as
+    `ksl_window` does, and joins the results in order, so either route's
+    output on a window is the concatenation of its 3-letter windows'
+    outputs, and a shorter window derives to the empty word both ways.
     Agreement on every 3-letter walk is therefore agreement on every word
     the arrows diagram accepts, and the check reads no seed.
 
     Cyclic words: every closed walk w of 2 and WALK_LEN + 1 = 4 letters,
     one with w[-1] -> w[0] an arrow, once per cyclic normal form: 3n - 4
-    of them (`cycles_checked`). By the same locality, both routes derive a
-    cyclic word as the concatenation, in cyclic order, of its cyclic
-    3-letter windows' outputs (pinned on closed walks of up to 60 letters
-    in the same tests), so a cyclic word is decided by its cyclic windows.
+    of them (`cycles_checked`). Both routes derive a cyclic word, up to
+    rotation, as the concatenation in cyclic order of its cyclic 3-letter
+    windows' outputs, so a cyclic word is decided by its cyclic windows.
     The arrows diagram is a path, so a closed walk has even length, and
     every 3-letter walk xyz is a cyclic window of the closed walk xy when
     x = z and of xyzy when x != z. Agreement on the closed walks of 2 and 4
-    letters, which the tripled cyclic walk reads window by window across
-    its wrap, is therefore agreement on every cyclic word the arrows
-    diagram accepts.
+    letters is therefore agreement on every cyclic word the arrows diagram
+    accepts.
     """
     report = EquivalenceReport()
 

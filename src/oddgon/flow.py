@@ -86,12 +86,12 @@ from .surface import (
 # 2 * 10**6, about 101 bytes a crossing, which alone would allow about
 # 9 * 10**6; an open torus trace plus `torus_derive_geometric` keeps two
 # columns, a time and a letter a crossing, and peaks at 87 MB at 10**6 and
-# 160 MB at 2 * 10**6, about 73 bytes a crossing (the CLI's `torus trace`,
-# which prints the letters as a JSON list, 264 MB). The cap was set when the
-# torus kept a record per crossing (about 400 bytes, 757 MB at 2 * 10**6);
-# raising it is left to a change that measures 10**7 crossings. `render`
-# keeps about 1 KB a crossing and has its own lower cap,
-# `render.MAX_DRAWN_CROSSINGS`.
+# 160 MB at 2 * 10**6, about 73 bytes a crossing. The CLI writes its JSON as
+# it is encoded: at 2 * 10**6 crossings `torus trace` peaks at 109 MB and
+# `trace` at n = 9 at 201 MB. The cap was set when the torus kept a record
+# per crossing (about 400 bytes, 757 MB at 2 * 10**6); raising it is left to
+# a change that measures 10**7 crossings. `render` keeps about 1 KB a
+# crossing and has its own lower cap, `render.MAX_DRAWN_CROSSINGS`.
 MAX_CROSSINGS = 2 * 10**6
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,29 @@ def test_the_crossing_cap_is_inclusive(capsys, pentagon):
         trace_from_edge(pentagon, 2, 0.55, math.pi / 10, max_crossings=MAX_CROSSINGS + 1)
     code, data = run_json(capsys, "torus", "trace", "--slope", "1/3", "--crossings", str(MAX_CROSSINGS))
     assert code == 0 and data["period"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["torus", "trace", "--theta", "0.7014142135623731"], 64),
+        (["trace", "--n", "9", "--edge", "3", "--t", "0.37", "--theta", "0.7"], 110),
+    ],
+)
+def test_long_trace_output_is_written_as_it_is_encoded(tmp_path, argv, bound):
+    # the JSON of an open trace is written chunk by chunk, never held as one
+    # string, so the call's peak per crossing stays near the trace's own
+    m, out = 2 * 10**5, tmp_path / "trace.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main([*argv, "--crossings", str(m), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    data = json.loads(out.read_text())
+    assert code == 0 and not data["periodic"] and len(data["letters"]) == m
+    assert peak < bound * m, peak / m
 
 
 @pytest.mark.parametrize("n", [5, 9, 25])
