@@ -22,27 +22,18 @@ it clips them, so the arrows and augmented stages are checked too.
 `arrows_path(n)` is that path as letters, and `fits(word, n)` says whether
 a word walks it: every adjacent pair is an arrow.
 
-The build splits what its samples cross into dual transitions (from one
-auxiliary crossing or direction-fixed letter to the next) with one reader,
-`_dual_step`, stepped once per segment: a segment is an original letter and
-then the (kind, name) tokens of its cell (`flow.crossing_events`), met
-before the next one.
-A step is a pure function of the reader's state and the segment's tokens.
-The sampled scan numbers each state once per build and keeps each step it
-takes for the whole build in one memo, from (state number, edge index,
-cell tokens) to the next state's number, so no state is hashed per
-crossing. Equal keys mean equal states and tokens, so a kept step gives
-what taking it again would; the first time a key occurs the step is taken
-in full and its transitions recorded, so every check of the build fires on
-the same input as it would reading every token, and none twice on one
-input.
-
-A diagram walk needs no reader. The arrows diagram is a path whose inner
-steps each cross one auxiliary diagonal, so a letter x between neighbours
-a and b is passed by exactly one dual transition, from the dual node on
-step a-x to the one on step x-b (`_transition_over`, the key
-`closed_form_tables` builds), and `derive_via_diagrams` reads a word's
-letter triples once each and keeps no state.
+A letter x between arrows neighbours a and b is passed by exactly one dual
+transition, from the dual node on step a-x to the one on step x-b
+(`_transition_over`, the key `closed_form_tables` builds), and both readers
+use it. `derive_via_diagrams` looks one transition up per letter and keeps
+no state. The build's sampled scan reads a sample one segment (the cell of
+`flow.crossing_events` between two crossings) at a time with one pure step,
+`_segment_step`, which completes the transition over the segment's first
+letter; a periodic sample is read as the cyclic word it is. The scan keeps
+each step it takes for the whole build in one memo, from (state number,
+edge index, cell tokens) to the next state, so no state is hashed per
+crossing and every check fires once on the input it would fire on reading
+every segment.
 
 `sandwich_equivalence_check` compares the two routes on every arrows walk
 of `WALK_LEN` = 3 letters, read as windows, and on every closed walk of 2
@@ -57,7 +48,6 @@ Diagrams, arrows and the `DiagramPipeline` are NamedTuples; an
 """
 from __future__ import annotations
 
-from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 from .flow import CornerHit, crossing_events, trace_from_edge
@@ -73,7 +63,7 @@ from .geometry import (
     ray_segment_hit,  # perfbench/tracing.py wraps this name to count ray tests
     vlerp,
 )
-from .surface import AUXILIARY, LOWER, ORIGINAL, PRIMED, UPPER, Surface, check_n, letter_for_index
+from .surface import AUXILIARY, LOWER, UPPER, Surface, check_n, letter_for_index
 
 import math
 
@@ -103,10 +93,18 @@ def ksl_cyclic(word: str) -> str:
 
 
 def cyclic_normal_form(word: str) -> str:
-    """Lexicographically least rotation, for cyclic-word comparison."""
-    if not word:
-        return ""
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    """Lexicographically least rotation, for cyclic-word comparison, in linear
+    time: read off Duval's Lyndon factorization of word + word (Duval 1983)."""
+    doubled, L = word + word, len(word)
+    i = least = 0
+    while i < L:
+        least, j, k = i, i + 1, i
+        while j < 2 * L and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return doubled[least : least + L]
 
 
 # ---- diagram data model -----------------------------------------------------
@@ -318,58 +316,36 @@ def _transition_over(
     return (aux_of[a, x] or (a,))[0], (aux_of[x, b] or (b,))[0], x
 
 
-# The dual-transition reader's state before its first segment: no dual node
-# read yet, no original or primed letter since, no original letter for the
-# augmented-label check and no auxiliary name after it.
-_START: tuple = (None, "", "", None, ())
+def _segment_step(
+    state: tuple, b: str, cell: tuple[tuple[str, str], ...], nodes: frozenset[str], aux_of: dict
+) -> tuple[tuple, Optional[tuple[tuple[str, str, str], str]]]:
+    """Segment x -> b of a sample, `cell` the (kind, name) tokens it reads between crossings x and b.
 
-
-def _dual_step(
-    state: tuple,
-    letter: str,
-    cell: tuple[tuple[str, str], ...],
-    nodes: frozenset[str],
-    aux_of: dict[tuple[str, str], tuple[str, ...]],
-) -> tuple[tuple, tuple[tuple[Optional[str], str, str, str], ...]]:
-    """One segment of the sampled scan's reader: its original `letter`, then its `cell`'s (kind, name) tokens.
-
-    A dual node is an auxiliary token or an original one named by a node
-    letter; a dual transition runs from one to the next. `state` is (node,
-    originals, primeds, x, between): the last dual node read (None before
-    the first), the original and primed letters read since it, and the last
-    original letter with the auxiliary names read since it. Returns the
-    state after the segment and the transitions the segment completes, each
-    (from, to, originals, primeds) in reading order; the first one read has
-    from None and holds what came before the first dual node. It raises
-    AssertionError unless the auxiliary names between each two consecutive
-    original letters x, y are the augmented label aux_of[(x, y)].
-
-    The result depends on the arguments alone, so a reader may keep it and
-    reuse it for an equal state and equal tokens.
+    `state` is (a, x, primeds): the letters before and at its start (a is
+    None at a sample's start) and the primed names segment a -> x read
+    after its dual node. A segment's dual node is its auxiliary name, or on
+    an end step, which crosses none, its node-letter end. Returns the next
+    state and, unless a is None or x a node letter, the one dual transition
+    over x, `_transition_over(aux_of, a, x, b)`, with its primed content:
+    `primeds`, then the names read before this segment's dual node. Raises
+    AssertionError unless the cell's auxiliary names are aux_of[(x, b)].
+    The result depends on the arguments alone, so it may be kept and reused.
     """
-    node, originals, primeds, x, between = state
-    done = []
-    for kind, name in ((ORIGINAL, letter), *cell):
-        if kind == PRIMED:
-            primeds += name
-            continue
-        if kind == AUXILIARY:
-            between += (name,)
-        else:
-            if x is not None and between != aux_of.get((x, name)):
-                if (x, name) not in aux_of:
-                    raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
-                raise AssertionError(
-                    f"sampled aux crossings {between} for {x}->{name} differ from "
-                    f"region label {aux_of[(x, name)]}"
-                )
-            x, between = name, ()
-        if kind == AUXILIARY or name in nodes:
-            done.append((node, name, originals, primeds))
-            node, originals, primeds = name, "", ""
-        else:
-            originals += name
-    return (node, originals, primeds, x, between), tuple(done)
+    a, x, carried = state
+    aux = tuple(name for kind, name in cell if kind == AUXILIARY)
+    if aux != aux_of.get((x, b)):
+        if (x, b) not in aux_of:
+            raise AssertionError(f"sampled letter pair {x}->{b} has no arrow")
+        raise AssertionError(f"sampled aux crossings {aux} for {x}->{b} differ from region label {aux_of[(x, b)]}")
+    if aux:
+        cut = cell.index((AUXILIARY, aux[0]))
+        before, after = cell[:cut], cell[cut + 1 :]
+    else:
+        before, after = ((), cell) if x in nodes else (cell, ())
+    state = (x, b, "".join(name for _, name in after))
+    if a is None or x in nodes:
+        return state, None
+    return state, (_transition_over(aux_of, a, x, b), carried + "".join(name for _, name in before))
 
 
 # The fixed sample plan of the diagram build: PLAN_SAMPLES traces of
@@ -392,61 +368,53 @@ def _sector_sample_plan(surface: Surface):
 def _scan_sampled_transitions(
     surface: Surface, aux_of: dict[tuple[str, str], tuple[str, ...]]
 ) -> tuple[dict[tuple[str, str, str], str], dict[tuple[str, str, str], int]]:
-    """Observed primed content per dual transition, from the traced sample plan.
+    """Observed primed content per dual transition, from the traced sample plan,
+    and per transition the 1-based sample that first realized it.
 
-    `_dual_step` reads each sample segment by segment: it checks that the
-    auxiliary names between consecutive original letters equal the
-    clipping-derived augmented labels, and the transitions it completes fill
-    the table. A step depends on the reader's state, the edge index and the
-    cell's tokens alone, so it is taken in full once per distinct (state,
-    edge index, tokens) in the whole build, and one memo maps (the state's
-    number, edge index, tokens) to the next state's number. A kept step
-    gives the same state and transitions as taking it again would; its
-    transitions were recorded and checked when it was first taken, in this
-    sample or an earlier one, so every check fires on the input it would
-    fire on reading every token, none runs twice on one input, and
-    `first_seen` stays each transition's earliest sample.
-    Also returns, per transition, the 1-based sample that first realized it.
+    `_segment_step` reads each sample segment by segment, checking each
+    segment's auxiliary names against the clipped augmented labels. A
+    periodic sample is read as the cyclic word it is: segment 0 again after
+    the closing one, so every crossing lies between two segments. A step is
+    taken in full once per distinct (state, next edge index, cell tokens)
+    in the whole build: one memo maps (the state's number, edge index,
+    tokens) to the next state's number and the state. A kept step gives
+    what taking it again would, and its transition was recorded and checked
+    when first taken, so every check fires on the input it would fire on
+    reading every segment, none twice, and `first_seen` stays each
+    transition's earliest sample.
     """
     edges = {p: surface.aux_for(p) + surface.primed_for(p) for p in (UPPER, LOWER)}
     nodes, letters = surface.node_letters, surface.letters
     observed: dict[tuple[str, str, str], str] = {}
     first_seen: dict[tuple[str, str, str], int] = {}
-    # each state read gets a number once per build: the memo maps (state
-    # number, edge index, cell tokens) to the next state's number
-    states, number = [_START], {_START: 0}
-    taken: dict[tuple, int] = {}
+    number: dict[tuple, int] = {}  # each state read, numbered once per build
+    taken: dict[tuple, tuple[int, tuple]] = {}
     for sample, (edge, u, theta) in enumerate(_sector_sample_plan(surface), 1):
         try:
             traj = trace_from_edge(surface, edge, u, theta, max_crossings=PLAN_CROSSINGS)
         except CornerHit:
             continue
-        cells = crossing_events(surface, traj, edges)
-        at = 0
-        # an open trajectory's last crossing starts no segment: it reads no cell
-        for k, cell in zip_longest(traj.indices, cells, fillvalue=()):
+        ks, cells = traj.indices, crossing_events(surface, traj, edges)
+        if traj.periodic:  # segment 0 again after the closing one
+            ks, cells = ks + ks[:2], cells + cells[:1]
+        state = (None, letters[ks[0] - 1], "")
+        at = number.setdefault(state, len(number))
+        # segment i runs from crossing i to crossing i + 1
+        for k, cell in zip(ks[1:], cells):
             to = taken.get((at, k, cell))
             if to is None:
-                state, done = _dual_step(states[at], letters[k - 1], cell, nodes, aux_of)
-                to = number.get(state)
-                if to is None:
-                    to = number[state] = len(states)
-                    states.append(state)
-                taken[at, k, cell] = to
-                for d1, d2, originals, primeds in done:
-                    if d1 is None:
-                        continue
-                    transition = (d1, d2, originals)
-                    seen = observed.get(transition)
-                    if seen is None:
-                        observed[transition] = primeds
-                        first_seen[transition] = sample
-                    elif seen != primeds:
+                state, done = _segment_step(state, letters[k - 1], cell, nodes, aux_of)
+                to = taken[at, k, cell] = number.setdefault(state, len(number)), state
+                if done is not None:
+                    transition, primeds = done
+                    seen = observed.setdefault(transition, primeds)
+                    first_seen.setdefault(transition, sample)
+                    if seen != primeds:
                         raise AssertionError(
                             f"primed content of dual transition {transition} is not well defined: "
                             f"{seen!r} vs {primeds!r}"
                         )
-            at = to
+            at, state = to
     return observed, first_seen
 
 

@@ -335,7 +335,7 @@ def test_the_crossing_cap_is_inclusive(capsys, pentagon):
 def test_long_trace_output_is_written_as_it_is_encoded(tmp_path, argv, bound):
     # the JSON of an open trace is written chunk by chunk, never held as one
     # string, so the call's peak per crossing stays near the trace's own
-    m, out = 2 * 10**5, tmp_path / "trace.json"
+    m, out = 5 * 10**4, tmp_path / "trace.json"
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -17,8 +17,7 @@ from oddgon.derivation import (
     InvalidPath,
     _arrow_chords,
     _aux_sequence_for_chord,
-    _START,
-    _dual_step,
+    _segment_step,
     _scan_sampled_transitions,
     _sector_sample_plan,
     arrows_path,
@@ -35,9 +34,18 @@ from oddgon.derivation import (
     ksl_window,
     sandwich_equivalence_check,
 )
-from oddgon.flow import CornerHit, crossing_events, normalize_direction, trace_from_edge
+from oddgon.flow import CornerHit, crossing_events, edge_permutation, normalize_direction, trace_from_edge
 from oddgon.geometry import EPS, ray_segment_hit
-from oddgon.surface import AUXILIARY, LOWER, PRIMED, UPPER, build_surface, index_for_letter, letter_for_index
+from oddgon.surface import (
+    AUXILIARY,
+    LOWER,
+    ORIGINAL,
+    PRIMED,
+    UPPER,
+    build_surface,
+    index_for_letter,
+    letter_for_index,
+)
 from test_flow import interleaved_events
 
 words = st.text(alphabet="ABCDE", min_size=0, max_size=40)
@@ -96,6 +104,14 @@ def test_normal_form_is_rotation_invariant():
     assert cyclic_normal_form("ECEB") == cyclic_normal_form("BECE")
     assert cyclic_normal_form("") == ""
     assert cyclic_normal_form("BA") == "AB"
+
+
+@given(st.text(alphabet="ABC", max_size=30), st.integers(min_value=1, max_value=4))
+def test_normal_form_is_the_least_rotation(word, power):
+    # against the quadratic min over every rotation, periodic words and the
+    # empty word included
+    word *= power
+    assert cyclic_normal_form(word) == min((word[i:] + word[:i] for i in range(len(word))), default="")
 
 
 # ---- diagram pipeline --------------------------------------------------------
@@ -248,13 +264,47 @@ def test_node_letters_are_the_direction_fixed_edges(pipelines):
 # ---- reading dual transitions --------------------------------------------------
 
 
-def _read(segments, nodes, aux_of):
-    """The state after a walk's (letter, cell) segments, and the transitions they complete."""
-    state, done = _START, []
-    for letter, cell in segments:
-        state, steps = _dual_step(state, letter, cell, nodes, aux_of)
-        done += steps
-    return state, done
+def _reference_dual_steps(stream, nodes, aux_of):
+    """The per-token reader the per-segment step replaces: for each dual node of
+    a flat (kind, name) stream at position i, (i, j, originals, primeds), j the
+    next dual node's position (None after the last). A dual node is an
+    auxiliary token or an original one named by a node letter. It checks the
+    auxiliary names between consecutive original letters."""
+    i = x = None
+    originals, primeds, between = [], [], []
+    for j, (kind, name) in enumerate(stream):
+        if kind == PRIMED:
+            primeds.append(name)
+            continue
+        if kind == AUXILIARY:
+            between.append(name)
+        else:
+            if x is not None and tuple(between) != aux_of.get((x, name)):
+                if (x, name) not in aux_of:
+                    raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
+                raise AssertionError(
+                    f"sampled aux crossings {tuple(between)} for {x}->{name} differ from "
+                    f"region label {aux_of[(x, name)]}"
+                )
+            x, between = name, []
+        if kind == AUXILIARY or name in nodes:
+            if i is not None:
+                yield i, j, "".join(originals), "".join(primeds)
+            i, originals, primeds = j, [], []
+        else:
+            originals.append(name)
+    if i is not None:
+        yield i, None, "".join(originals), "".join(primeds)
+
+
+def _split(segments, nodes, aux_of):
+    """`_reference_dual_steps` over a walk's (letter, cell) segments, its
+    positions replaced by the names of the dual nodes there."""
+    stream = [token for letter, cell in segments for token in ((ORIGINAL, letter), *cell)]
+    return [
+        (stream[i][1], None if j is None else stream[j][1], originals, primeds)
+        for i, j, originals, primeds in _reference_dual_steps(stream, nodes, aux_of)
+    ]
 
 
 def test_dual_steps_splits_a_stream_at_dual_nodes():
@@ -270,51 +320,36 @@ def test_dual_steps_splits_a_stream_at_dual_nodes():
     # the augmented labels of the letter pairs the segments read
     aux_of = {("B", "A"): (), ("A", "B"): (), ("B", "E"): ("l1", "u1"), ("E", "D"): (), ("D", "C"): ()}
     steps = [("A", "l1", "B", "BE"), ("l1", "u1", "", ""), ("u1", "D", "E", "C")]
-    state, done = _read(segments, nodes, aux_of)
-    # the stretch before the first dual node comes first, from no node
-    assert done == [(None, "A", "B", "")] + steps
-    assert state == ("D", "C", "D", "C", ())  # the last node and what follows it, the last letter
-    assert _read([("B", ((PRIMED, "C"),))], nodes, aux_of) == ((None, "B", "C", "B", ()), [])
+    # the stretch before the first dual node is in no transition; the last
+    # dual node comes last, with what follows it
+    assert _split(segments, nodes, aux_of) == steps + [("D", None, "C", "D")]
+    assert _split([("B", ((PRIMED, "C"),))], nodes, aux_of) == []
     # one segment completes every transition it holds a dual node of
-    assert _dual_step(_read(segments[:2], nodes, aux_of)[0], *segments[2], nodes, aux_of)[1] == tuple(steps[:2])
-    # the same step checks the auxiliary names between letters against the labels
+    assert _split(segments[:3], nodes, aux_of) == steps[:2] + [("u1", None, "", "")]
+    # the reader checks the auxiliary names between letters against the labels
     with pytest.raises(AssertionError, match=r"\('l1', 'u1'\) for B->E differ from region label \('l1',\)"):
-        _read(segments, nodes, {**aux_of, ("B", "E"): ("l1",)})
+        _split(segments, nodes, {**aux_of, ("B", "E"): ("l1",)})
     with pytest.raises(AssertionError, match="pair D->C has no arrow"):
-        _read(segments, nodes, {k: v for k, v in aux_of.items() if k != ("D", "C")})
+        _split(segments, nodes, {k: v for k, v in aux_of.items() if k != ("D", "C")})
 
 
-def _reference_dual_steps(stream, nodes, aux_of=None):
-    """The per-token reader the per-segment step replaces: for each dual node of
-    a flat (kind, name) stream at position i, (i, j, originals, primeds), j the
-    next dual node's position (None after the last); given aux_of, it checks
-    the auxiliary names between consecutive original letters."""
-    i = x = None
-    originals, primeds, between = [], [], []
-    for j, (kind, name) in enumerate(stream):
-        if kind == PRIMED:
-            primeds.append(name)
-            continue
-        if aux_of is not None:
-            if kind == AUXILIARY:
-                between.append(name)
-            else:
-                if x is not None and tuple(between) != aux_of.get((x, name)):
-                    if (x, name) not in aux_of:
-                        raise AssertionError(f"sampled letter pair {x}->{name} has no arrow")
-                    raise AssertionError(
-                        f"sampled aux crossings {tuple(between)} for {x}->{name} differ from "
-                        f"region label {aux_of[(x, name)]}"
-                    )
-                x, between = name, []
-        if kind == AUXILIARY or name in nodes:
-            if i is not None:
-                yield i, j, "".join(originals), "".join(primeds)
-            i, originals, primeds = j, [], []
-        else:
-            originals.append(name)
-    if i is not None:
-        yield i, None, "".join(originals), "".join(primeds)
+def test_a_segment_step_completes_the_transition_over_its_first_letter(pentagon):
+    # A -> B -> E -> B on the pentagon's path A - B - E - C - D: a step reads
+    # one segment's cell and completes the transition over the letter it
+    # starts at, with the primed names on either side of that letter
+    aux_of, nodes = closed_form_tables(5)[0], pentagon.node_letters
+    state, done = _segment_step((None, "A", ""), "B", ((PRIMED, "B"),), nodes, aux_of)
+    assert (state, done) == (("A", "B", "B"), None)  # no transition over a node letter
+    state, done = _segment_step(state, "E", ((PRIMED, "E"), (AUXILIARY, "l1"), (PRIMED, "C")), nodes, aux_of)
+    assert (state, done) == (("B", "E", "C"), (("A", "l1", "B"), "BE"))
+    state, done = _segment_step(state, "B", ((AUXILIARY, "u1"),), nodes, aux_of)
+    assert (state, done) == (("E", "B", ""), (("l1", "u1", "E"), "C"))
+    # an end step's dual node is its node-letter end
+    assert _segment_step(state, "A", ((PRIMED, "B"),), nodes, aux_of) == (("B", "A", ""), (("u1", "A", "B"), "B"))
+    with pytest.raises(AssertionError, match=r"\(\) for B->E differ from region label \('l1',\)"):
+        _segment_step(state, "E", (), nodes, aux_of)
+    with pytest.raises(AssertionError, match="pair B->C has no arrow"):
+        _segment_step(state, "C", (), nodes, aux_of)
 
 
 def _reference_scan(surface, aux_of):
@@ -326,7 +361,11 @@ def _reference_scan(surface, aux_of):
             traj = trace_from_edge(surface, k, u, theta, max_crossings=PLAN_CROSSINGS)
         except CornerHit:
             continue
-        events = interleaved_events(traj, crossing_events(surface, traj, edges))
+        cells = crossing_events(surface, traj, edges)
+        events = interleaved_events(traj, cells)
+        if traj.periodic:
+            # a periodic stream is read around once more, through crossing 1's token
+            events += events[: len(cells[0]) + 2]
         for i, j, originals, primeds in _reference_dual_steps(events, surface.node_letters, aux_of):
             if j is None:
                 continue
@@ -347,27 +386,43 @@ def test_sampled_scan_equals_the_per_token_reference(pipelines, n):
 
 @pytest.mark.parametrize("n", [5, 25])
 def test_the_sampled_scan_steps_once_per_distinct_segment(pipelines, n, monkeypatch):
-    # the reader's step is kept for the whole build per (state, edge index,
+    # the scan's step is kept for the whole build per (state, edge index,
     # cell tokens), so over the plan it never runs twice on one input, and
     # far fewer times than segments are read, with the same table
     s, pipe = build_surface(n), pipelines[n]  # built before the step is counted
-    step, calls, read = derivation._dual_step, [], []
+    step, calls, read = derivation._segment_step, [], []
 
-    def counted(state, letter, cell, nodes, aux_of=None):
-        calls.append((state, letter, cell))
-        return step(state, letter, cell, nodes, aux_of)
+    def counted(state, b, cell, nodes, aux_of):
+        calls.append((state, b, cell))
+        return step(state, b, cell, nodes, aux_of)
 
     def traced(*args, **kwargs):
         traj = trace_from_edge(*args, **kwargs)
         read.append(len(traj.indices))  # every crossing is stepped, with its segment's cell
         return traj
 
-    monkeypatch.setattr(derivation, "_dual_step", counted)
+    monkeypatch.setattr(derivation, "_segment_step", counted)
     monkeypatch.setattr(derivation, "trace_from_edge", traced)
     observed, _ = _scan_sampled_transitions(s, pipe.aux_of)
     assert observed == pipe.transitions
     assert len(set(calls)) == len(calls)
     assert 0 < 4 * len(calls) < sum(read)
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_a_periodic_sample_is_read_as_the_cyclic_word_it_is(pipelines, n, monkeypatch):
+    # sample 1 of the plan, edge 1 at u = 0.5 and theta = pi/(2n), closes up
+    # after a word from A that ends in B, and B -> A is read only by its
+    # closing segment: read around once more, that segment completes the
+    # transition over B from u1 to the node letter A
+    s = build_surface(n)
+    edge, u, theta = next(_sector_sample_plan(s))
+    assert (edge, u, theta) == (1, 0.5, pytest.approx(math.pi / (2 * n)))
+    traj = trace_from_edge(s, edge, u, theta, max_crossings=PLAN_CROSSINGS)
+    assert traj.periodic and traj.letters[0] + traj.letters[-1] == "AB" and "BA" not in traj.letters
+    monkeypatch.setattr(derivation, "PLAN_SAMPLES", 1)
+    observed, first_seen = _scan_sampled_transitions(s, pipelines[n].aux_of)
+    assert (observed[("u1", "A", "B")], first_seen[("u1", "A", "B")]) == ("", 1)
 
 
 def test_sampled_scan_checks_the_augmented_labels(pentagon, monkeypatch):
@@ -655,11 +710,12 @@ def test_derivation_is_local_to_three_letter_windows(pipelines, n, data):
 
 
 def _reference_walk(pipeline, word, cyclic=False):
-    """The diagram walk read through `_dual_step`: one segment per letter, the
-    letter and then the auxiliary names of its arrow to the next, on a
-    tripled copy of a cyclic word, keeping what leaves the dual nodes read
-    in the middle copy. It names the first bad letter, then the first bad
-    pair, as `derive_via_diagrams` does."""
+    """The diagram walk read by `_reference_dual_steps`: each letter's token,
+    then the auxiliary names of its arrow to the next, each token tagged with
+    the index of the letter it is or follows, on a tripled copy of a cyclic
+    word, keeping what leaves the dual nodes read in the middle copy. It
+    names the first bad letter, then the first bad pair, as
+    `derive_via_diagrams` does."""
     L = len(word)
     walked = word * 3 if cyclic else word
     lo, hi = (L, 2 * L) if cyclic else (0, L)
@@ -670,19 +726,21 @@ def _reference_walk(pipeline, word, cyclic=False):
     for pair in zip(walked, walked[1:]):
         if pair not in pipeline.aux_of:
             raise InvalidPath(f"letter pair {pair[0]}->{pair[1]} is not an arrow")
-    last, nodes, out = len(walked) - 1, pipeline.node_letters, []
-    # anchor: the index of the letter the last dual node read is or follows
-    state, anchor = _START, None
+    stream, tag = [], []
     for i, (letter, after) in enumerate(zip_longest(walked, walked[1:])):
-        cell = tuple((AUXILIARY, name) for name in pipeline.aux_of[(letter, after)]) if after else ()
-        state, done = _dual_step(state, letter, cell, nodes, pipeline.aux_of)
-        for d1, d2, originals, _ in done:
-            if d1 is not None and lo <= anchor < hi:
-                out.append(pipeline.transitions[(d1, d2, originals)])
-            anchor = i
-            if d2 in nodes and lo <= i < hi and 0 < i < last:
-                out.append(d2)
-    assert not (cyclic and anchor is not None and lo <= anchor < hi), "tripled walk ended before its transitions"
+        tokens = [(ORIGINAL, letter)] + [(AUXILIARY, name) for name in (pipeline.aux_of[letter, after] if after else ())]
+        stream += tokens
+        tag += [i] * len(tokens)
+    last, out = len(walked) - 1, []
+    for i, j, originals, _ in _reference_dual_steps(stream, pipeline.node_letters, pipeline.aux_of):
+        (kind, name), at = stream[i], tag[i]
+        if not lo <= at < hi:
+            continue
+        if kind == ORIGINAL and 0 < at < last:
+            out.append(name)
+        assert j is not None or not cyclic, "tripled walk ended before its transitions"
+        if j is not None:
+            out.append(pipeline.transitions[(name, stream[j][1], originals)])
     return "".join(out)
 
 
@@ -709,6 +767,51 @@ def test_derive_via_diagrams_equals_the_reference_walk(pipelines, n, data):
             return f"InvalidPath: {e}"
 
     assert outcome(derive_via_diagrams) == outcome(_reference_walk), (word, cyclic)
+
+
+def _sector_involution(n):
+    """J as a letter map: edge k to sigma(1 + (1 - k) mod n). The mirror
+    x -> 1 - x of the upper chart maps edge k to 2 - k (mod n) and theta to
+    pi - theta, and sigma, the rotation by n - 1 sector steps, brings
+    pi - theta in (pi - pi/n, pi] back to (0, pi/n]."""
+    sigma = edge_permutation(build_surface(n), n - 1)
+    return {letter_for_index(k): letter_for_index(sigma[1 + (1 - k) % n]) for k in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("n", range(5, 27, 2))
+def test_the_sector_involution_reverses_the_path_and_keeps_the_closed_form(n):
+    # J reverses the arrows path, so it maps the diagrams onto themselves:
+    # step j to step n - j, whose auxiliary diagonal is n - 2 - i for i = j - 1
+    J = _sector_involution(n)
+    path = arrows_path(n)
+    assert "".join(J[x] for x in path) == path[::-1]
+
+    def dual(node):  # a node letter by J, an auxiliary name l i or u i by its index
+        return J[node] if node in J else f"{node[0]}{n - 2 - int(node[1:])}"
+
+    aux_of, transitions = closed_form_tables(n)
+    assert {(J[x], J[y]): tuple(map(dual, seq)) for (x, y), seq in aux_of.items()} == aux_of
+    mapped = {
+        (dual(d1), dual(d2), "".join(J[x] for x in originals)): "".join(J[x] for x in primeds)
+        for (d1, d2, originals), primeds in transitions.items()
+    }
+    assert mapped == transitions
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("n", range(5, 27, 2))
+@given(data=st.data())
+def test_diagram_derivation_commutes_with_the_sector_involution_and_reversal(pipelines, n, data):
+    # on windows and, up to rotation, on closed walks
+    J, pipe = _sector_involution(n), pipelines[n]
+    window = data.draw(arrows_walks(n, 0, 60))
+    closed = _closed(arrows_path(n), data.draw(arrows_walks(n, 1, 36)))
+    for word, cyclic in ((window, False), (closed, True)):
+        form = cyclic_normal_form if cyclic else str
+        derived = derive_via_diagrams(pipe, word, cyclic=cyclic)
+        mirrored = derive_via_diagrams(pipe, "".join(J[x] for x in word), cyclic=cyclic)
+        assert form(mirrored) == form("".join(J[x] for x in derived)), (word, cyclic)
+        assert form(derive_via_diagrams(pipe, word[::-1], cyclic=cyclic)) == form(derived[::-1]), (word, cyclic)
 
 
 # ---- the arrows path and the words that fit it ------------------------------
