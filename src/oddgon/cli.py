@@ -284,7 +284,12 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--checks names {name!r} twice")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"--tol must be a finite number > 0, got {args.tol}")
-    results = {name: _CHECKS[name](args, s) for name in names}
+    results = {}
+    for name in names:
+        try:  # a check whose own consistency test fails is reported, and the rest still run
+            results[name] = _CHECKS[name](args, s)
+        except AssertionError as e:
+            results[name] = {"pass": False, "error": str(e)}
     report = {
         "n": args.n,
         "tol": args.tol,

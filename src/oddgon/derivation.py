@@ -43,8 +43,8 @@ diagram route by its one lookup per letter, and those walks hold every
 3-letter walk as a window and as a cyclic window, so agreement on them is
 agreement on every word and every cyclic word the arrows diagram accepts,
 and the check decides the theorem for its n rather than sampling it.
-Diagrams, arrows and the `DiagramPipeline` are NamedTuples; an
-`EquivalenceReport`, which fills as the check runs, is a plain class.
+Diagrams, arrows, the `DiagramPipeline` and the `EquivalenceReport`, built
+once when the check ends, are NamedTuples.
 """
 from __future__ import annotations
 
@@ -525,10 +525,10 @@ def derive_via_diagrams(pipeline: DiagramPipeline, word: str, cyclic: bool = Fal
 # ---- equivalence of the two routes ------------------------------------------
 
 
-class EquivalenceReport:
-    def __init__(self):
-        self.cycles_checked = self.windows_checked = 0
-        self.failures: list[tuple[str, str, str]] = []
+class EquivalenceReport(NamedTuple):
+    cycles_checked: int
+    windows_checked: int
+    failures: list[tuple[str, str, str]]  # (walk, expected, got)
 
     @property
     def passed(self) -> bool:
@@ -577,25 +577,23 @@ def sandwich_equivalence_check(pipeline: DiagramPipeline) -> EquivalenceReport:
     letters is therefore agreement on every cyclic word the arrows diagram
     accepts.
     """
-    report = EquivalenceReport()
-
     closed = {
         cyclic_normal_form(w)
         for length in (2, WALK_LEN + 1)
         for w in _walks(pipeline, length)
         if (w[-1], w[0]) in pipeline.aux_of
     }
+    failures = []
     for w in sorted(closed):
         expected = cyclic_normal_form(ksl_cyclic(w))
         got = cyclic_normal_form(derive_via_diagrams(pipeline, w, cyclic=True))
-        report.cycles_checked += 1
         if expected != got:
-            report.failures.append((f"cyclic {w}", expected, got))
+            failures.append((f"cyclic {w}", expected, got))
 
-    for w in _walks(pipeline, WALK_LEN):
+    windows = _walks(pipeline, WALK_LEN)
+    for w in windows:
         expected = ksl_window(w)
         got = derive_via_diagrams(pipeline, w)
-        report.windows_checked += 1
         if expected != got:
-            report.failures.append((f"window {w}", expected, got))
-    return report
+            failures.append((f"window {w}", expected, got))
+    return EquivalenceReport(len(closed), len(windows), failures)

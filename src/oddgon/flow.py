@@ -11,15 +11,16 @@ the half turn that swaps the polygons, whose edges point opposite ways.
 `tests/test_flow.py::test_edge_permutation_matches_arithmetic` pins it
 against the midpoint matching of `rotation_isometry`.
 
-A traced trajectory is three columns, each crossing's edge index and the
-two coordinates of its entry point, plus the polygon crossing 0 enters:
-every gluing joins the two polygons, so crossing i enters that one when i
-is even and the other when i is odd, and a letter is a function of its
-index. Its `Crossing` records are a view, built only when read. A plain
-class, it compares by its fields and cannot be hashed. It owns
-its segments (`Trajectory.segment`, the one place a segment's end is
-carried back across its gluing) and, with the torus tracer, its letters
-(`CuttingSequence`: a periodic trajectory is one period).
+A traced trajectory is a NamedTuple that `trace` builds once, when its walk
+ends: three columns, each crossing's edge index and the two coordinates of
+its entry point, plus the polygon crossing 0 enters. Every gluing joins the
+two polygons, so crossing i enters that one when i is even and the other
+when i is odd, and a letter is a function of its index. Its `Crossing`
+records are a view, built on each read. It owns its segments
+(`Trajectory.segment`, the one place a segment's end is carried back across
+its gluing). Both tracers stop at the first return, so a periodic
+trajectory is one period: `_period` and `_period_word`, which `Trajectory`
+and `torus.TorusTrajectory` bind as properties, read it off the letters.
 `crossing_events` is the one scan of a traced trajectory against edge
 pieces: per segment, its cell, the tuple of untimed (kind, name) tokens of
 the pieces it crosses, one object shared by every segment in the cell; the
@@ -119,51 +120,34 @@ class Crossing(NamedTuple):
     point: Vec  # entry point, in the entered polygon's chart
 
 
-class CuttingSequence:
-    """The letters of a traced trajectory's crossings, for `trace` and `torus.torus_trace` alike.
-
-    Each tracer's trajectory gives `letters`, one per crossing. A periodic
-    trajectory holds exactly one period: both tracers stop at the first
-    return, so `period` is the number of letters and `period_word` is
-    `letters`; an open trajectory has neither.
-    """
-
-    letters: str
-
-    @property
-    def period(self) -> Optional[int]:
-        return len(self.letters) if self.periodic else None
-
-    @property
-    def period_word(self) -> Optional[str]:
-        return self.letters if self.periodic else None
+def _period(traj) -> Optional[int]:
+    """A `Trajectory`'s or a `torus.TorusTrajectory`'s number of letters if periodic, else None."""
+    return len(traj.letters) if traj.periodic else None
 
 
-class Trajectory(CuttingSequence):
+def _period_word(traj) -> Optional[str]:
+    """Its letters if periodic, else None."""
+    return traj.letters if traj.periodic else None
+
+
+class Trajectory(NamedTuple):
     """A traced trajectory: crossing i is edge pair `indices[i]`, entered at
     (`xs[i]`, `ys[i]`) in the chart of `first_polygon` when i is even and of
     the other polygon when i is odd (`polygon(i)`)."""
 
-    def __init__(
-        self, start_polygon: str, start_point: Vec, theta: float, first_polygon: str, indices: list[int], xs: list[float],
-        ys: list[float], start_edge: int, periodic: bool = False, start_param: Optional[float] = None,
-    ):
-        self.start_polygon, self.start_point, self.theta = start_polygon, start_point, theta
-        self.first_polygon = first_polygon  # polygon entered at crossing 0
-        self.indices = indices  # original edge index 1..n of each crossing
-        self.xs, self.ys = xs, ys  # entry point of each crossing, in its polygon's chart
-        self.start_edge, self.periodic, self.start_param = start_edge, periodic, start_param
-        self._crossings: Optional[list[Crossing]] = None
+    start_polygon: str
+    start_point: Vec
+    theta: float
+    first_polygon: str  # polygon entered at crossing 0
+    indices: list[int]  # original edge index 1..n of each crossing
+    xs: list[float]  # entry point of each crossing, in its polygon's chart
+    ys: list[float]
+    start_edge: int
+    periodic: bool = False
+    start_param: Optional[float] = None
 
-    def __eq__(self, other: object) -> bool:
-        """Equal fields; the `Crossing` view is not compared. Unhashable, as mutable."""
-        if type(other) is not type(self):
-            return NotImplemented
-        return {**vars(self), "_crossings": None} == {**vars(other), "_crossings": None}
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items() if name != "_crossings")
-        return f"{type(self).__qualname__}({fields})"
+    period = property(_period)
+    period_word = property(_period_word)
 
     def polygon(self, i: int) -> str:
         """The polygon crossing i enters."""
@@ -175,13 +159,11 @@ class Trajectory(CuttingSequence):
 
     @property
     def crossings(self) -> list[Crossing]:
-        """The crossings as `Crossing` records, built once, on the first read; the library reads the columns."""
-        if self._crossings is None:
-            self._crossings = [
-                Crossing(k, letter_for_index(k), self.polygon(i), (x, y))
-                for i, (k, x, y) in enumerate(zip(self.indices, self.xs, self.ys))
-            ]
-        return self._crossings
+        """The crossings as `Crossing` records, built on each read; the library reads the columns."""
+        return [
+            Crossing(k, letter_for_index(k), self.polygon(i), (x, y))
+            for i, (k, x, y) in enumerate(zip(self.indices, self.xs, self.ys))
+        ]
 
     def segment(self, i: int, surface: Surface) -> tuple[str, Vec, Vec]:
         """Chart segment i, (polygon, from, to): from crossing i to crossing
@@ -274,13 +256,13 @@ def trace(
     if at_corner:
         raise CornerHit(polygon, (x, y), 0, theta, start[0], start[1])
     indices, xs, ys = [start_edge], [x], [y]
-    traj = Trajectory(start[0], start[1], theta, polygon, indices, xs, ys, start_edge, start_param=start_param)
 
     # s - lo is read relative to the row's vertex, not as the difference of
     # s and lo: their rounding grows with the coordinates (up to 8 at n =
     # 25), and along an edge nearly parallel to d, u magnifies it by 1/denom
     first_polygon, s0 = polygon, dx * y - dy * x
     s, near, far = s0, CORNER_DELTA + CORNER_TIE, CORNER_DELTA - CORNER_TIE
+    periodic = False
     add_index, add_x, add_y = indices.append, xs.append, ys.append
     for _ in range(max_crossings - 1):  # one crossing per step after crossing 0
         bounds, rows, entered = chains[polygon]
@@ -297,12 +279,12 @@ def trace(
         polygon, x, y = entered, ax + ex * u + ox, ay + ey * u + oy
         s = dx * y - dy * x
         if k == start_edge and polygon == first_polygon and abs(s - s0) < EPS * denom:
-            traj.periodic = True
+            periodic = True
             break
         add_index(k)
         add_x(x)
         add_y(y)
-    return traj
+    return Trajectory(start[0], start[1], theta, first_polygon, indices, xs, ys, start_edge, periodic, start_param)
 
 
 def trace_from_edge(
@@ -366,14 +348,13 @@ def rotation_isometry(surface: Surface, steps: int) -> Callable[[str, Vec], tupl
     return apply
 
 
-def edge_permutation(surface: Surface, steps: int) -> dict[int, int]:
-    """Edge-index permutation induced by rotation_isometry(surface, steps).
+def edge_permutation(n: int, steps: int) -> dict[int, int]:
+    """Edge-index permutation induced by rotation_isometry(surface, steps) on the double n-gon.
 
     Closed form: sigma(k) - 1 = (k - 1) - steps * (n + 1)/2 (mod n); see the
     module docstring. `tests/test_flow.py::test_edge_permutation_matches_arithmetic`
     checks it against the isometry's midpoint matching.
     """
-    n = surface.n
     return {k: 1 + (k - 1 - steps * (n + 1) // 2) % n for k in range(1, n + 1)}
 
 
@@ -389,7 +370,7 @@ def normalize_direction(surface: Surface, theta: float) -> NormalizedDirection:
     if th_norm < 0.0:
         th_norm = 0.0
     steps %= 2 * surface.n  # theta % 2pi may round up to 2pi itself
-    letter_map = {surface.letters[k - 1]: surface.letters[v - 1] for k, v in edge_permutation(surface, steps).items()}
+    letter_map = {surface.letters[k - 1]: surface.letters[v - 1] for k, v in edge_permutation(surface.n, steps).items()}
     return NormalizedDirection(theta=th_norm, steps=steps, letter_map=letter_map)
 
 

@@ -5,26 +5,34 @@ vertical edges (lines x in Z) is the sanity case: its derivation rule
 ("between every two A's, remove a B") is NOT the sandwich rule, and the tests
 pin that contrast. The shear here is M = (1 1; 0 1); derivation applies the
 inverse (1 -1; 0 1) to the whole line and re-reads the cutting sequence.
-A traced trajectory is two columns, the time and the letter of each
-crossing; crossing i lies at start + times[i] * (cos theta, sin theta).
-The tracer, like `flow.trace`, ends a periodic orbit at its first return.
+A traced trajectory is a NamedTuple that the tracer builds once, when its
+walk ends: two columns, the time and the letter of each crossing; crossing
+i lies at start + times[i] * (cos theta, sin theta). The tracer, like
+`flow.trace`, ends a periodic orbit at its first return, and its `period`
+and `period_word` are `flow`'s, read off the letters.
 """
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .flow import CornerHit, CuttingSequence
+from .flow import CornerHit, _period, _period_word
 from .geometry import CORNER_DELTA, EPS, PARALLEL, STEP_MIN
 
 HORIZONTAL, VERTICAL = "A", "B"
 
 
-class TorusTrajectory(CuttingSequence):
+class TorusTrajectory(NamedTuple):
     """Crossing i is `letters[i]` at time `times[i]` from the (reduced) `start`."""
 
-    def __init__(self, start: tuple[float, float], theta: float, times: list[float], letters: str, periodic: bool = False):
-        self.start, self.theta, self.times, self.letters, self.periodic = start, theta, times, letters, periodic
+    start: tuple[float, float]
+    theta: float
+    times: list[float]
+    letters: str
+    periodic: bool = False
+
+    period = property(_period)
+    period_word = property(_period_word)
 
 
 def _first_line(p0: float, d: float, at_start: bool) -> tuple[float, float, int, float]:

@@ -165,6 +165,27 @@ def test_verify_failure_exits_one(capsys):
     assert data["checks"]["reassembly"]["pass"] is False
 
 
+def test_verify_reports_a_check_whose_consistency_test_fails(capsys, monkeypatch):
+    # a closed form that disagrees with the geometry fails the equivalence
+    # check's build; the report still prints, with every check in it
+    closed_form = derivation.closed_form_tables
+
+    def flipped(n):
+        aux_of, transitions = closed_form(n)
+        key = ("A", "A", "B")
+        return aux_of, {**transitions, key: "" if transitions[key] else "B"}
+
+    monkeypatch.setattr(derivation, "closed_form_tables", flipped)
+    code, data = run_json(capsys, "verify", "--n", "5", "--checks", "moduli,equivalence,torus", "--seed", "3")
+    assert code == 1
+    assert list(data["checks"]) == ["moduli", "equivalence", "torus"]
+    assert data["checks"]["equivalence"] == {
+        "pass": False,
+        "error": "sampled primed content differs from the closed form: [(('A', 'A', 'B'), 'B', '')]",
+    }
+    assert data["checks"]["moduli"]["pass"] is True and data["checks"]["torus"]["pass"] is True
+
+
 def test_verify_torus_compares_open_and_periodic_orbits(capsys, monkeypatch):
     cyclic_flags = []
     rule = cli.torus_derive_rule

@@ -774,7 +774,7 @@ def _sector_involution(n):
     x -> 1 - x of the upper chart maps edge k to 2 - k (mod n) and theta to
     pi - theta, and sigma, the rotation by n - 1 sector steps, brings
     pi - theta in (pi - pi/n, pi] back to (0, pi/n]."""
-    sigma = edge_permutation(build_surface(n), n - 1)
+    sigma = edge_permutation(n, n - 1)
     return {letter_for_index(k): letter_for_index(sigma[1 + (1 - k) % n]) for k in range(1, n + 1)}
 
 

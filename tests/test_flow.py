@@ -478,7 +478,7 @@ def test_edge_permutation_matches_arithmetic(n):
     for j in range(-2 * n, 2 * n):
         reference = _matched_edge_permutation(s, j)
         assert sorted(reference.values()) == list(range(1, n + 1))
-        assert edge_permutation(s, j) == reference, j
+        assert edge_permutation(n, j) == reference, j
 
 
 def test_normalize_direction_lands_in_sector(pentagon):
@@ -516,7 +516,7 @@ def test_normalize_direction_keeps_steps_below_2n(n, monkeypatch):
     def unreduced(surface, theta):  # the same rotation, reported as steps + 2n
         norm = normalize_direction(surface, theta)
         steps = norm.steps + 2 * n
-        perm = edge_permutation(surface, steps)
+        perm = edge_permutation(n, steps)
         letter_map = {letter_for_index(k): letter_for_index(v) for k, v in perm.items()}
         return flow.NormalizedDirection(theta=norm.theta, steps=steps, letter_map=letter_map)
 
@@ -709,7 +709,7 @@ def test_rotated_trace_reproduces_permuted_letters(n):
             continue
         norm = normalize_direction(s, theta)
         polygon, point = rotation_isometry(s, norm.steps)(UPPER, s.edge_seg(UPPER, k).point_at(u))
-        k2 = edge_permutation(s, norm.steps)[k]
+        k2 = edge_permutation(n, norm.steps)[k]
         rotated = trace(s, (polygon, point), norm.theta, max_crossings=len(traj.crossings), start_edge=k2)
         assert rotated.letters == norm.apply(traj.letters)
         checked += 1

@@ -359,7 +359,7 @@ def test_t_max_and_max_crossings_both_bound_the_walk():
 
 def test_an_open_trace_keeps_two_columns():
     # a crossing is one time slot and float (32 B) and one byte of letters
-    theta, m = 0.7 + math.sqrt(2) * 1e-3, 10**5
+    theta, m = 0.7 + math.sqrt(2) * 1e-3, 2 * 10**4
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
