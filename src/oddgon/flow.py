@@ -29,7 +29,7 @@ derivation feeds it the primed edges carried onto the trajectory's charts,
 kept by the surface per rotation, so a trajectory is traced once in any
 direction. It joins its word from the names as it reads them and builds no
 record per hit: it keeps the cells, and its `primed_hits` is a view, built
-only when read. Every piece scan asks `geometry.line_crossings` which pieces a
+on each read. Every piece scan asks `geometry.line_crossings` which pieces a
 line crosses; the event scan sorts the pieces' ends in s = dx*y - dy*x and
 works out their spans (`geometry.line_spans`) once per polygon and
 direction, and each segment does one bisect of its s and appends its cell,
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cached_property
 from itertools import chain, cycle, islice, zip_longest
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -377,51 +376,34 @@ def normalize_direction(surface: Surface, theta: float) -> NormalizedDirection:
 # ---- geometric derivation ---------------------------------------------------
 
 
-class GeometricDerivation:
-    """A derived word, whether it is cyclic, and the direction and rotation
-    steps of its normalization; `primed_hits` is a view."""
+class GeometricDerivation(NamedTuple):
+    """A derived word, whether it is cyclic, the direction and rotation steps
+    of its normalization, and what its `primed_hits` view reads: the
+    trajectory's indices, its segments' cells (`crossing_events`), shared
+    tuples, and each edge index's normalized node letter, None for others."""
 
-    def __init__(
-        self, letters: str, cyclic: bool, normalized_theta: float, rotation_steps: int,
-        indices: Sequence[int], cells: Sequence[tuple[tuple[str, str], ...]], node_of: Sequence[Optional[str]],
-    ):
-        self.letters, self.cyclic = letters, cyclic
-        self.normalized_theta, self.rotation_steps = normalized_theta, rotation_steps
-        # what `primed_hits` is read from: the trajectory's indices, its
-        # segments' cells (`crossing_events`), shared tuples, and the node letter
-        # of each edge index in the normalized direction, None for the others
-        self._indices, self._cells, self._node_of = indices, cells, node_of
+    letters: str
+    cyclic: bool
+    normalized_theta: float
+    rotation_steps: int
+    indices: Sequence[int]
+    cells: Sequence[tuple[tuple[str, str], ...]]
+    node_of: Sequence[Optional[str]]
 
-    @cached_property
+    @property
     def primed_hits(self) -> tuple[tuple[int, str], ...]:
         """(i, derived letter) per letter of the normalized word: crossing i's
-        node letter or a primed hit of segment i. A view, built once, on the
-        first read; the derivation itself builds no record per hit."""
+        node letter or a primed hit of segment i. A view, built on each read;
+        the derivation itself builds no record per hit."""
         hits = []
         add = hits.append
-        for segment, (k, cell) in enumerate(zip_longest(self._indices, self._cells, fillvalue=())):
-            name = self._node_of[k]
+        for segment, (k, cell) in enumerate(zip_longest(self.indices, self.cells, fillvalue=())):
+            name = self.node_of[k]
             if name is not None:
                 add((segment, name))
             for _, name in cell:
                 add((segment, name))
         return tuple(hits)
-
-    def _key(self) -> tuple:
-        return self.letters, self.cyclic, self.normalized_theta, self.rotation_steps
-
-    def __eq__(self, other: object) -> bool:
-        """Equal letters, flags and hits."""
-        if not isinstance(other, GeometricDerivation):
-            return NotImplemented
-        return self._key() == other._key() and self.primed_hits == other.primed_hits
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = "letters={!r}, cyclic={!r}, normalized_theta={!r}, rotation_steps={!r}".format(*self._key())
-        return f"GeometricDerivation({fields})"
 
 
 def crossing_events(
@@ -525,7 +507,7 @@ def derive_geometric(surface: Surface, traj: Trajectory) -> GeometricDerivation:
     (`crossing_events`), appended to one list of names and joined. The
     normalized word is mapped back through the inverse letter permutation.
     The result keeps the cells, the trajectory's indices and the node
-    letters, and reads its `primed_hits` off them only when asked. Nothing
+    letters, and reads its `primed_hits` off them each time it is asked. Nothing
     is traced again, so CornerHit cannot arise here.
     """
     norm = normalize_direction(surface, traj.theta)

@@ -3,8 +3,10 @@
 Everything works on plain float tuples; `Mat2`, `Segment` and `Hit` are
 NamedTuples, compared by their fields. The block below is the package's
 tolerance policy: every comparison that decides on, inside or at a corner
-reads one of its names, and no caller passes its own. The values are
-absolute; every polygon has unit sides, whatever n.
+reads one of its names. A caller passes one, `point_in_polygon`'s eps:
+EPS, its default, up to the boundary, or -EPS (`derivation._arrow_chords`)
+for the strict interior. The values are absolute; every polygon has unit
+sides, whatever n.
 """
 from __future__ import annotations
 

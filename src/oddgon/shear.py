@@ -184,7 +184,7 @@ class ReassemblyReport(NamedTuple):
     y_preserved: bool
 
 
-def verify_reassembly(surface: Surface, tol: float = 1e-8) -> ReassemblyReport:
+def verify_reassembly(surface: Surface, tol: float) -> ReassemblyReport:
     """Compare every guide x-position against the sheared original vertex."""
     guide = build_vertex_guide(surface)
     M = shear_matrix(surface.n)

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from oddgon.derivation import build_pipeline_diagrams
+from oddgon.derivation import build_pipeline_diagrams, ksl_window
 from oddgon.surface import build_surface
 
 
@@ -18,6 +18,14 @@ def pytest_runtest_makereport():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
         yield
+
+
+def window_agrees(got: str, w: str) -> bool:
+    """Whether `got` is the derived word of an open trace whose letters are w:
+    the rule's window, `ksl_window(w)`, led by w's first letter or not and
+    followed by its last letter or not. The rule cannot see past either end
+    of w; the flow reads the primed edge there if it crosses it."""
+    return got in {h + ksl_window(w) + t for h in ("", w[:1]) for t in ("", w[-1:])}
 
 
 @pytest.fixture(scope="session")

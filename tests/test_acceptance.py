@@ -23,6 +23,8 @@ from oddgon.shear import decompose_cylinders, identity_sum, telescoping_identity
 from oddgon.surface import build_surface
 from oddgon.torus import torus_derive_geometric, torus_derive_rule, torus_trace
 
+from conftest import window_agrees
+
 SWEEP_NS = list(range(5, 23, 2))
 DIAGRAM_NS = (5, 7, 9)
 
@@ -157,12 +159,6 @@ def test_criterion_5_diagram_equivalence(pipelines):
     assert elapsed < 30.0
 
 
-def _interiors_agree(got: str, want: str) -> bool:
-    """Windows agree after trimming at most one derived letter per end."""
-    cores = {want[a : len(want) - b] for a in (0, 1) for b in (0, 1)}
-    return any(got[c : len(got) - d] in cores for c in (0, 1) for d in (0, 1))
-
-
 def test_criterion_6_geometric_vs_combinatorial(pipelines):
     t0 = time.perf_counter()
     mismatches = 0
@@ -187,7 +183,7 @@ def test_criterion_6_geometric_vs_combinatorial(pipelines):
             if traj.periodic:
                 agree = cyclic_normal_form(result.letters) == cyclic_normal_form(ksl_cyclic(traj.period_word))
             else:
-                agree = _interiors_agree(result.letters, ksl_window(traj.letters))
+                agree = window_agrees(result.letters, traj.letters)
             if not agree:
                 mismatches += 1
     elapsed = time.perf_counter() - t0

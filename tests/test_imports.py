@@ -95,9 +95,10 @@ def unread_private_names(modules: dict[str, str]) -> list[str]:
     return sorted(
         f"{module}.{name}"
         for module, source in modules.items()
+        for read in [read_names(source)]
         for node in ast.parse(source).body
         for name in defined_names(node)
-        if name.startswith("_") and not name.startswith("__") and name not in read_names(source)
+        if name.startswith("_") and not name.startswith("__") and name not in read
     )
 
 

@@ -1,9 +1,7 @@
 """The immutable records are `typing.NamedTuple`s: equal fields give equal
 objects, with equal hashes unless a field is a list or a dict, no attribute
-can be assigned, and each prints as `Name(field=value, ...)`. The traces
-and the equivalence report are among them. `GeometricDerivation`, a plain
-class that caches its `primed_hits` view and compares by its fields, prints
-alike."""
+can be assigned, and each prints as `Name(field=value, ...)`. The traces,
+the equivalence report and the geometric derivation are among them."""
 import pytest
 
 from oddgon.derivation import Arrow, EquivalenceReport, TransitionDiagram
@@ -49,6 +47,11 @@ RECORDS = [
         lambda: EquivalenceReport(6, 14, [("window ABA", "B", "")]),
         "EquivalenceReport(cycles_checked=6, windows_checked=14, failures=[('window ABA', 'B', '')])",
     ),
+    (
+        lambda: GeometricDerivation("BC", True, 0.25, 3, [2, 5], [(), ()], [None] * 6),
+        "GeometricDerivation(letters='BC', cyclic=True, normalized_theta=0.25, rotation_steps=3,"
+        " indices=[2, 5], cells=[(), ()], node_of=[None, None, None, None, None, None])",
+    ),
 ]
 
 
@@ -77,10 +80,3 @@ def test_a_segment_is_a_set_member_and_a_dict_key_by_its_ends():
 def test_cylinder_index_is_the_field():
     # the field shadows tuple.index, which nothing calls on a Cylinder
     assert Cylinder(2, 3.0, 0.5, 6.0, (0.5, 1.0)).index == 2
-
-
-def test_a_trajectory_and_a_derivation_keep_their_repr():
-    # a derivation compares by its fields, so an assertion on it prints it;
-    # a trajectory, a NamedTuple, keeps its repr in RECORDS
-    derived = GeometricDerivation("BC", True, 0.25, 3, [2, 5], [(), ()], [None] * 6)
-    assert repr(derived) == "GeometricDerivation(letters='BC', cyclic=True, normalized_theta=0.25, rotation_steps=3)"
